@@ -12,6 +12,8 @@ errors, 4 invariant violations.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -323,15 +325,9 @@ def _cmd_corpus_run(args):
     for case in cases:
         name = case["name"]
         argv = list(case["argv"])
-        from io import StringIO
-
-        buf = StringIO()
-        old = sys.stdout
-        sys.stdout = buf
-        try:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
             code = run(argv)
-        finally:
-            sys.stdout = old
         got = None
         status = "PASS"
         detail = ""
@@ -402,8 +398,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="module JSON (inline or file); repeatable")
         p.add_argument("--cap", type=int, default=cap_default,
                        help="resource cap for enumerations and chains")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="reserved; outputs are schedule-independent")
         p.add_argument("--json", action="store_true", help="canonical JSON output")
 
     handlers = {}

@@ -12,7 +12,7 @@ is the quasi-length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .errors import InvariantViolation, ResourceError, UsageError
 from . import linalg
@@ -228,8 +228,8 @@ def invariant_profile(module: SemilinearModule, base_changes: int = 3):
     """Cheap isomorphism invariants: dimension, nilpotence order, ranks of
     the power matrices, and fixed-point dimensions over small base changes."""
     ranks = tuple(
-        linalg.matrix_rank(module.power_matrix(i), module.spec)
-        for i in range(module.dim + 1)
+        linalg.matrix_rank(b, module.spec)
+        for b in islice(module._powers(), module.dim + 1)
     )
     fixed = tuple(
         len(module.base_change(m).fixed_points()) for m in range(1, base_changes + 1)

@@ -351,14 +351,6 @@ class FieldElement:
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
 
 
-def frobenius(a: FieldElement, j: int = 1) -> FieldElement:
-    return a.frobenius(j)
-
-
-def inv_frobenius(a: FieldElement, j: int = 1) -> FieldElement:
-    return a.inv_frobenius(j)
-
-
 def find_embedding_root(small: FieldSpec, big: FieldSpec) -> FieldElement:
     """Least root of small's modulus in big, in canonical element order."""
     if small.p != big.p:

@@ -15,11 +15,11 @@ nilpotence/support analysis of cyclic quotients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import DomainError, InvariantViolation, ResourceError, UsageError
 from .field import FieldSpec
-from .poly import GREVLEX, Ideal, Polynomial, PolyRing
+from .poly import GREVLEX, Ideal, Polynomial, PolyRing, divide, groebner_basis
 
 DEFAULT_CHAIN_CAP = 64
 
@@ -121,27 +121,34 @@ class CartierOperator:
 
     # -- ideal-level operations --------------------------------------
 
+    def _shifted_values(self, g: Polynomial):
+        """Pairs (b, C(f * g * x^b)) for b in [0, q)^n with a nonzero value,
+        b ascending lexicographically.
+
+        C(h * x^b) is the Frobenius-descent component h_{q-1-b}, so one
+        product f * g and one descent give every value.
+        """
+        top = self.q - 1
+        parts = frobenius_descent(self.multiplier * g, self.e)
+        return sorted(
+            ((tuple(top - r for r in res), h) for res, h in parts.items()),
+            key=lambda t: t[0],
+        )
+
     def image_ideal(self, ideal: Ideal) -> Ideal:
         """The ideal generated by the operator values on the ideal.
 
-        Generators cartier_std(f * x^b * g_i) for b in [0, q)^n span the
-        image as an R-module because of q^(-1)-linearity.
+        Generators C(f * x^b * g_i) for b in [0, q)^n span the image as an
+        R-module because of q^(-1)-linearity.  By the identity
+        C(h * x^b) = h_{q-1-b} they are the nonzero Frobenius-descent
+        components of f * g_i, listed with b ascending.
         """
         if ideal.ring != self.ring:
             raise UsageError("ideal outside the ring")
-        q = self.q
-        n = self.ring.nvars
-        gens = []
-        for g in ideal.gens:
-            if g.is_zero:
-                continue
-            fg = self.multiplier * g
-            for b in product(range(q), repeat=n):
-                shifted = fg * self.ring.monomial(b)
-                value = cartier_std(shifted, self.e)
-                if not value.is_zero:
-                    gens.append(value)
-        return Ideal(self.ring, tuple(gens))
+        gens = tuple(
+            value for g in ideal.gens for _, value in self._shifted_values(g)
+        )
+        return Ideal(self.ring, gens)
 
     def image_of_ring(self) -> Ideal:
         return self.image_ideal(Ideal(self.ring, (self.ring.one,)))
@@ -188,25 +195,18 @@ class CartierOperator:
     def find_splitting(self) -> Polynomial | None:
         """A witness h with cartier_std(f * h, e) = 1, or None if not split.
 
-        Found by expressing 1 = sum_b h_b * cartier_std(f * x^b) through
-        cofactor-tracked Gröbner reduction and lifting along descent:
-        taking h = sum_b h_b^q * x^b turns the combination into a single
+        The values C(f * x^b) are the descent components f_{q-1-b}
+        (C(h * x^b) = h_{q-1-b}).  Cofactor-tracked Gröbner reduction
+        expresses 1 = sum_b h_b * f_{q-1-b}, and lifting along descent,
+        h = sum_b h_b^q * x^b, turns the combination into a single
         operator value.
         """
-        from .poly import divide, groebner_extended
-
-        q = self.q
-        n = self.ring.nvars
-        bs = []
-        gens = []
-        for b in product(range(q), repeat=n):
-            value = cartier_std(self.multiplier * self.ring.monomial(b), self.e)
-            if not value.is_zero:
-                bs.append(b)
-                gens.append(value)
+        shifted = self._shifted_values(self.ring.one)
+        bs = [b for b, _ in shifted]
+        gens = [value for _, value in shifted]
         if not gens:
             return None
-        gb, cofs = groebner_extended(tuple(gens), GREVLEX)
+        gb, cofs = groebner_basis(gens, GREVLEX, track=True)
         rem, quots = divide(self.ring.one, list(gb), GREVLEX, track=True)
         if not rem.is_zero:
             return None

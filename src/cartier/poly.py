@@ -5,9 +5,9 @@ serialized form sorts terms descending under the ring's default order
 (grevlex), so printing is canonical and parse/print round-trips.
 
 Gröbner bases are plain Buchberger with the coprime-leading-term
-criterion, reduced to the unique reduced basis for the order.  A separate
-extended path additionally tracks cofactors, used only where an explicit
-representation 1 = sum h_i g_i is required.
+criterion, reduced to the unique reduced basis for the order.  On request
+the same run also tracks cofactors, used where an explicit representation
+1 = sum h_i g_i is required.
 """
 
 from __future__ import annotations
@@ -467,118 +467,87 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder):
     return mf * f - mg * g, mf, mg
 
 
-def groebner_basis(gens, order: MonomialOrder = GREVLEX):
-    """The reduced Gröbner basis, sorted by leading monomial ascending."""
-    basis = [g for g in gens if not g.is_zero]
+def groebner_basis(gens, order: MonomialOrder = GREVLEX, track: bool = False):
+    """The reduced Gröbner basis, sorted by leading monomial ascending.
+
+    With track=True, returns (basis, cofactors) where
+    basis[i] = sum_j cofactors[i][j] * gens[j].
+    """
+    gens = tuple(gens)
+    basis = []
+    cofs = [] if track else None
+    for j, g in enumerate(gens):
+        if g.is_zero:
+            continue
+        basis.append(g)
+        if track:
+            cof = [g.ring.zero] * len(gens)
+            cof[j] = g.ring.one
+            cofs.append(cof)
     if not basis:
-        return ()
-    ring = basis[0].ring
+        return ((), ()) if track else ()
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:
         i, j = pairs.pop(0)
         fi, fj = basis[i], basis[j]
         if mono_coprime(fi.leading(order)[0], fj.leading(order)[0]):
             continue
-        s, _, _ = s_polynomial(fi, fj, order)
-        r = divide(s, basis, order)
+        s, mf, mg = s_polynomial(fi, fj, order)
+        scof = [mf * a - mg * b for a, b in zip(cofs[i], cofs[j])] if track else None
+        r, rcof = _reduce(s, scof, basis, cofs, order)
         if not r.is_zero:
             basis.append(r)
+            if track:
+                cofs.append(rcof)
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    return _reduce_basis(basis, order)
+    return _reduce_basis(basis, cofs, order)
 
 
-def _reduce_basis(basis, order: MonomialOrder):
-    basis = [g.monic(order) for g in basis if not g.is_zero]
+def _reduce(f: Polynomial, fcof, divisors, dcofs, order: MonomialOrder):
+    """Remainder of f by the divisors, and, when f carries cofactors, the
+    remainder's cofactors fcof - sum_k quotient_k * dcofs[k]."""
+    if fcof is None:
+        return divide(f, divisors, order), None
+    r, quots = divide(f, divisors, order, track=True)
+    out = list(fcof)
+    for q, dc in zip(quots, dcofs):
+        if q.is_zero:
+            continue
+        for j in range(len(out)):
+            out[j] = out[j] - q * dc[j]
+    return r, out
+
+
+def _reduce_basis(basis, cofs, order: MonomialOrder):
+    """Monic, minimal, then fully reduced; cofactors (None when untracked)
+    are scaled and reduced in step with their basis elements."""
+    items = []
+    for k, g in enumerate(basis):
+        inv = g.leading(order)[1].inverse()
+        items.append((g * inv, None if cofs is None else [c * inv for c in cofs[k]]))
     # minimal: drop any element whose leading term another one divides
-    basis.sort(key=lambda g: order.key(g.leading(order)[0]))
+    items.sort(key=lambda t: order.key(t[0].leading(order)[0]))
     minimal = []
-    for g in basis:
-        ge = g.leading(order)[0]
-        if any(mono_divides(h.leading(order)[0], ge) for h in minimal):
-            continue
-        minimal.append(g)
-    # fully reduce each element against the others
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        r = divide(g, others, order) if others else g
-        reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
-    return tuple(reduced)
-
-
-def groebner_extended(gens, order: MonomialOrder = GREVLEX):
-    """Reduced basis plus cofactors: basis[i] = sum_j cof[i][j] * gens[j]."""
-    ring = None
-    work = []
-    for j, g in enumerate(gens):
-        if g.is_zero:
-            continue
-        ring = g.ring
-        cof = [g.ring.zero] * len(gens)
-        cof[j] = g.ring.one
-        work.append((g, cof))
-    if not work:
-        return (), ()
-
-    def reduce_tracked(poly, cof):
-        r, quots = divide(poly, [w[0] for w in work], order, track=True)
-        out = list(cof)
-        for q, (_, wc) in zip(quots, work):
-            if q.is_zero:
-                continue
-            for j in range(len(out)):
-                out[j] = out[j] - q * wc[j]
-        return r, out
-
-    pairs = [(i, j) for i in range(len(work)) for j in range(i + 1, len(work))]
-    while pairs:
-        i, j = pairs.pop(0)
-        fi, ci = work[i]
-        fj, cj = work[j]
-        if mono_coprime(fi.leading(order)[0], fj.leading(order)[0]):
-            continue
-        s, mf, mg = s_polynomial(fi, fj, order)
-        scof = [mf * a - mg * b for a, b in zip(ci, cj)]
-        r, rcof = reduce_tracked(s, scof)
-        if not r.is_zero:
-            work.append((r, rcof))
-            pairs.extend((k, len(work) - 1) for k in range(len(work) - 1))
-
-    # monic + minimal + reduced, keeping the cofactors in lockstep
-    work = [(g * g.leading(order)[1].inverse(),
-             [c * g.leading(order)[1].inverse() for c in cof])
-            for g, cof in work]
-    work.sort(key=lambda t: order.key(t[0].leading(order)[0]))
-    minimal = []
-    for g, cof in work:
+    for g, cof in items:
         ge = g.leading(order)[0]
         if any(mono_divides(h.leading(order)[0], ge) for h, _ in minimal):
             continue
         minimal.append((g, cof))
+    # fully reduce each element against the others; no other leading term
+    # divides its own, so the remainder stays monic
     reduced = []
     for i, (g, cof) in enumerate(minimal):
-        others = [h for k, (h, _) in enumerate(minimal) if k != i]
+        others = minimal[:i] + minimal[i + 1 :]
         if others:
-            r, quots = divide(g, others, order, track=True)
-            out = list(cof)
-            idx = 0
-            for k, (_, oc) in enumerate(minimal):
-                if k == i:
-                    continue
-                q = quots[idx]
-                idx += 1
-                if q.is_zero:
-                    continue
-                for j in range(len(out)):
-                    out[j] = out[j] - q * oc[j]
-            reduced.append((r, out))
-        else:
-            reduced.append((g, cof))
+            g, cof = _reduce(
+                g, cof, [h for h, _ in others], [c for _, c in others], order
+            )
+        reduced.append((g, cof))
     reduced.sort(key=lambda t: order.key(t[0].leading(order)[0]))
     polys = tuple(g for g, _ in reduced)
-    cofs = tuple(tuple(c) for _, c in reduced)
-    return polys, cofs
+    if cofs is None:
+        return polys
+    return polys, tuple(tuple(c) for _, c in reduced)
 
 
 # ----------------------------------------------------------------------

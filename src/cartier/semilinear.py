@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from .errors import InvariantViolation, ResourceError, UsageError
 from .field import FieldElement, FieldSpec, embed
@@ -47,6 +47,25 @@ def sigma_mat(rows, j: int):
 
 def sigma_inv_mat(rows, j: int):
     return tuple(tuple(x.inv_frobenius(j) for x in row) for row in rows)
+
+
+def _twisted_powers(matrix, spec: FieldSpec, twist):
+    """Yield B_0 = I, B_{i+1} = A . twist(B_i, e), without end.
+
+    The i-th power of v -> A . twist(v, e) is v -> B_i . twist(v, ie).
+    """
+    b = linalg.identity(len(matrix), spec)
+    while True:
+        yield b
+        b = linalg.mat_mul(matrix, twist(b, spec.e))
+
+
+def _nilord(powers, dim: int) -> int | None:
+    """Least i <= dim with B_i = 0, or None."""
+    for i, b in zip(range(dim + 1), powers):
+        if linalg.is_zero_matrix(b):
+            return i
+    return None
 
 
 class Subspace:
@@ -317,14 +336,14 @@ class SemilinearModule:
             raise UsageError(f"vector length {len(v)} != module dimension {self.dim}")
         return linalg.mat_vec(self.matrix, sigma_inv_vec(v, self.spec.e))
 
+    def _powers(self):
+        return _twisted_powers(self.matrix, self.spec, sigma_inv_mat)
+
     def power_matrix(self, i: int):
         """Matrix B_i with C^i(v) = B_i . sigma^(-ie)(v)."""
         if i < 0:
             raise UsageError("power index must be >= 0")
-        b = linalg.identity(self.dim, self.spec)
-        for _ in range(i):
-            b = linalg.mat_mul(self.matrix, sigma_inv_mat(b, self.spec.e))
-        return b
+        return next(islice(self._powers(), i, None))
 
     def apply_power(self, v, i: int):
         return linalg.mat_vec(self.power_matrix(i), sigma_inv_vec(v, i * self.spec.e))
@@ -358,10 +377,7 @@ class SemilinearModule:
 
     def nilord(self) -> int | None:
         """Least i with C^i = 0, or None when the module is not nilpotent."""
-        for i in range(self.dim + 1):
-            if linalg.is_zero_matrix(self.power_matrix(i)):
-                return i
-        return None
+        return _nilord(self._powers(), self.dim)
 
     @property
     def is_nilpotent(self) -> bool:
@@ -653,17 +669,17 @@ class FrobeniusModule:
     def apply(self, w):
         return linalg.mat_vec(self.matrix, sigma_vec(w, self.spec.e))
 
+    def _powers(self):
+        return _twisted_powers(self.matrix, self.spec, sigma_mat)
+
     def power_matrix(self, i: int):
-        b = linalg.identity(self.dim, self.spec)
-        for _ in range(i):
-            b = linalg.mat_mul(self.matrix, sigma_mat(b, self.spec.e))
-        return b
+        """Matrix B_i with F^i(w) = B_i . sigma^(ie)(w)."""
+        if i < 0:
+            raise UsageError("power index must be >= 0")
+        return next(islice(self._powers(), i, None))
 
     def nilord(self) -> int | None:
-        for i in range(self.dim + 1):
-            if linalg.is_zero_matrix(self.power_matrix(i)):
-                return i
-        return None
+        return _nilord(self._powers(), self.dim)
 
     def dual(self) -> SemilinearModule:
         a = sigma_inv_mat(linalg.transpose(self.matrix), self.spec.e)

@@ -88,6 +88,16 @@ def test_resource_error_exit_code(capsys):
     assert json.loads(out)["error"]["kind"] == "resource"
 
 
+def test_stable_image_q49_four_variables(capsys):
+    code, out = capture(
+        capsys,
+        ["poly-stable-image", "--p", "7", "--e", "2", "--vars", "x,y,z,w",
+         "--f", "x^6*y^6*z^6*w^6+x*y*z*w", "--json"],
+    )
+    assert code == 0
+    assert json.loads(out) == {"generators": ["1"], "iterations": 0}
+
+
 def test_domain_error_maps_to_usage_exit(capsys):
     code, out = capture(
         capsys,

@@ -207,6 +207,37 @@ def test_image_equals_span_of_values(Rx):
         assert image.member(value)
 
 
+def shifted_product_generators(op, ideal):
+    """Reference recipe for the image generators: C(f * g * x^b) for every
+    generator g and every b in [0, q)^n in product order, zeros dropped."""
+    gens = []
+    for g in ideal.gens:
+        if g.is_zero:
+            continue
+        fg = op.multiplier * g
+        for b in product(range(op.q), repeat=op.ring.nvars):
+            value = cartier_std(fg * op.ring.monomial(b), op.e)
+            if not value.is_zero:
+                gens.append(value)
+    return gens
+
+
+# (p, d, e) with q = p^e in {2, 3, 4, 5, 7, 9}; GF(4) for nontrivial roots
+@pytest.mark.parametrize(
+    "p,d,e", [(2, 1, 1), (3, 1, 1), (2, 1, 2), (2, 2, 2), (5, 1, 1), (7, 1, 1), (3, 1, 2)]
+)
+def test_image_generators_match_shifted_products(p, d, e):
+    rng = random.Random(100 * p + 10 * d + e)
+    spec = FieldSpec(p, d)
+    q = p**e
+    for names in (("x",), ("x", "y")):
+        ring = PolyRing(spec, names)
+        for _ in range(15):
+            op = CartierOperator(ring, random_poly(rng, ring, 4, 2 * q), e)
+            ideal = Ideal(ring, tuple(random_poly(rng, ring, 3, q) for _ in range(2)))
+            assert list(op.image_ideal(ideal).gens) == shifted_product_generators(op, ideal)
+
+
 # -- stable images -------------------------------------------------------------------
 
 
@@ -360,6 +391,24 @@ def test_split_witness_nontrivial(Rx):
     h = op.find_splitting()
     assert h is not None and op.apply(h) == Rx.one
     assert not h.is_zero
+
+
+@pytest.fixture
+def op_q49():
+    # shifted products f * x^b for b in [0, 49)^4 exceed the degree bound
+    ring = PolyRing(FieldSpec(7, 1), ("x", "y", "z", "w"))
+    return CartierOperator(ring, ring.parse("x^6*y^6*z^6*w^6+x*y*z*w"), 2)
+
+
+def test_stable_image_q49_four_variables(op_q49):
+    stable, iterations = op_q49.stable_image()
+    assert stable.canonical_strings() == ["1"]
+    assert iterations == 0
+
+
+def test_find_splitting_q49_four_variables(op_q49):
+    h = op_q49.find_splitting()
+    assert h is not None and op_q49.apply(h) == op_q49.ring.one
 
 
 # -- compatible-ideal enumeration ------------------------------------------------------------

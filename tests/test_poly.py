@@ -15,7 +15,6 @@ from cartier.poly import (
     PolyRing,
     elimination_order,
     groebner_basis,
-    groebner_extended,
     divide,
     mono_divides,
     mono_lcm,
@@ -168,6 +167,50 @@ def test_gb_unique_under_generator_shuffle(R3):
 def test_gb_zero_ideal(R2):
     assert Ideal(R2, ()).groebner() == ()
     assert Ideal(R2, (R2.zero,)).groebner() == ()
+
+
+def _sympy_groebner(gens, ring):
+    """Reduced grevlex basis from sympy over F_p, as sorted term dicts."""
+    sympy = pytest.importorskip("sympy")
+    p = ring.field.p
+    xs = sympy.symbols(ring.vars)
+    exprs = [
+        sympy.Add(*(c.coeffs[0] * sympy.Mul(*(x**k for x, k in zip(xs, e)))
+                    for e, c in g.terms.items()))
+        for g in gens
+    ]
+    basis = sympy.groebner(exprs, *xs, modulus=p, order="grevlex")
+    out = []
+    for g in basis.exprs:
+        terms = sympy.Poly(g, *xs, modulus=p).terms()
+        out.append({e: int(c) % p for e, c in terms if int(c) % p})
+    return sorted(out, key=lambda t: sorted(t.items()))
+
+
+def _as_term_dicts(basis):
+    out = [{e: c.coeffs[0] for e, c in g.terms.items()} for g in basis]
+    return sorted(out, key=lambda t: sorted(t.items()))
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_gb_matches_sympy_on_random_ideals(p):
+    ring = PolyRing(FieldSpec(p, 1), ("x", "y", "z"))
+    rng = random.Random(40 + p)
+    for _ in range(12):
+        gens = [random_poly(rng, ring, max_terms=3, max_exp=3) for _ in range(3)]
+        gens = [g for g in gens if not g.is_zero]
+        if not gens:
+            continue
+        assert _as_term_dicts(groebner_basis(gens, GREVLEX)) == _sympy_groebner(gens, ring)
+
+
+def test_gb_matches_sympy_on_katsura3():
+    ring = PolyRing(FieldSpec(7, 1), ("a", "b", "c"))
+    gens = [ring.parse(t) for t in
+            ("a+2*b+2*c-1", "a^2+2*b^2+2*c^2-a", "2*a*b+2*b*c-b")]
+    basis = groebner_basis(gens, GREVLEX)
+    assert len(basis) > 1
+    assert _as_term_dicts(basis) == _sympy_groebner(gens, ring)
 
 
 # -- normal forms and membership -----------------------------------------------
@@ -324,7 +367,7 @@ def test_extended_groebner_cofactors(R2):
         )
         if not gens:
             continue
-        gb, cofs = groebner_extended(gens, GREVLEX)
+        gb, cofs = groebner_basis(gens, GREVLEX, track=True)
         assert gb == groebner_basis(gens, GREVLEX)
         for g, cof in zip(gb, cofs):
             acc = R2.zero
