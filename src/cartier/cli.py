@@ -55,10 +55,22 @@ def _resolve(value: str | None) -> str | None:
     return value
 
 
+@contextlib.contextmanager
+def _malformed(what: str):
+    """Turn the errors of parsing user input into a usage error (exit 2)."""
+    try:
+        yield
+    except KeyError as exc:
+        raise UsageError(f"{what} is malformed: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError, RecursionError) as exc:
+        raise UsageError(f"{what} is malformed: {exc}") from exc
+
+
 def _field_from_args(args) -> FieldSpec:
     modulus = None
     if args.modulus:
-        modulus = [int(c) for c in args.modulus.split(",")]
+        with _malformed("--modulus"):
+            modulus = [int(c) for c in args.modulus.split(",")]
     return FieldSpec(args.p, args.d, modulus, args.e)
 
 
@@ -82,11 +94,9 @@ def _ideal_from_args(args, ring: PolyRing) -> Ideal:
     if raw is None:
         raise UsageError("--ideal is required")
     raw = raw.strip()
-    if raw.startswith('["') or raw == "[]":
-        gens = json.loads(raw)
-    else:
-        gens = [g for g in raw.split(";")]
-    gens = [g.strip() for g in gens if g.strip()]
+    with _malformed("--ideal"):
+        gens = json.loads(raw) if raw.startswith('["') or raw == "[]" else raw.split(";")
+        gens = [g.strip() for g in gens if g.strip()]
     return Ideal(ring, tuple(ring.parse(g) for g in gens))
 
 
@@ -94,11 +104,8 @@ def _module_from_args(modules: list, index: int = 0) -> SemilinearModule:
     if len(modules) <= index:
         raise UsageError("--module is required")
     text = _resolve(modules[index])
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"module JSON is malformed: {exc}") from exc
-    return SemilinearModule.from_json(data)
+    with _malformed("module JSON"):
+        return SemilinearModule.from_json(json.loads(text))
 
 
 def _emit(args, payload: dict, text_lines):
@@ -318,13 +325,14 @@ def _cmd_poly_supp(args):
 
 
 def _cmd_corpus_run(args):
-    with open(args.corpus, "r", encoding="utf-8") as fh:
-        cases = json.load(fh)
+    try:
+        with open(args.corpus, "r", encoding="utf-8") as fh, _malformed("corpus"):
+            cases = [(case["name"], list(case["argv"]), case) for case in json.load(fh)]
+    except OSError as exc:
+        raise UsageError(f"cannot read the corpus: {exc}") from exc
     results = []
     failed = 0
-    for case in cases:
-        name = case["name"]
-        argv = list(case["argv"])
+    for name, argv, case in cases:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = run(argv)

@@ -12,7 +12,7 @@ is the quasi-length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice
 
 from .errors import InvariantViolation, ResourceError, UsageError
 from . import linalg
@@ -203,15 +203,9 @@ def nil_series(module: SemilinearModule, cap: int = 100_000):
 
 def _unrestrict(sub: Subspace, inside: Subspace) -> Subspace:
     """Map a subspace given in coordinates of `inside` back to the ambient."""
-    spec = inside.spec
-    vectors = []
-    for coords in sub.rows:
-        acc = [spec.zero] * inside.ambient
-        for c, row in zip(coords, inside.rows):
-            if not c.is_zero:
-                acc = [a + c * b for a, b in zip(acc, row)]
-        vectors.append(tuple(acc))
-    return Subspace.from_vectors(spec, inside.ambient, vectors)
+    spec, n = inside.spec, inside.ambient
+    vectors = [linalg.linear_combination(c, inside.rows, n, spec) for c in sub.rows]
+    return Subspace.from_vectors(spec, n, vectors)
 
 
 def hom_crys(source: SemilinearModule, target: SemilinearModule) -> HomSpace:
@@ -231,10 +225,11 @@ def invariant_profile(module: SemilinearModule, base_changes: int = 3):
         linalg.matrix_rank(b, module.spec)
         for b in islice(module._powers(), module.dim + 1)
     )
+    nilord = ranks.index(0) if 0 in ranks else None
     fixed = tuple(
         len(module.base_change(m).fixed_points()) for m in range(1, base_changes + 1)
     )
-    return (module.dim, module.nilord(), ranks, fixed)
+    return (module.dim, nilord, ranks, fixed)
 
 
 def isomorphic_exhaustive(
@@ -249,21 +244,12 @@ def isomorphic_exhaustive(
     count = hom.q**hom.dim
     if count > cap:
         raise ResourceError(f"{count} intertwiners exceed the cap {cap}")
-    fq = subfield_elements(source.spec)
-    n = target.dim
-    for coeffs in product(fq, repeat=hom.dim):
-        mat = [[source.spec.zero] * source.dim for _ in range(n)]
-        nonzero = False
-        for c, phi in zip(coeffs, hom.basis):
-            if c.is_zero:
-                continue
-            nonzero = True
-            for i in range(n):
-                for j in range(source.dim):
-                    mat[i][j] = mat[i][j] + c * phi[i][j]
-        if nonzero and linalg.is_invertible(tuple(tuple(r) for r in mat), source.spec):
-            return True
-    return False
+    spec, n = source.spec, source.dim
+    flat_basis = [linalg.flatten(phi) for phi in hom.basis]
+    return any(
+        linalg.is_invertible(linalg.reshape(v, n, n), spec)
+        for v in linalg.every_combination(subfield_elements(spec), flat_basis, n * n, spec)
+    )
 
 
 def isomorphism_verdict(source: SemilinearModule, target: SemilinearModule) -> str:

@@ -7,6 +7,8 @@ spaces produce identical matrices.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .field import FieldSpec
 
 
@@ -55,15 +57,24 @@ def kernel_basis(rows, ncols, spec: FieldSpec):
     return basis
 
 
+def linear_combination(coeffs, vectors, n: int, spec: FieldSpec):
+    """sum_i c_i * v_i for vectors of length n; zero coefficients add nothing."""
+    acc = [spec.zero] * n
+    for c, v in zip(coeffs, vectors):
+        if not c.is_zero:
+            acc = [a + c * x for a, x in zip(acc, v)]
+    return tuple(acc)
+
+
+def every_combination(scalars, vectors, n: int, spec: FieldSpec):
+    """Yield sum_i c_i * v_i for every tuple (c_i) of scalars, in
+    itertools.product order."""
+    for coeffs in product(scalars, repeat=len(vectors)):
+        yield linear_combination(coeffs, vectors, n, spec)
+
+
 def mat_vec(rows, v):
-    out = []
-    for row in rows:
-        acc = None
-        for a, x in zip(row, v):
-            term = a * x
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return tuple(out)
+    return tuple(_dot(row, v) for row in rows)
 
 
 def mat_mul(a, b):
@@ -90,12 +101,18 @@ def identity(n, spec: FieldSpec):
     )
 
 
-def zero_matrix(n, m, spec: FieldSpec):
-    return tuple(tuple(spec.zero for _ in range(m)) for _ in range(n))
-
-
 def transpose(rows):
     return tuple(zip(*rows)) if rows else ()
+
+
+def flatten(rows):
+    """Row-major entries of a matrix, as one vector."""
+    return tuple(x for row in rows for x in row)
+
+
+def reshape(v, nrows: int, ncols: int):
+    """The nrows x ncols matrix with row-major entries v."""
+    return tuple(tuple(v[r * ncols : (r + 1) * ncols]) for r in range(nrows))
 
 
 def is_zero_matrix(rows) -> bool:

@@ -329,8 +329,14 @@ class _Tokenizer:
         return self.text[start : self.pos]
 
 
+# Parenthesis depth the recursive-descent parser accepts; deeper input is
+# a usage error instead of a RecursionError.
+MAX_NESTING = 100
+
+
 def _parse(ring: PolyRing, text: str) -> Polynomial:
     tk = _Tokenizer(text)
+    depth = 0
 
     def parse_expr():
         ch = tk.peek()
@@ -370,19 +376,28 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
         return base
 
     def parse_atom():
+        nonlocal depth
         ch = tk.peek()
         if ch is None:
             tk.error("unexpected end of input")
         if ch == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                tk.error(f"parentheses nested deeper than {MAX_NESTING}")
             tk.pos += 1
             inner = parse_expr()
             if tk.peek() != ")":
                 tk.error("expected ')'")
             tk.pos += 1
+            depth -= 1
             return inner
         if ch == "-":
-            tk.pos += 1
-            return -parse_atom()
+            negate = False
+            while tk.peek() == "-":
+                tk.pos += 1
+                negate = not negate
+            atom = parse_atom()
+            return -atom if negate else atom
         if ch == "[":
             tk.pos += 1
             coeffs = []

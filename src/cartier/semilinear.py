@@ -53,19 +53,13 @@ def _twisted_powers(matrix, spec: FieldSpec, twist):
     """Yield B_0 = I, B_{i+1} = A . twist(B_i, e), without end.
 
     The i-th power of v -> A . twist(v, e) is v -> B_i . twist(v, ie).
+    B_{i+1} costs one mat_mul and is computed only when asked for, so a
+    walk that stops at B_i has made i of them.
     """
     b = linalg.identity(len(matrix), spec)
     while True:
         yield b
         b = linalg.mat_mul(matrix, twist(b, spec.e))
-
-
-def _nilord(powers, dim: int) -> int | None:
-    """Least i <= dim with B_i = 0, or None."""
-    for i, b in zip(range(dim + 1), powers):
-        if linalg.is_zero_matrix(b):
-            return i
-    return None
 
 
 class Subspace:
@@ -139,13 +133,10 @@ class Subspace:
         residues = [other.reduce(r) for r in self.rows]
         cols = linalg.transpose(residues)
         coeffs = linalg.kernel_basis(cols, len(self.rows), self.spec)
-        vectors = []
-        for a in coeffs:
-            acc = [self.spec.zero] * self.ambient
-            for ai, row in zip(a, self.rows):
-                if not ai.is_zero:
-                    acc = [x + ai * y for x, y in zip(acc, row)]
-            vectors.append(tuple(acc))
+        vectors = [
+            linalg.linear_combination(a, self.rows, self.ambient, self.spec)
+            for a in coeffs
+        ]
         return Subspace.from_vectors(self.spec, self.ambient, vectors)
 
     def key(self):
@@ -207,40 +198,6 @@ def _prime_spec(p: int) -> FieldSpec:
     return FieldSpec(p, 1)
 
 
-@lru_cache(maxsize=None)
-def subfield_fp_basis(spec: FieldSpec) -> tuple:
-    """F_p-basis of the subfield F_q = Fix(sigma^e) inside GF(p^d)."""
-    if spec.d % spec.e != 0:
-        raise UsageError(f"twist e={spec.e} does not divide d={spec.d}")
-    fp = _prime_spec(spec.p)
-    cols = []
-    for ell in range(spec.d):
-        basis_el = spec.element(tuple(1 if i == ell else 0 for i in range(spec.d)))
-        image = basis_el.frobenius(spec.e) - basis_el
-        cols.append(image.coeffs)
-    rows = tuple(
-        tuple(fp.element((cols[j][i],)) for j in range(spec.d)) for i in range(spec.d)
-    )
-    kern = linalg.kernel_basis(rows, spec.d, fp)
-    out = tuple(spec.element(tuple(x.coeffs[0] for x in vec)) for vec in kern)
-    if len(out) != spec.e:
-        raise InvariantViolation("fixed field of sigma^e has wrong dimension")
-    return out
-
-
-def subfield_elements(spec: FieldSpec) -> tuple:
-    """The q elements of F_q inside GF(p^d), in canonical order."""
-    basis = subfield_fp_basis(spec)
-    elems = set()
-    for coeffs in product(range(spec.p), repeat=len(basis)):
-        acc = spec.zero
-        for c, b in zip(coeffs, basis):
-            if c:
-                acc = acc + spec.from_int(c) * b
-        elems.add(acc)
-    return tuple(sorted(elems, key=lambda x: x.key()))
-
-
 class _FpFlattener:
     """View k^n as an F_p-space of dimension n*d, with canonical bases."""
 
@@ -282,34 +239,73 @@ class _FpFlattener:
         return [self.unflatten(vec) for vec in kern]
 
 
-def _fq_greedy_basis(vectors, spec: FieldSpec, n: int):
-    """Maximal F_q-independent subset, greedy in the order given.
+@lru_cache(maxsize=None)
+def subfield_fp_basis(spec: FieldSpec) -> tuple:
+    """F_p-basis of the subfield F_q = Fix(sigma^e) inside GF(p^d)."""
+    if spec.d % spec.e != 0:
+        raise UsageError(f"twist e={spec.e} does not divide d={spec.d}")
+    kern = _FpFlattener(spec, 1).kernel_of(lambda v: (v[0].frobenius(spec.e) - v[0],))
+    out = tuple(x for (x,) in kern)
+    if len(out) != spec.e:
+        raise InvariantViolation("fixed field of sigma^e has wrong dimension")
+    return out
 
-    span_rows is kept in RREF, so its length is the F_p-rank of the
-    F_q-span of the vectors chosen so far.
+
+def subfield_elements(spec: FieldSpec) -> tuple:
+    """The q elements of F_q inside GF(p^d), in canonical order."""
+    basis = [(b,) for b in subfield_fp_basis(spec)]
+    fp = [spec.from_int(c) for c in range(spec.p)]
+    elems = {x for (x,) in linalg.every_combination(fp, basis, 1, spec)}
+    return tuple(sorted(elems, key=lambda x: x.key()))
+
+
+class _FqSpan:
+    """A growing F_q-span inside k^n, kept as an RREF matrix over F_p.
+
+    The number of rows is the F_p-rank of the span, so v lies in the span
+    exactly when appending its flattening leaves the rank unchanged.
     """
-    flat = _FpFlattener(spec, n)
-    scalars = subfield_fp_basis(spec)
-    span_rows = []
+
+    def __init__(self, spec: FieldSpec, n: int):
+        self.flat = _FpFlattener(spec, n)
+        self.scalars = subfield_fp_basis(spec)
+        self.rows = ()
+
+    def contains(self, v) -> bool:
+        test, _ = linalg.rref(list(self.rows) + [self.flat.flatten(v)], self.flat.fp)
+        return len(test) == len(self.rows)
+
+    def extend(self, vectors):
+        """Add the F_q-multiples of each vector: u*v for u in an F_p-basis of F_q."""
+        rows = list(self.rows) + [
+            self.flat.flatten(tuple(u * x for x in v))
+            for v in vectors
+            for u in self.scalars
+        ]
+        self.rows, _ = linalg.rref(rows, self.flat.fp)
+
+
+def _fq_greedy_basis(vectors, spec: FieldSpec, n: int):
+    """Maximal F_q-independent subset, greedy in the order given."""
+    span = _FqSpan(spec, n)
     chosen = []
     for v in vectors:
-        if all(x.is_zero for x in v):
-            continue
-        candidate = flat.flatten(v)
-        test, _ = linalg.rref(list(span_rows) + [candidate], flat.fp)
-        if len(test) > len(span_rows):
+        if not span.contains(v):
             chosen.append(tuple(v))
-            extended = list(span_rows) + [
-                flat.flatten(tuple(u * x for x in v)) for u in scalars
-            ]
-            span_rows, _ = linalg.rref(extended, flat.fp)
+            span.extend([v])
     return chosen
 
 
-class SemilinearModule:
-    """A pair (k^n, C) with C(v) = A . sigma^(-e)(v)."""
+class _TwistedModule:
+    """A square matrix A over GF(p^d) acting through a power of Frobenius.
+
+    Subclasses fix the twist: sigma^(-e) for a Cartier module, sigma^e for
+    a Frobenius module.  Validation, the twisted power sequence and the
+    nilpotence order are the same for both.
+    """
 
     __slots__ = ("spec", "dim", "matrix")
+    _twist = None  # sigma_inv_mat or sigma_mat, as a staticmethod
 
     def __init__(self, spec: FieldSpec, matrix):
         if spec.d % spec.e != 0:
@@ -329,21 +325,44 @@ class SemilinearModule:
         self.dim = n
         self.matrix = matrix
 
+    def _powers(self):
+        return _twisted_powers(self.matrix, self.spec, self._twist)
+
+    def power_matrix(self, i: int):
+        """Matrix B_i with (i-th power of the map)(v) = B_i . twist^i(v)."""
+        if i < 0:
+            raise UsageError("power index must be >= 0")
+        return next(islice(self._powers(), i, None))
+
+    def _nil_walk(self):
+        """(nilord, B_n) with n = dim, from one walk of the twisted powers.
+
+        nilord is the least i <= n with B_i = 0, or None.  Every power
+        after a zero one is zero, so the walk stops at the first zero B_i
+        and returns it as B_n.  It makes at most n mat_mul calls.
+        """
+        for i, b in zip(range(self.dim + 1), self._powers()):
+            if linalg.is_zero_matrix(b):
+                return i, b
+        return None, b
+
+    def nilord(self) -> int | None:
+        """Least i with the i-th power zero, or None when not nilpotent."""
+        return self._nil_walk()[0]
+
+
+class SemilinearModule(_TwistedModule):
+    """A pair (k^n, C) with C(v) = A . sigma^(-e)(v); C^i(v) = B_i . sigma^(-ie)(v)."""
+
+    __slots__ = ()
+    _twist = staticmethod(sigma_inv_mat)
+
     # -- basic action -------------------------------------------------
 
     def apply(self, v):
         if len(v) != self.dim:
             raise UsageError(f"vector length {len(v)} != module dimension {self.dim}")
         return linalg.mat_vec(self.matrix, sigma_inv_vec(v, self.spec.e))
-
-    def _powers(self):
-        return _twisted_powers(self.matrix, self.spec, sigma_inv_mat)
-
-    def power_matrix(self, i: int):
-        """Matrix B_i with C^i(v) = B_i . sigma^(-ie)(v)."""
-        if i < 0:
-            raise UsageError("power index must be >= 0")
-        return next(islice(self._powers(), i, None))
 
     def apply_power(self, v, i: int):
         return linalg.mat_vec(self.power_matrix(i), sigma_inv_vec(v, i * self.spec.e))
@@ -370,27 +389,28 @@ class SemilinearModule:
 
     def nilpotent_part(self) -> Subspace:
         """Largest submodule killed by a power of C: sigma^(ne)(ker B_n)."""
+        return self._kernel_part(self._nil_walk()[1])
+
+    def _kernel_part(self, b_n) -> Subspace:
+        """sigma^(ne)(ker b_n), for b_n = B_n with n = dim."""
         n = self.dim
-        kern = linalg.kernel_basis(self.power_matrix(n), n, self.spec)
+        kern = linalg.kernel_basis(b_n, n, self.spec)
         vecs = [sigma_vec(v, n * self.spec.e) for v in kern]
         return Subspace.from_vectors(self.spec, n, vecs)
-
-    def nilord(self) -> int | None:
-        """Least i with C^i = 0, or None when the module is not nilpotent."""
-        return _nilord(self._powers(), self.dim)
 
     @property
     def is_nilpotent(self) -> bool:
         return self.nilord() is not None
 
     def decompose(self) -> NilDecomposition:
-        nil = self.nilpotent_part()
+        nilord, b_n = self._nil_walk()
+        nil = self._kernel_part(b_n)
         under = self.stable_image()
         if nil.intersect(under).dim != 0 or nil.dim + under.dim != self.dim:
             raise InvariantViolation("nilpotent part and stable image are not complementary")
         if not self.is_stable(nil) or not self.is_stable(under):
             raise InvariantViolation("decomposition parts are not stable under C")
-        return NilDecomposition(v_nil=nil, v_underline=under, nilord=self.nilord())
+        return NilDecomposition(v_nil=nil, v_underline=under, nilord=nilord)
 
     # -- fixed points and base change ----------------------------------
 
@@ -433,32 +453,26 @@ class SemilinearModule:
             raise UsageError("modules live over different field specs")
         spec = self.spec
         nv, nw = self.dim, other.dim
-        flat = _FpFlattener(spec, nw * nv)
 
-        def as_matrix(v):
-            return tuple(tuple(v[r * nv + c] for c in range(nv)) for r in range(nw))
-
-        def as_vector(mat):
-            return tuple(mat[r][c] for r in range(nw) for c in range(nv))
-
-        def defect(v):
-            phi = as_matrix(v)
-            lhs = linalg.mat_mul(phi, self.matrix)
-            rhs = linalg.mat_mul(other.matrix, sigma_inv_mat(phi, spec.e))
-            return as_vector(
-                tuple(
-                    tuple(a - b for a, b in zip(lr, rr)) for lr, rr in zip(lhs, rhs)
-                )
+        def sides(phi):
+            """(phi . A_V, A_W . sigma^(-e)(phi)), equal for a module map."""
+            return (
+                linalg.mat_mul(phi, self.matrix),
+                linalg.mat_mul(other.matrix, sigma_inv_mat(phi, spec.e)),
             )
 
-        kern = flat.kernel_of(defect)
-        basis_vecs = _fq_greedy_basis(kern, spec, nw * nv)
-        basis = tuple(as_matrix(v) for v in basis_vecs)
-        for phi in basis:
-            lhs = linalg.mat_mul(phi, self.matrix)
-            rhs = linalg.mat_mul(other.matrix, sigma_inv_mat(phi, spec.e))
-            if lhs != rhs:
-                raise InvariantViolation("hom basis element fails the commuting identity")
+        def defect(v):
+            lhs, rhs = sides(linalg.reshape(v, nw, nv))
+            return tuple(
+                a - b for a, b in zip(linalg.flatten(lhs), linalg.flatten(rhs))
+            )
+
+        kern = _FpFlattener(spec, nw * nv).kernel_of(defect)
+        basis = tuple(
+            linalg.reshape(v, nw, nv) for v in _fq_greedy_basis(kern, spec, nw * nv)
+        )
+        if any(lhs != rhs for lhs, rhs in map(sides, basis)):
+            raise InvariantViolation("hom basis element fails the commuting identity")
         return HomSpace(basis=basis, q=spec.q)
 
     def iter_subspaces(self, dims=None):
@@ -487,14 +501,17 @@ class SemilinearModule:
                         spec, n, tuple(tuple(row) for row in rows), tuple(pivots)
                     )
 
-    def enumerate_submodules(self, cap: int = 100_000):
-        """All C-stable subspaces, flagged with whether C maps them onto
-        themselves; sorted by (dimension, canonical basis)."""
+    def _check_lattice_cap(self, cap: int):
         total = count_subspaces(self.dim, self.spec.order)
         if total > cap:
             raise ResourceError(
                 f"subspace lattice has {total} elements, above the cap {cap}"
             )
+
+    def enumerate_submodules(self, cap: int = 100_000):
+        """All C-stable subspaces, flagged with whether C maps them onto
+        themselves; sorted by (dimension, canonical basis)."""
+        self._check_lattice_cap(cap)
         found = []
         for sub in self.iter_subspaces():
             if self.is_stable(sub):
@@ -507,11 +524,7 @@ class SemilinearModule:
     def is_simple(self, cap: int = 100_000) -> bool:
         if self.dim == 0:
             return False
-        total = count_subspaces(self.dim, self.spec.order)
-        if total > cap:
-            raise ResourceError(
-                f"subspace lattice has {total} elements, above the cap {cap}"
-            )
+        self._check_lattice_cap(cap)
         for sub in self.iter_subspaces(dims=range(1, self.dim)):
             if self.is_stable(sub):
                 return False
@@ -527,21 +540,12 @@ class SemilinearModule:
             raise ResourceError(f"endomorphism ring has {order} elements, above {cap}")
         spec = self.spec
         n = self.dim
-        flat = _FpFlattener(spec, n * n)
-        scalars = subfield_fp_basis(spec)
-        span_rows = []
-        for phi in hom.basis:
-            for u in scalars:
-                span_rows.append(
-                    flat.flatten(tuple(u * x for row in phi for x in row))
-                )
-        span_rows, _ = linalg.rref(span_rows, flat.fp)
-        span_rank = len(span_rows)
+        flat_basis = [linalg.flatten(phi) for phi in hom.basis]
+        span = _FqSpan(spec, n * n)
+        span.extend(flat_basis)
 
         def in_end(mat):
-            candidate = flat.flatten(tuple(x for row in mat for x in row))
-            test, _ = linalg.rref(list(span_rows) + [candidate], flat.fp)
-            return len(test) == span_rank
+            return span.contains(linalg.flatten(mat))
 
         is_field = True
         for phi, psi in product(hom.basis, repeat=2):
@@ -550,17 +554,10 @@ class SemilinearModule:
             if linalg.mat_mul(phi, psi) != linalg.mat_mul(psi, phi):
                 is_field = False
         fq = subfield_elements(spec)
-        for coeffs in product(fq, repeat=hom.dim):
-            mat = linalg.zero_matrix(n, n, spec)
-            mat = [list(row) for row in mat]
-            for c, phi in zip(coeffs, hom.basis):
-                if not c.is_zero:
-                    for i in range(n):
-                        for j in range(n):
-                            mat[i][j] = mat[i][j] + c * phi[i][j]
-            if all(x.is_zero for row in mat for x in row):
+        for v in linalg.every_combination(fq, flat_basis, n * n, spec):
+            if all(x.is_zero for x in v):
                 continue
-            inv = linalg.invert(tuple(tuple(row) for row in mat), spec)
+            inv = linalg.invert(linalg.reshape(v, n, n), spec)
             if inv is None or not in_end(inv):
                 is_field = False
                 break
@@ -655,31 +652,15 @@ class QuotientMap:
         return Subspace.from_vectors(self.sub.spec, self.sub.ambient, vectors)
 
 
-class FrobeniusModule:
-    """A left twist: F(w) = B . sigma^e(w), so F(a w) = a^q F(w)."""
+class FrobeniusModule(_TwistedModule):
+    """A left twist: F(w) = B . sigma^e(w), so F(a w) = a^q F(w);
+    F^i(w) = B_i . sigma^(ie)(w)."""
 
-    __slots__ = ("spec", "dim", "matrix")
-
-    def __init__(self, spec: FieldSpec, matrix):
-        matrix = tuple(tuple(row) for row in matrix)
-        self.spec = spec
-        self.dim = len(matrix)
-        self.matrix = matrix
+    __slots__ = ()
+    _twist = staticmethod(sigma_mat)
 
     def apply(self, w):
         return linalg.mat_vec(self.matrix, sigma_vec(w, self.spec.e))
-
-    def _powers(self):
-        return _twisted_powers(self.matrix, self.spec, sigma_mat)
-
-    def power_matrix(self, i: int):
-        """Matrix B_i with F^i(w) = B_i . sigma^(ie)(w)."""
-        if i < 0:
-            raise UsageError("power index must be >= 0")
-        return next(islice(self._powers(), i, None))
-
-    def nilord(self) -> int | None:
-        return _nilord(self._powers(), self.dim)
 
     def dual(self) -> SemilinearModule:
         a = sigma_inv_mat(linalg.transpose(self.matrix), self.spec.e)

@@ -7,7 +7,7 @@ few thousand at most.
 """
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -115,6 +115,48 @@ def oracle_fixed_points(module: SemilinearModule):
         for v in all_vectors(module.spec, module.dim)
         if tuple(module.apply(v)) == tuple(v)
     }
+
+
+def _matmul(a, b, spec: FieldSpec):
+    """Schoolbook product of two matrices given as lists of rows."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = spec.zero
+            for x, brow in zip(row, b):
+                acc = acc + x * brow[j]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def oracle_determinant(m, spec: FieldSpec):
+    """Leibniz expansion over all permutations; for tiny matrices only."""
+    n = len(m)
+    total = spec.zero
+    for perm in permutations(range(n)):
+        term = spec.one
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def oracle_intertwiners(source: SemilinearModule, target: SemilinearModule):
+    """Every matrix phi with phi . A = B . sigma^(-e)(phi), by trying all
+    |k|^(dim V * dim W) matrices; A, B are the structural matrices."""
+    spec = source.spec
+    nv, nw = source.dim, target.dim
+    a, b = source.matrix, target.matrix
+    found = []
+    for entries in product(list(spec.elements()), repeat=nv * nw):
+        phi = [list(entries[r * nv : (r + 1) * nv]) for r in range(nw)]
+        twisted = [[x.inv_frobenius(spec.e) for x in row] for row in phi]
+        if _matmul(phi, a, spec) == _matmul(b, twisted, spec):
+            found.append(phi)
+    return found
 
 
 def block_extension(rng: random.Random, spec: FieldSpec, n1: int, n2: int):

@@ -98,6 +98,49 @@ def test_stable_image_q49_four_variables(capsys):
     assert json.loads(out) == {"generators": ["1"], "iterations": 0}
 
 
+def test_split_witness_past_degree_bound(capsys):
+    code, out = capture(
+        capsys,
+        ["poly-split", "--p", "7", "--e", "2", "--vars", "x,y",
+         "--f", "x^96*y^96+x*y", "--json"],
+    )
+    assert code == 0
+    assert json.loads(out) == {"split": True, "witness": "x^47*y^47"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["semilinear-analyze", "--module", "{}"],
+        ["semilinear-analyze", "--module", "[]"],
+        ["semilinear-analyze", "--module", '{"field": {"p": 2}, "matrix": [["a"]]}'],
+        ["semilinear-analyze", "--module", "[" * 3000 + "]" * 3000],
+        ["field-info", "--modulus", "1,x"],
+        ["poly-cartier", "--vars", "x", "--expr", "(" * 3000 + "x" + ")" * 3000],
+        ["poly-image", "--vars", "x", "--f", "x", "--ideal", '["x", 1]'],
+        ["corpus-run", "no-such-corpus.json"],
+    ],
+    ids=["empty-module", "module-list", "module-entry", "module-deep",
+         "modulus", "expr-deep", "ideal-entry", "corpus-missing"],
+)
+def test_malformed_input_is_a_usage_error(capsys, argv):
+    code, out = capture(capsys, argv + ["--json"])
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "text", ['[{"argv": ["field-info"]}]', '{"name": "x"}', "[1]", "[{"],
+    ids=["unnamed-case", "not-a-list", "not-a-case", "bad-json"],
+)
+def test_malformed_corpus_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "corpus.json"
+    path.write_text(text)
+    code, out = capture(capsys, ["corpus-run", str(path), "--json"])
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "usage"
+
+
 def test_domain_error_maps_to_usage_exit(capsys):
     code, out = capture(
         capsys,

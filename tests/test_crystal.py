@@ -14,6 +14,8 @@ from cartier import crystal
 from conftest import (
     block_extension,
     module_from_ints,
+    oracle_determinant,
+    oracle_intertwiners,
     random_module,
     random_suite,
     strictly_upper,
@@ -155,6 +157,25 @@ def test_nil_isomorphisms_of_minimal_modules_are_invertible(f2):
             if crystal.is_nil_isomorphism(phi, a, b):
                 assert a.dim == b.dim
                 assert is_invertible(phi, f2)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FieldSpec(2, 1), FieldSpec(3, 1), FieldSpec(2, 2), FieldSpec(2, 2, None, 2)],
+    ids=["F2", "F3", "GF4-q2", "GF4-q4"],
+)
+def test_intertwiners_match_brute_force(spec):
+    rng = random.Random(spec.p * 10 + spec.e)
+    for n in (1, 2):
+        for trial in range(6):
+            a = random_module(rng, spec, n)
+            b = a if trial % 3 == 0 else random_module(rng, spec, n)
+            maps = oracle_intertwiners(a, b)
+            assert a.hom_space(b).size == len(maps)
+            invertible = any(
+                not oracle_determinant(phi, spec).is_zero for phi in maps
+            )
+            assert crystal.isomorphic_exhaustive(a, b) == invertible
 
 
 # -- quasi-length -------------------------------------------------------------------

@@ -411,6 +411,17 @@ def test_find_splitting_q49_four_variables(op_q49):
     assert h is not None and op_q49.apply(h) == op_q49.ring.one
 
 
+def test_find_splitting_witness_past_degree_bound():
+    # deg f + deg h = 192 + 94 exceeds the ring's bound of 200
+    ring = PolyRing(FieldSpec(7, 1), ("x", "y"))
+    op = CartierOperator(ring, ring.parse("x^96*y^96+x*y"), 2)
+    h = op.find_splitting()
+    assert str(h) == "x^47*y^47"
+    wide = PolyRing(ring.field, ring.vars, 400)
+    f, h = wide.parse("x^96*y^96+x*y"), wide.parse(str(h))
+    assert cartier_std(f * h, 2) == wide.one
+
+
 # -- compatible-ideal enumeration ------------------------------------------------------------
 
 

@@ -1,0 +1,25 @@
+"""Package-level promises that no single module test covers."""
+
+import ast
+import pathlib
+import sys
+
+import cartier
+
+SOURCES = sorted(pathlib.Path(cartier.__file__).parent.glob("*.py"))
+
+
+def test_runtime_imports_only_the_standard_library():
+    assert SOURCES
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names, f"{path.name} imports {name}"

@@ -113,6 +113,19 @@ def test_parse_unary_minus(R3):
     assert R3.parse("2 - -x") == R3.constant(2) + x
 
 
+def test_parse_long_unary_minus_chain(R3):
+    x = R3.var("x")
+    assert R3.parse("-" * 3000 + "x") == x
+    assert R3.parse("-" * 3001 + "x^2") == -(x**2)
+    assert R3.parse("-(-(x))^2") == -(x**2)
+
+
+def test_parse_nesting_limit(R3):
+    assert R3.parse("(" * 100 + "x" + ")" * 100) == R3.var("x")
+    with pytest.raises(UsageError, match="nested deeper"):
+        R3.parse("(" * 3000 + "x" + ")" * 3000)
+
+
 # -- orders ---------------------------------------------------------------
 
 

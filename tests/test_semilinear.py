@@ -8,7 +8,9 @@ import pytest
 from cartier.errors import ResourceError, UsageError
 from cartier.field import FieldSpec
 from cartier.linalg import is_zero_matrix, mat_mul, identity
+from cartier import linalg
 from cartier.semilinear import (
+    FrobeniusModule,
     SemilinearModule,
     Subspace,
     count_subspaces,
@@ -56,6 +58,16 @@ def test_apply_dimension_mismatch(f2):
     m = module_from_ints(f2, [[1]])
     with pytest.raises(UsageError):
         m.apply((f2.one, f2.one))
+
+
+@pytest.mark.parametrize("cls", [SemilinearModule, FrobeniusModule])
+def test_structural_matrix_is_validated(cls, f2, gf4):
+    with pytest.raises(UsageError, match="square"):
+        cls(f2, [[f2.one, f2.zero]])
+    with pytest.raises(UsageError, match="outside the coefficient field"):
+        cls(f2, [[gf4.one]])
+    with pytest.raises(UsageError, match="does not divide"):
+        cls(FieldSpec(2, 3, None, 2), [])
 
 
 def test_twist_must_divide_degree():
@@ -187,6 +199,23 @@ def test_oracle_agreement_on_small_random_modules():
 
 
 # -- nilpotence orders ---------------------------------------------------
+
+
+def test_decompose_walks_the_powers_once(gf8, monkeypatch):
+    rng = random.Random(88)
+    m = random_module(rng, gf8, 8)
+    while m.is_nilpotent:
+        m = random_module(rng, gf8, 8)
+    calls = []
+    real = linalg.mat_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", counting)
+    m.decompose()
+    assert len(calls) <= m.dim
 
 
 def test_nilord_examples(f2):
