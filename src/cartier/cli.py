@@ -335,7 +335,10 @@ def _cmd_corpus_run(args):
     for name, argv, case in cases:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = run(argv)
+            try:
+                code = run(argv)
+            except SystemExit as exc:  # argparse rejected the argv
+                code = exc.code
         got = None
         status = "PASS"
         detail = ""

@@ -1,20 +1,33 @@
 """Exact arithmetic in GF(p^d) with forward and inverse Frobenius.
 
-Elements are stored in the polynomial basis 1, t, ..., t^(d-1) modulo a
-monic irreducible polynomial, as fully reduced coefficient tuples.  A
-FieldSpec also carries a twist exponent e, fixing q = p^e for every
-q^(-1)-linear structure built on top of the field.
+An element is a coefficient vector (c0, ..., c_{d-1}) in the polynomial
+basis 1, t, ..., t^(d-1) modulo a monic irreducible polynomial.  Inside
+the library it travels as a packed int, the base-p number with digits
+c0 c1 ... c_{d-1} (c0 most significant).  So the packed zero is 0, and
+the order of packed ints is the canonical element order: lexicographic on
+the coefficient tuple.  `FieldSpec.elements()` iterates in that order and
+all deterministic tie-breaks in the library rely on it.  A FieldSpec also
+carries a twist exponent e, fixing q = p^e for every q^(-1)-linear
+structure built on top of the field.
 
-The canonical order on elements is lexicographic on the coefficient tuple
-(c0, ..., c_{d-1}); `FieldSpec.elements()` iterates in that order and all
-deterministic tie-breaks in the library rely on it.
+Arithmetic on packed ints runs in one kernel per (p, d, modulus), shared
+by every spec of that field and built on the first arithmetic in it:
+log/antilog (Zech) tables up to TABLE_MAX_ORDER elements, polynomial-basis
+arithmetic beyond (see `cartier._kernel`).  A kernel also works on whole
+rows of packed ints: scale, add a multiple of another row, dot product,
+Frobenius.
+
+FieldElement is the public wrapper of a packed int.  `FieldSpec.unwrap`
+and `FieldSpec.wrap` convert whole vectors at the boundary of the
+row-level code; on tabled fields wrapping looks up an interned element.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
-from .errors import DomainError, InvariantViolation, UsageError
+from .errors import InvariantViolation, UsageError
 
 # Lexicographically least monic irreducible polynomial of degree d over F_p,
 # as the tuple (c0, ..., c_{d-1}, 1).  Verified again at construction time.
@@ -49,6 +62,10 @@ DEFAULT_MODULI = {
 # bounded so a typo cannot trigger an open-ended hunt.
 MAX_SEARCH_DEGREE = 16
 
+# Fields up to this order get log/antilog tables (a few MB at most); larger
+# ones use polynomial-basis arithmetic.
+TABLE_MAX_ORDER = 7**6
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -59,6 +76,24 @@ def is_prime(n: int) -> bool:
             return False
         i += 1
     return True
+
+
+def _prime_factors(n: int):
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+# ----------------------------------------------------------------------
+# polynomials over F_p as coefficient lists, low degree first
 
 
 def _fp_poly_mod(a, b, p):
@@ -79,16 +114,70 @@ def _fp_poly_mod(a, b, p):
     return a[: da + 1]
 
 
-def _is_irreducible(mod, p, d):
-    """Trial division by every monic polynomial of degree <= d // 2."""
+def _fp_poly_mulmod(a, b, f, p):
+    if not a or not b:
+        return []
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+    return _fp_poly_mod(conv, f, p)
+
+
+def _fp_poly_powmod(a, n, f, p):
+    result, base = [1], a
+    while n:
+        if n & 1:
+            result = _fp_poly_mulmod(result, base, f, p)
+        base = _fp_poly_mulmod(base, base, f, p)
+        n >>= 1
+    return result
+
+
+def _fp_poly_gcd(a, b, p):
+    """Monic gcd of two coefficient lists."""
+    a, b = [x % p for x in a], [x % p for x in b]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        b = [x * inv % p for x in b]
+        a, b = b, _fp_poly_mod(a, b, p)
+    return a
+
+
+@lru_cache(maxsize=1024)
+def _is_irreducible(mod: tuple, p: int, d: int) -> bool:
+    """Rabin's test: a monic f of degree d is irreducible over F_p iff
+    f divides x^(p^d) - x and gcd(x^(p^(d/r)) - x, f) = 1 for every prime
+    r dividing d.  Polynomial time in d and log p; cached, since every
+    FieldSpec verifies its modulus."""
     if d == 1:
         return True
-    for k in range(1, d // 2 + 1):
-        for tail in product(range(p), repeat=k):
-            g = list(tail) + [1]
-            if not _fp_poly_mod(mod, g, p):
-                return False
+    mod = list(mod)
+    x = [0, 1]
+    frob = [x]  # frob[k] = x^(p^k) mod f
+    for _ in range(d):
+        frob.append(_fp_poly_powmod(frob[-1], p, mod, p))
+    if frob[d] != x:
+        return False
+    for r in _prime_factors(d):
+        h = frob[d // r] + [0] * (2 - len(frob[d // r]))
+        h[1] -= 1
+        if len(_fp_poly_gcd(mod, h, p)) > 1:
+            return False
     return True
+
+
+def _search_modulus(p: int, d: int) -> tuple:
+    """Lexicographically least monic irreducible of degree d over F_p."""
+    for c0 in range(1, p):
+        for rest in product(range(p), repeat=d - 1):
+            mod = (c0,) + rest + (1,)
+            if _is_irreducible(mod, p, d):
+                return mod
+    raise UsageError(f"no modulus available for degree {d} over F_{p}")
 
 
 def default_modulus(p: int, d: int) -> tuple:
@@ -99,13 +188,38 @@ def default_modulus(p: int, d: int) -> tuple:
         raise UsageError(f"characteristic {p} is not prime")
     if d < 1 or d > MAX_SEARCH_DEGREE:
         raise UsageError(f"no modulus available for degree {d} over F_{p}")
-    for low in product(range(p), repeat=d):
-        if low[0] == 0:
-            continue
-        mod = tuple(low) + (1,)
-        if _is_irreducible(mod, p, d):
-            return mod
-    raise UsageError(f"no modulus available for degree {d} over F_{p}")
+    return _search_modulus(p, d)
+
+
+# ----------------------------------------------------------------------
+# the packed encoding
+
+
+def _pack(coeffs, p: int) -> int:
+    v = 0
+    for c in coeffs:
+        v = v * p + c
+    return v
+
+
+def _unpack(v: int, p: int, d: int) -> list:
+    out = [0] * d
+    for i in range(d - 1, -1, -1):
+        v, out[i] = divmod(v, p)
+    return out
+
+
+class _Elements(dict):
+    """Packed int -> FieldElement, made on first use.  Fields up to
+    TABLE_MAX_ORDER keep (intern) them; larger ones make a new one each
+    time."""
+
+    __slots__ = ("spec",)
+
+    def __missing__(self, v):
+        spec = self.spec
+        x = FieldElement(spec, tuple(_unpack(v, spec.p, spec.d)))
+        return self.setdefault(v, x) if spec.order <= TABLE_MAX_ORDER else x
 
 
 class FieldSpec:
@@ -115,9 +229,12 @@ class FieldSpec:
     e does not have to divide d at this level; constructions that need
     F_q inside the field (semilinear modules, Cartier operators) reject
     specs with e not dividing d.
+
+    `kernel` (the arithmetic kernel) and `_elements` (packed int ->
+    FieldElement) are filled in on first use, never at construction.
     """
 
-    __slots__ = ("p", "d", "modulus", "e", "_red", "_hash")
+    __slots__ = ("p", "d", "modulus", "e", "_hash", "_one", "kernel", "_elements")
 
     def __init__(self, p: int, d: int, modulus=None, e: int = 1):
         if not is_prime(p):
@@ -131,34 +248,34 @@ class FieldSpec:
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != d + 1 or modulus[d] != 1:
             raise UsageError("modulus must be monic of degree d")
-        if not _is_irreducible(list(modulus), p, d):
+        if not _is_irreducible(modulus, p, d):
             raise UsageError(f"modulus {list(modulus)} is reducible over F_{p}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "e", e)
-        # reductions of t^k for k = d .. 2d-2, used by multiplication
-        red = []
-        cur = [(-modulus[i]) % p for i in range(d)]  # t^d
-        red.append(tuple(cur))
-        for _ in range(d - 2):
-            nxt = [0] * d
-            carry = cur[d - 1]
-            for i in range(d - 1):
-                nxt[i + 1] = cur[i]
-            if carry:
-                for i in range(d):
-                    nxt[i] = (nxt[i] + carry * red[0][i]) % p
-            red.append(tuple(nxt))
-            cur = nxt
-        object.__setattr__(self, "_red", tuple(red))
+        object.__setattr__(self, "_one", p ** (d - 1))
         object.__setattr__(self, "_hash", hash((p, d, modulus, e)))
+
+    def __getattr__(self, name):
+        # Reached only while a lazy slot is still empty.
+        if name == "kernel":
+            from ._kernel import kernel
+
+            value = kernel(self.p, self.d, self.modulus)
+        elif name == "_elements":
+            value = _Elements()
+            value.spec = self
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldSpec is immutable")
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FieldSpec)
             and self.p == other.p
             and self.d == other.d
@@ -181,23 +298,24 @@ class FieldSpec:
         return self.p**self.e
 
     def element(self, coeffs) -> "FieldElement":
-        coeffs = tuple(int(c) % self.p for c in coeffs)
+        p = self.p
+        coeffs = [int(c) % p for c in coeffs]
         if len(coeffs) > self.d:
             raise UsageError("coefficient list longer than extension degree")
-        coeffs = coeffs + (0,) * (self.d - len(coeffs))
-        return FieldElement(self, coeffs)
+        # missing trailing coefficients are zero: the low digits
+        return self._elements[_pack(coeffs, p) * p ** (self.d - len(coeffs))]
 
     def from_int(self, k: int) -> "FieldElement":
         """Image of the integer k under Z -> F_p -> GF(p^d)."""
-        return self.element((k % self.p,))
+        return self._elements[(k % self.p) * self._one]
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.d)
+        return self._elements[0]
 
     @property
     def one(self) -> "FieldElement":
-        return self.element((1,))
+        return self._elements[self._one]
 
     @property
     def gen(self) -> "FieldElement":
@@ -208,8 +326,38 @@ class FieldSpec:
 
     def elements(self):
         """All p^d elements in canonical (coefficient-lexicographic) order."""
-        for coeffs in product(range(self.p), repeat=self.d):
-            yield FieldElement(self, coeffs)
+        elements = self._elements
+        for v in range(self.order):
+            yield elements[v]
+
+    # -- the boundary of the packed row-level code ------------------------
+
+    def unwrap(self, vector) -> list:
+        """Packed ints of a vector of this field's elements."""
+        try:
+            return [x.packed if x.spec is self else self._foreign(x) for x in vector]
+        except AttributeError:
+            raise UsageError("vector entry is not a field element") from None
+
+    def _foreign(self, x) -> int:
+        if isinstance(x, FieldElement) and x.spec == self:
+            return x.packed
+        raise UsageError("operands belong to different fields")
+
+    def wrap(self, row) -> tuple:
+        """The FieldElements of a row of packed ints."""
+        return tuple(map(self._elements.__getitem__, row))
+
+    def flatten_fp(self, vector) -> list:
+        """Packed F_p coordinates of a vector: d per entry, c0 first."""
+        return [c for x in vector for c in x.coeffs]
+
+    def unflatten_fp(self, flat) -> tuple:
+        """The vector whose F_p coordinates are the packed ints `flat`."""
+        d, p, elements = self.d, self.p, self._elements
+        return tuple(
+            elements[_pack(flat[i : i + d], p)] for i in range(0, len(flat), d)
+        )
 
     def to_json(self) -> dict:
         return {"p": self.p, "d": self.d, "modulus": list(self.modulus), "e": self.e}
@@ -225,13 +373,15 @@ class FieldSpec:
 
 
 class FieldElement:
-    """An element of GF(p^d), canonical coefficient tuple, immutable."""
+    """An element of GF(p^d): canonical coefficient tuple and packed int,
+    immutable."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "coeffs", "packed")
 
     def __init__(self, spec: FieldSpec, coeffs: tuple):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "packed", _pack(coeffs, spec.p))
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
@@ -239,104 +389,70 @@ class FieldElement:
     def _check(self, other):
         if not isinstance(other, FieldElement):
             raise UsageError(f"cannot combine field element with {type(other).__name__}")
-        if other.spec != self.spec:
+        if other.spec is not self.spec and other.spec != self.spec:
             raise UsageError("operands belong to different fields")
 
     def __eq__(self, other):
         return (
             isinstance(other, FieldElement)
-            and self.spec == other.spec
-            and self.coeffs == other.coeffs
+            and (self.spec is other.spec or self.spec == other.spec)
+            and self.packed == other.packed
         )
 
     def __hash__(self):
         return hash((self.coeffs, self.spec._hash))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.packed != 0
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.packed
 
     def __add__(self, other):
         self._check(other)
-        p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        spec = self.spec
+        return spec._elements[spec.kernel.add(self.packed, other.packed)]
 
     def __sub__(self, other):
         self._check(other)
-        p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        spec = self.spec
+        return spec._elements[spec.kernel.sub(self.packed, other.packed)]
 
     def __neg__(self):
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((-a) % p for a in self.coeffs))
+        spec = self.spec
+        return spec._elements[spec.kernel.neg(self.packed)]
 
     def __mul__(self, other):
         self._check(other)
         spec = self.spec
-        p, d = spec.p, spec.d
-        a, b = self.coeffs, other.coeffs
-        if d == 1:
-            return FieldElement(spec, ((a[0] * b[0]) % p,))
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = [c % p for c in conv[:d]]
-        red = spec._red
-        for k in range(d, 2 * d - 1):
-            c = conv[k] % p
-            if c:
-                rk = red[k - d]
-                for i in range(d):
-                    out[i] = (out[i] + c * rk[i]) % p
-        return FieldElement(spec, tuple(out))
+        return spec._elements[spec.kernel.mul(self.packed, other.packed)]
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero:
-            raise DomainError("cannot invert zero")
-        return self ** (self.spec.order - 2)
+        spec = self.spec
+        return spec._elements[spec.kernel.inv(self.packed)]
 
     def __truediv__(self, other):
         self._check(other)
         return self * other.inverse()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.spec.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        spec = self.spec
+        return spec._elements[spec.kernel.pow(self.packed, n)]
 
     def frobenius(self, j: int = 1) -> "FieldElement":
-        """a^(p^j), by successive p-th powerings (j reduced mod d: a^(p^d) = a)."""
+        """a^(p^j) (j reduced mod d: a^(p^d) = a)."""
         if j < 0:
             raise UsageError("frobenius iteration count must be >= 0")
-        out = self
-        p = self.spec.p
-        for _ in range(j % self.spec.d):
-            out = out**p
-        return out
+        spec = self.spec
+        return spec._elements[spec.kernel.frob(self.packed, j)]
 
     def inv_frobenius(self, j: int = 1) -> "FieldElement":
         """The unique b with b^(p^j) = a; exists since the field is perfect."""
         if j < 0:
             raise UsageError("frobenius iteration count must be >= 0")
-        d = self.spec.d
-        return self.frobenius((d - (j % d)) % d)
+        spec = self.spec
+        return spec._elements[spec.kernel.frob(self.packed, -j)]
 
     def key(self) -> tuple:
         """Sort key realising the canonical element order."""
@@ -357,13 +473,14 @@ def find_embedding_root(small: FieldSpec, big: FieldSpec) -> FieldElement:
         raise UsageError("fields have different characteristic")
     if big.d % small.d != 0:
         raise UsageError(f"GF({small.p}^{small.d}) does not embed in GF({big.p}^{big.d})")
-    mod = small.modulus
-    for x in big.elements():
-        acc = big.zero
-        for c in reversed(mod):
-            acc = acc * x + big.from_int(c)
-        if acc.is_zero:
-            return x
+    k = big.kernel
+    coeffs = [c * big._one for c in reversed(small.modulus)]
+    for x in range(big.order):
+        acc = 0
+        for c in coeffs:
+            acc = k.add(k.mul(acc, x), c)
+        if not acc:
+            return big._elements[x]
     raise InvariantViolation(  # pragma: no cover - modulus always splits there
         "irreducible modulus has no root in the extension field"
     )
@@ -371,16 +488,13 @@ def find_embedding_root(small: FieldSpec, big: FieldSpec) -> FieldElement:
 
 def embed(small: FieldSpec, big: FieldSpec):
     """Field homomorphism GF(p^d) -> GF(p^(dm)) as a callable on elements."""
-    root = find_embedding_root(small, big)
-    powers = [big.one]
+    root = find_embedding_root(small, big).packed
+    k = big.kernel
+    powers = [k.one]
     for _ in range(small.d - 1):
-        powers.append(powers[-1] * root)
+        powers.append(k.mul(powers[-1], root))
 
     def phi(a: FieldElement) -> FieldElement:
-        acc = big.zero
-        for c, rk in zip(a.coeffs, powers):
-            if c:
-                acc = acc + big.from_int(c) * rk
-        return acc
+        return big._elements[k.dot([c * big._one for c in a.coeffs], powers)]
 
     return phi

@@ -3,6 +3,10 @@
 Matrices are tuples/lists of rows of FieldElement.  Everything returns
 canonical output: reduced row echelon form with pivot 1, so two equal row
 spaces produce identical matrices.
+
+Each function unwraps its rows to packed ints once (`FieldSpec.unwrap`),
+works on them through the row operations of the field's kernel, and wraps
+the result once.  The packed zero is 0.
 """
 
 from __future__ import annotations
@@ -12,87 +16,111 @@ from itertools import product
 from .field import FieldSpec
 
 
+def spec_of(*matrices):
+    """The field of the first entry of the given matrices, or None."""
+    for rows in matrices:
+        for row in rows:
+            for x in row:
+                return x.spec
+    return None
+
+
 def rref(rows, spec: FieldSpec):
     """Reduced row echelon form.  Returns (rows_without_zeros, pivot_columns)."""
-    mat = [list(r) for r in rows]
+    mat = [spec.unwrap(r) for r in rows]
     if not mat:
         return (), ()
+    k = spec.kernel
     ncols = len(mat[0])
     pivots = []
     r = 0
     for c in range(ncols):
         pr = None
         for i in range(r, len(mat)):
-            if not mat[i][c].is_zero:
+            if mat[i][c]:
                 pr = i
                 break
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
+        row = mat[r] = k.scale(mat[r], k.inv(mat[r][c]))
         for i in range(len(mat)):
-            if i != r and not mat[i][c].is_zero:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            f = mat[i][c]
+            if i != r and f:
+                mat[i] = k.add_multiple(mat[i], k.neg(f), row)
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+    return tuple(spec.wrap(row) for row in mat[:r]), tuple(pivots)
 
 
 def kernel_basis(rows, ncols, spec: FieldSpec):
     """Canonical basis of {x : M x = 0} for the matrix with the given rows."""
     red, pivots = rref(rows, spec)
+    red = [spec.unwrap(row) for row in red]
+    k = spec.kernel
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
-        vec = [spec.zero] * ncols
-        vec[fc] = spec.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(tuple(vec))
+        vec = [0] * ncols
+        vec[fc] = k.one
+        for row, pc in zip(red, pivots):
+            vec[pc] = k.neg(row[fc])
+        basis.append(spec.wrap(vec))
     return basis
+
+
+def _combine(coeffs, packed_vectors, n: int, k):
+    """sum_i c_i * v_i on packed ints."""
+    acc = [0] * n
+    for c, v in zip(coeffs, packed_vectors):
+        if c:
+            acc = k.add_multiple(acc, c, v)
+    return acc
 
 
 def linear_combination(coeffs, vectors, n: int, spec: FieldSpec):
     """sum_i c_i * v_i for vectors of length n; zero coefficients add nothing."""
-    acc = [spec.zero] * n
-    for c, v in zip(coeffs, vectors):
-        if not c.is_zero:
-            acc = [a + c * x for a, x in zip(acc, v)]
-    return tuple(acc)
+    vectors = [spec.unwrap(v) for v in vectors]
+    return spec.wrap(_combine(spec.unwrap(coeffs), vectors, n, spec.kernel))
 
 
 def every_combination(scalars, vectors, n: int, spec: FieldSpec):
     """Yield sum_i c_i * v_i for every tuple (c_i) of scalars, in
     itertools.product order."""
-    for coeffs in product(scalars, repeat=len(vectors)):
-        yield linear_combination(coeffs, vectors, n, spec)
+    k = spec.kernel
+    vectors = [spec.unwrap(v) for v in vectors]
+    for coeffs in product(spec.unwrap(scalars), repeat=len(vectors)):
+        yield spec.wrap(_combine(coeffs, vectors, n, k))
+
+
+def vec_sub(u, v, spec: FieldSpec):
+    """The entrywise difference u - v."""
+    k = spec.kernel
+    return spec.wrap(k.add_multiple(spec.unwrap(u), k.neg(k.one), spec.unwrap(v)))
 
 
 def mat_vec(rows, v):
-    return tuple(_dot(row, v) for row in rows)
+    spec = spec_of(rows)
+    if spec is None:
+        return ()
+    k = spec.kernel
+    v = spec.unwrap(v)
+    return spec.wrap([k.dot(spec.unwrap(row), v) for row in rows])
 
 
 def mat_mul(a, b):
     if not a or not b:
         return ()
-    bt = list(zip(*b))
+    spec = spec_of(a, b)
+    k = spec.kernel
+    bt = list(zip(*[spec.unwrap(row) for row in b]))
     return tuple(
-        tuple(_dot(row, col) for col in bt)
-        for row in a
+        spec.wrap([k.dot(row, col) for col in bt])
+        for row in (spec.unwrap(row) for row in a)
     )
-
-
-def _dot(row, col):
-    acc = None
-    for x, y in zip(row, col):
-        term = x * y
-        acc = term if acc is None else acc + term
-    return acc
 
 
 def identity(n, spec: FieldSpec):

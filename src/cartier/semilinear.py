@@ -33,20 +33,31 @@ def count_subspaces(n: int, q: int) -> int:
     return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
+def _sigma(rows, j: int, sign: int):
+    """sigma^(sign * j) on every entry of a matrix; sign -1 takes roots."""
+    if j < 0:
+        raise UsageError("frobenius iteration count must be >= 0")
+    spec = linalg.spec_of(rows)
+    if spec is None:
+        return tuple(tuple(row) for row in rows)
+    k = spec.kernel
+    return tuple(spec.wrap(k.frob_row(spec.unwrap(row), sign * j)) for row in rows)
+
+
 def sigma_vec(v, j: int):
-    return tuple(x.frobenius(j) for x in v)
+    return _sigma((v,), j, 1)[0]
 
 
 def sigma_inv_vec(v, j: int):
-    return tuple(x.inv_frobenius(j) for x in v)
+    return _sigma((v,), j, -1)[0]
 
 
 def sigma_mat(rows, j: int):
-    return tuple(tuple(x.frobenius(j) for x in row) for row in rows)
+    return _sigma(rows, j, 1)
 
 
 def sigma_inv_mat(rows, j: int):
-    return tuple(tuple(x.inv_frobenius(j) for x in row) for row in rows)
+    return _sigma(rows, j, -1)
 
 
 def _twisted_powers(matrix, spec: FieldSpec, twist):
@@ -66,16 +77,21 @@ class Subspace:
     """A subspace of k^n in reduced row echelon form.
 
     The representation is canonical, so equality of subspaces is equality
-    of basis matrices and sorting is stable across runs.
+    of basis matrices and sorting is stable across runs.  Immutable; the
+    basis is also kept as packed rows for reduction.
     """
 
-    __slots__ = ("spec", "ambient", "rows", "pivots")
+    __slots__ = ("spec", "ambient", "rows", "pivots", "_packed")
 
     def __init__(self, spec: FieldSpec, ambient: int, rows, pivots):
-        self.spec = spec
-        self.ambient = ambient
-        self.rows = rows
-        self.pivots = pivots
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "_packed", tuple(spec.unwrap(r) for r in rows))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Subspace is immutable")
 
     @classmethod
     def from_vectors(cls, spec: FieldSpec, ambient: int, vectors) -> "Subspace":
@@ -98,24 +114,28 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.rows
 
+    def _residue(self, v):
+        """Packed canonical representative of v modulo this subspace."""
+        k = self.spec.kernel
+        v = self.spec.unwrap(v)
+        for row, pc in zip(self._packed, self.pivots):
+            c = v[pc]
+            if c:
+                v = k.add_multiple(v, k.neg(c), row)
+        return v
+
     def reduce(self, v):
         """Canonical representative of v modulo this subspace."""
-        v = list(v)
-        for row, pc in zip(self.rows, self.pivots):
-            c = v[pc]
-            if not c.is_zero:
-                v = [a - c * b for a, b in zip(v, row)]
-        return tuple(v)
+        return self.spec.wrap(self._residue(v))
 
     def contains_vector(self, v) -> bool:
-        return all(x.is_zero for x in self.reduce(v))
+        return not any(self._residue(v))
 
     def coords(self, v):
         """Coordinates of v in the RREF basis, or None if v is outside."""
-        cs = tuple(v[pc] for pc in self.pivots)
-        if not all(x.is_zero for x in self.reduce(v)):
+        if any(self._residue(v)):
             return None
-        return cs
+        return tuple(v[pc] for pc in self.pivots)
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(r) for r in other.rows)
@@ -154,7 +174,7 @@ class Subspace:
             isinstance(other, Subspace)
             and self.spec == other.spec
             and self.ambient == other.ambient
-            and self.rows == other.rows
+            and self._packed == other._packed
         )
 
     def __hash__(self):
@@ -207,18 +227,10 @@ class _FpFlattener:
         self.fp = _prime_spec(spec.p)
 
     def flatten(self, v):
-        out = []
-        for x in v:
-            out.extend(self.fp.element((c,)) for c in x.coeffs)
-        return tuple(out)
+        return self.fp.wrap(self.spec.flatten_fp(v))
 
     def unflatten(self, flat):
-        d = self.spec.d
-        out = []
-        for i in range(self.n):
-            coeffs = tuple(flat[i * d + ell].coeffs[0] for ell in range(d))
-            out.append(self.spec.element(coeffs))
-        return tuple(out)
+        return self.spec.unflatten_fp(self.fp.unwrap(flat))
 
     def unit(self, i: int, ell: int):
         coeffs = tuple(1 if k == ell else 0 for k in range(self.spec.d))
@@ -244,7 +256,9 @@ def subfield_fp_basis(spec: FieldSpec) -> tuple:
     """F_p-basis of the subfield F_q = Fix(sigma^e) inside GF(p^d)."""
     if spec.d % spec.e != 0:
         raise UsageError(f"twist e={spec.e} does not divide d={spec.d}")
-    kern = _FpFlattener(spec, 1).kernel_of(lambda v: (v[0].frobenius(spec.e) - v[0],))
+    kern = _FpFlattener(spec, 1).kernel_of(
+        lambda v: linalg.vec_sub(sigma_vec(v, spec.e), v, spec)
+    )
     out = tuple(x for (x,) in kern)
     if len(out) != spec.e:
         raise InvariantViolation("fixed field of sigma^e has wrong dimension")
@@ -277,8 +291,9 @@ class _FqSpan:
 
     def extend(self, vectors):
         """Add the F_q-multiples of each vector: u*v for u in an F_p-basis of F_q."""
+        spec, n = self.flat.spec, self.flat.n
         rows = list(self.rows) + [
-            self.flat.flatten(tuple(u * x for x in v))
+            self.flat.flatten(linalg.linear_combination((u,), (v,), n, spec))
             for v in vectors
             for u in self.scalars
         ]
@@ -417,7 +432,7 @@ class SemilinearModule(_TwistedModule):
     def fixed_points(self):
         """F_q-basis of {v : C(v) = v}, via one F_p-linear solve."""
         flat = _FpFlattener(self.spec, self.dim)
-        kern = flat.kernel_of(lambda v: tuple(a - b for a, b in zip(self.apply(v), v)))
+        kern = flat.kernel_of(lambda v: linalg.vec_sub(self.apply(v), v, self.spec))
         basis = _fq_greedy_basis(kern, self.spec, self.dim)
         if len(basis) * self.spec.e != len(kern):
             raise InvariantViolation("fixed set is not an F_q-subspace")
@@ -463,9 +478,7 @@ class SemilinearModule(_TwistedModule):
 
         def defect(v):
             lhs, rhs = sides(linalg.reshape(v, nw, nv))
-            return tuple(
-                a - b for a, b in zip(linalg.flatten(lhs), linalg.flatten(rhs))
-            )
+            return linalg.vec_sub(linalg.flatten(lhs), linalg.flatten(rhs), spec)
 
         kern = _FpFlattener(spec, nw * nv).kernel_of(defect)
         basis = tuple(

@@ -40,6 +40,53 @@ def gf9():
     return FieldSpec(3, 2)
 
 
+def fp_poly_remainder(a, b, p):
+    """Remainder of a modulo monic b over F_p, coefficient lists low-degree first."""
+    a = [x % p for x in a]
+    db = len(b) - 1
+    for top in range(len(a) - 1, db - 1, -1):
+        c = a[top]
+        if c:
+            for i in range(db + 1):
+                a[top - db + i] = (a[top - db + i] - c * b[i]) % p
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def irreducible_by_trial_division(mod, p, d):
+    """Oracle: no monic polynomial of degree 1 .. d // 2 divides mod."""
+    for k in range(1, d // 2 + 1):
+        for tail in product(range(p), repeat=k):
+            if not fp_poly_remainder(mod, list(tail) + [1], p):
+                return False
+    return True
+
+
+def lex_least_irreducible_by_trial_division(p, d):
+    """Oracle: the first monic irreducible (c0, ..., c_{d-1}, 1) with c0 != 0
+    in lexicographic order."""
+    for low in product(range(p), repeat=d):
+        if low[0] and irreducible_by_trial_division(list(low) + [1], p, d):
+            return tuple(low) + (1,)
+    return None
+
+
+def poly_basis_product(a, b, p, modulus):
+    """Oracle: schoolbook product of two coefficient tuples, reduced by
+    substituting t^d = -(m_0 + ... + m_(d-1) t^(d-1)) from the top down."""
+    d = len(modulus) - 1
+    conv = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    for k in range(2 * d - 2, d - 1, -1):
+        c = conv[k] % p
+        for i in range(d):
+            conv[k - d + i] -= c * modulus[i]
+    return tuple(x % p for x in conv[:d])
+
+
 def module_from_ints(spec: FieldSpec, rows) -> SemilinearModule:
     """Build a module from integer matrix entries (prime-subfield values)."""
     return SemilinearModule(

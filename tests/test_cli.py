@@ -194,3 +194,26 @@ def test_corpus_run_detects_failure(tmp_path, capsys):
     code, out = capture(capsys, ["corpus-run", str(path), "--json"])
     assert code == 1
     assert json.loads(out)["failed"] == 1
+
+
+def test_corpus_run_records_rejected_argv(tmp_path, capsys):
+    cases = [
+        {"name": "bad", "argv": ["bogus-cmd"], "expect": None},
+        {"name": "bad-option", "argv": ["field-info", "--bogus"], "exit": 2, "expect": ""},
+        {
+            "name": "info",
+            "argv": ["field-info", "--p", "3", "--json"],
+            "expect": {"p": 3, "d": 1, "e": 1, "q": 3, "order": 3, "modulus": [1, 1]},
+        },
+    ]
+    path = tmp_path / "rejected.json"
+    path.write_text(json.dumps(cases))
+    code, out = capture(capsys, ["corpus-run", str(path), "--json"])
+    assert code == 1
+    report = json.loads(out)
+    assert [(r["name"], r["status"], r["detail"]) for r in report["results"]] == [
+        ("bad", "FAIL", "exit 2"),
+        ("bad-option", "PASS", ""),
+        ("info", "PASS", ""),
+    ]
+    assert (report["passed"], report["failed"]) == (2, 1)

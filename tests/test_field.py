@@ -1,15 +1,27 @@
 """Field arithmetic, Frobenius, and inverse Frobenius."""
 
+import random
+import time
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cartier import _kernel, field
+from cartier.cli import run
 from cartier.errors import DomainError, UsageError
 from cartier.field import (
     DEFAULT_MODULI,
+    TABLE_MAX_ORDER,
     FieldSpec,
     default_modulus,
     embed,
     find_embedding_root,
+)
+from conftest import (
+    irreducible_by_trial_division,
+    lex_least_irreducible_by_trial_division,
+    poly_basis_product,
 )
 
 
@@ -196,3 +208,117 @@ def test_embedding_root_is_canonical_least(gf4):
 def test_embedding_rejects_non_divisible_degree(gf4, gf8):
     with pytest.raises(UsageError):
         embed(gf4, gf8)
+
+
+# ----------------------------------------------------------------------
+# the packed kernel against polynomial-basis arithmetic
+
+
+def _oracle_power(coeffs, n, spec):
+    result = (1,) + (0,) * (spec.d - 1)
+    base = coeffs
+    while n:
+        if n & 1:
+            result = poly_basis_product(result, base, spec.p, spec.modulus)
+        base = poly_basis_product(base, base, spec.p, spec.modulus)
+        n >>= 1
+    return result
+
+
+def _check_pair(a, b):
+    spec = a.spec
+    p = spec.p
+    assert (a + b).coeffs == tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs))
+    assert (a - b).coeffs == tuple((x - y) % p for x, y in zip(a.coeffs, b.coeffs))
+    assert (a * b).coeffs == poly_basis_product(a.coeffs, b.coeffs, p, spec.modulus)
+
+
+def _check_single(a):
+    spec = a.spec
+    p, d = spec.p, spec.d
+    assert (-a).coeffs == tuple((-x) % p for x in a.coeffs)
+    if not a.is_zero:
+        assert a.inverse().coeffs == _oracle_power(a.coeffs, spec.order - 2, spec)
+    for j in (1, d - 1, d + 1):
+        image = _oracle_power(a.coeffs, p ** (j % d), spec)
+        assert a.frobenius(j).coeffs == image
+        assert spec.element(image).inv_frobenius(j) == a
+
+
+SMALL_BUNDLED = sorted(
+    (p, d) for (p, d) in DEFAULT_MODULI if p**d <= 81
+)
+
+
+@pytest.mark.parametrize("p,d", SMALL_BUNDLED)
+def test_kernel_matches_polynomial_basis_exhaustive(p, d):
+    spec = FieldSpec(p, d)
+    elems = list(spec.elements())
+    assert [x.coeffs for x in elems] == list(product(range(p), repeat=d))
+    for a in elems:
+        _check_single(a)
+        for b in elems:
+            _check_pair(a, b)
+
+
+@pytest.mark.parametrize("p,d", [(7, 6), (2, 16), (3, 11), (1_000_003, 1)])
+def test_kernel_matches_polynomial_basis_sampled(p, d):
+    spec = FieldSpec(p, d)
+    rng = random.Random(p * 100 + d)
+    sample = [spec.element([rng.randrange(p) for _ in range(d)]) for _ in range(40)]
+    sample += [spec.zero, spec.one, spec.from_int(-1)]
+    for a in sample:
+        _check_single(a)
+        for b in sample[:12]:
+            _check_pair(a, b)
+
+
+def test_fields_above_the_cap_use_polynomial_arithmetic():
+    for spec in (FieldSpec(3, 11), FieldSpec(1_000_003, 1)):
+        assert spec.order > TABLE_MAX_ORDER
+        assert isinstance(spec.kernel, _kernel._PolyKernel)
+        assert spec.gen * spec.gen.inverse() == spec.one
+    assert not isinstance(FieldSpec(7, 6).kernel, _kernel._PolyKernel)
+
+
+def test_spec_and_field_info_build_no_tables(monkeypatch, capsys):
+    monkeypatch.setattr(_kernel, "_KERNELS", {})
+    spec = FieldSpec(7, 6)
+    assert spec.order == TABLE_MAX_ORDER
+    assert run(["field-info", "--p", "7", "--d", "6", "--json"]) == 0
+    assert capsys.readouterr().out
+    assert _kernel._KERNELS == {}
+    spec.one * spec.gen  # the first arithmetic builds the kernel
+    assert list(_kernel._KERNELS) == [(7, 6, spec.modulus)]
+
+
+def test_kernel_is_shared_across_twists():
+    assert FieldSpec(2, 4, None, 1).kernel is FieldSpec(2, 4, None, 2).kernel
+
+
+def test_rabin_agrees_with_trial_division_exhaustive():
+    for p, d in [(2, 2), (2, 3), (2, 4), (2, 6), (2, 8), (3, 2), (3, 3), (3, 4),
+                 (5, 2), (5, 3), (7, 2), (7, 3)]:
+        for low in product(range(p), repeat=d):
+            mod = low + (1,)
+            assert field._is_irreducible(mod, p, d) == irreducible_by_trial_division(
+                list(mod), p, d
+            ), (p, d, mod)
+
+
+def test_modulus_search_agrees_with_trial_division():
+    for p in (2, 3, 5, 7):
+        d = 1
+        while p**d <= 10**5:
+            expected = lex_least_irreducible_by_trial_division(p, d)
+            assert field._search_modulus(p, d) == expected, (p, d)
+            assert default_modulus(p, d) == expected, (p, d)
+            d += 1
+
+
+def test_degree_twelve_modulus_search_is_fast():
+    start = time.perf_counter()
+    spec = FieldSpec(7, 12)
+    assert time.perf_counter() - start < 10
+    assert spec.order == 7**12
+    assert spec.modulus == field._search_modulus(7, 12)
