@@ -327,12 +327,15 @@ def _cmd_poly_supp(args):
 def _cmd_corpus_run(args):
     try:
         with open(args.corpus, "r", encoding="utf-8") as fh, _malformed("corpus"):
-            cases = [(case["name"], list(case["argv"]), case) for case in json.load(fh)]
+            cases = [
+                (case["name"], list(case["argv"]), case.get("exit", 0), case["expect"])
+                for case in json.load(fh)
+            ]
     except OSError as exc:
         raise UsageError(f"cannot read the corpus: {exc}") from exc
     results = []
     failed = 0
-    for name, argv, case in cases:
+    for name, argv, exit_code, expect in cases:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             try:
@@ -342,7 +345,7 @@ def _cmd_corpus_run(args):
         got = None
         status = "PASS"
         detail = ""
-        if code != case.get("exit", 0):
+        if code != exit_code:
             status = "FAIL"
             detail = f"exit {code}"
         else:
@@ -350,7 +353,7 @@ def _cmd_corpus_run(args):
                 got = json.loads(buf.getvalue())
             except json.JSONDecodeError:
                 got = buf.getvalue().strip()
-            if got != case["expect"]:
+            if got != expect:
                 status = "FAIL"
                 detail = f"got {got!r}"
         if status == "FAIL":

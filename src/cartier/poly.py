@@ -1,42 +1,67 @@
 """Sparse multivariate polynomials over GF(p^d).
 
-Terms live in a dict from exponent tuple to nonzero coefficient.  The
-serialized form sorts terms descending under the ring's default order
-(grevlex), so printing is canonical and parse/print round-trips.
+Terms live in a read-only mapping from exponent tuple to nonzero
+coefficient.  The serialized form sorts terms descending under the ring's
+default order (grevlex), so printing is canonical and parse/print
+round-trips.  Polynomials and monomial orders are immutable.
 
-Gröbner bases are plain Buchberger with the coprime-leading-term
-criterion, reduced to the unique reduced basis for the order.  On request
-the same run also tracks cofactors, used where an explicit representation
-1 = sum h_i g_i is required.
+Gröbner bases are plain Buchberger (pairs in FIFO order, the
+coprime-leading-term criterion), reduced to the unique reduced basis for
+the order.  On request the same run also tracks cofactors, used where an
+explicit representation 1 = sum h_i g_i is required.
+
+Division and Buchberger run on packed terms {exps: packed int} through
+the field's kernel (see `cartier.field`): they unwrap once at entry and
+wrap once at exit.  Division pops the leading pending monomial from a
+heap keyed by `MonomialOrder.rank`, and each divisor's leading term,
+inverse leading coefficient and tail are prepared once: per Buchberger
+run as the basis grows, and per `Ideal` next to its cached basis.
 """
 
 from __future__ import annotations
+
+from collections import deque
+from heapq import heapify, heappop, heappush
+from operator import add, le, mul, neg, sub
+from types import MappingProxyType
 
 from .errors import DomainError, InvariantViolation, ResourceError, UsageError
 from .field import FieldElement, FieldSpec
 
 
 class MonomialOrder:
-    """grevlex, lex, or a block-elimination order with k leading variables."""
+    """grevlex, lex, or a block-elimination order with k leading variables.
 
-    __slots__ = ("kind", "block")
+    `rank(exps)` is a flat tuple whose ascending order is the descending
+    monomial order, so the leading monomial has the least rank; `key` sorts
+    the other way round.  Immutable.
+    """
+
+    __slots__ = ("kind", "block", "rank")
 
     def __init__(self, kind: str, block: int = 0):
-        if kind not in ("grevlex", "lex", "block"):
+        if kind == "lex":
+            rank = _lex_rank
+        elif kind == "grevlex":
+            rank = _grevlex_rank
+        elif kind == "block":
+
+            def rank(exps, k=block):
+                head, tail = exps[:k], exps[k:]
+                return (-sum(head),) + head[::-1] + (-sum(tail),) + tail[::-1]
+
+        else:
             raise UsageError(f"unknown monomial order {kind!r}")
-        self.kind = kind
-        self.block = block
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "rank", rank)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MonomialOrder is immutable")
 
     def key(self, exps):
-        if self.kind == "lex":
-            return exps
-        if self.kind == "grevlex":
-            return (sum(exps), tuple(-e for e in reversed(exps)))
-        head, tail = exps[: self.block], exps[self.block :]
-        return (
-            (sum(head), tuple(-e for e in reversed(head))),
-            (sum(tail), tuple(-e for e in reversed(tail))),
-        )
+        """Sort key: ascending in the monomial order."""
+        return tuple(map(neg, self.rank(exps)))
 
     def signature(self):
         return (self.kind, self.block)
@@ -45,6 +70,14 @@ class MonomialOrder:
         if self.kind == "block":
             return f"MonomialOrder('block', {self.block})"
         return f"MonomialOrder({self.kind!r})"
+
+
+def _lex_rank(exps):
+    return tuple(map(neg, exps))
+
+
+def _grevlex_rank(exps):
+    return (-sum(exps),) + exps[::-1]
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -56,27 +89,28 @@ def elimination_order(k: int) -> MonomialOrder:
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_coprime(a, b) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    return not any(map(mul, a, b))
 
 
 class PolyRing:
-    """GF(p^d)[x_1, ..., x_n] with a total-degree guard on products."""
+    """GF(p^d)[x_1, ..., x_n] with a total-degree guard on products.
+    Immutable."""
 
     __slots__ = ("field", "vars", "max_degree", "_hash")
 
@@ -84,10 +118,13 @@ class PolyRing:
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise UsageError("duplicate variable names")
-        self.field = field
-        self.vars = variables
-        self.max_degree = max_degree
-        self._hash = hash((field, variables))
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "vars", variables)
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "_hash", hash((field, variables)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PolyRing is immutable")
 
     @property
     def nvars(self) -> int:
@@ -149,13 +186,17 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial; no zero coefficients stored."""
+    """Immutable sparse polynomial; no zero coefficients stored.  `terms`
+    is a read-only view of a private copy of the given terms."""
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: PolyRing, terms: dict):
-        self.ring = ring
-        self.terms = terms
+    def __init__(self, ring: PolyRing, terms):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", MappingProxyType(dict(terms)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Polynomial is immutable")
 
     def _check(self, other):
         if not isinstance(other, Polynomial):
@@ -262,7 +303,7 @@ class Polynomial:
         """(exponents, coefficient) of the leading term under the order."""
         if self.is_zero:
             raise DomainError("zero polynomial has no leading term")
-        e = max(self.terms, key=order.key)
+        e = min(self.terms, key=order.rank)
         return e, self.terms[e]
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
@@ -270,7 +311,8 @@ class Polynomial:
         return self * c.inverse()
 
     def sorted_terms(self, order: MonomialOrder = GREVLEX):
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+        rank = order.rank
+        return sorted(self.terms.items(), key=lambda t: rank(t[0]))
 
     def __str__(self):
         if self.is_zero:
@@ -436,50 +478,136 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
 
 # ----------------------------------------------------------------------
 # division and Buchberger
+#
+# Here a polynomial is a dict {exps: packed coefficient} and arithmetic goes
+# through the field's kernel.  A divisor is prepared once as the tuple
+# (leading exponents, inverse leading coefficient, tail exponents, tail
+# coefficients, total degree), the tail in term order without the leading
+# term.
+
+
+def _unwrap(f: Polynomial) -> dict:
+    return dict(zip(f.terms, f.ring.field.unwrap(f.terms.values())))
+
+
+def _wrap(ring: PolyRing, terms: dict) -> Polynomial:
+    return Polynomial(ring, zip(terms, ring.field.wrap(terms.values())))
+
+
+def _prepare(terms: dict, rank, k):
+    if not terms:
+        raise DomainError("zero polynomial has no leading term")
+    lead = min(terms, key=rank)
+    tail = [e for e in terms if e != lead]
+    return (
+        lead,
+        k.inv(terms[lead]),
+        tail,
+        [terms[e] for e in tail],
+        max(map(sum, terms)),
+    )
+
+
+def _check_product(deg_a: int, deg_b: int, bound: int):
+    """The degree guard of `Polynomial.__mul__`, for packed products."""
+    if deg_a + deg_b > bound:
+        raise ResourceError(
+            f"product degree {deg_a + deg_b} exceeds the configured bound {bound}"
+        )
+
+
+def _add_multiple(acc: dict, exps, coeffs, u, c, k) -> list:
+    """acc += c * x^u * (sum of coeffs[i] x^exps[i]), in place.  Returns
+    the monomials that were not in acc before."""
+    kadd = k.add
+    fresh = []
+    for e, v in zip(exps, k.scale(coeffs, c)):
+        e = tuple(map(add, e, u))
+        s = acc.get(e)
+        if s is None:
+            acc[e] = v
+            fresh.append(e)
+        else:
+            s = kadd(s, v)
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+    return fresh
+
+
+def _add_product(acc: dict, m: dict, f: dict, k, bound: int):
+    """acc += m * f, in place, under the degree guard of
+    `Polynomial.__mul__` (checked only when both factors are nonzero)."""
+    if m and f:
+        _check_product(max(map(sum, m)), max(map(sum, f)), bound)
+        for u, c in m.items():
+            _add_multiple(acc, f, f.values(), u, c, k)
+
+
+def _divide(work: dict, divisors, rank, k, quots=None) -> dict:
+    """Remainder of the packed polynomial `work` (consumed) by prepared
+    divisors: at each step the leading pending term is reduced by the
+    first divisor, in list order, whose leading term divides it.  With
+    `quots` (one dict per divisor) the quotient terms are recorded there.
+
+    Pending monomials wait in a heap keyed by rank; an entry whose term
+    has cancelled since it was pushed is dropped when popped.  Every
+    monomial a step adds is below the one it reduces, so a monomial that
+    was reduced or moved to the remainder never comes back (and each
+    quotient term is written once)."""
+    heap = [(rank(e), e) for e in work]
+    heapify(heap)
+    leads = [d[0] for d in divisors]
+    kmul, kneg = k.mul, k.neg
+    rem = {}
+    while heap:
+        e = heappop(heap)[1]
+        c = work.pop(e, 0)
+        if not c:
+            continue
+        for i, de in enumerate(leads):
+            if all(map(le, de, e)):
+                _, inv, texps, tcoeffs, _ = divisors[i]
+                u = tuple(map(sub, e, de))
+                c = kmul(c, inv)
+                if quots is not None:
+                    quots[i][u] = c
+                for ne in _add_multiple(work, texps, tcoeffs, u, kneg(c), k):
+                    heappush(heap, (rank(ne), ne))
+                break
+        else:
+            rem[e] = c
+    return rem
 
 
 def divide(f: Polynomial, divisors, order: MonomialOrder, track: bool = False):
     """Multivariate division: f = sum q_i d_i + r, no term of r divisible
     by any leading term.  Returns r, or (r, quotients) when tracking."""
     ring = f.ring
-    quots = [ring.zero for _ in divisors] if track else None
-    lead = [d.leading(order) for d in divisors]
-    rem = {}
-    work = dict(f.terms)
-    while work:
-        e = max(work, key=order.key)
-        c = work.pop(e)
-        for i, (de, dc) in enumerate(lead):
-            if mono_divides(de, e):
-                factor_e = mono_div(e, de)
-                factor_c = c / dc
-                for te, tc in divisors[i].terms.items():
-                    ne = mono_mul(te, factor_e)
-                    s = work.get(ne, None)
-                    delta = tc * factor_c
-                    if ne == e:
-                        continue
-                    s = -delta if s is None else s - delta
-                    if s.is_zero:
-                        work.pop(ne, None)
-                    else:
-                        work[ne] = s
-                if track:
-                    quots[i] = quots[i] + ring.monomial(factor_e, factor_c)
-                break
-        else:
-            rem[e] = c
-    r = Polynomial(ring, rem)
-    return (r, quots) if track else r
+    k = ring.field.kernel
+    prepared = []
+    for d in divisors:
+        f._check(d)
+        prepared.append(_prepare(_unwrap(d), order.rank, k))
+    quots = [{} for _ in prepared] if track else None
+    r = _wrap(ring, _divide(_unwrap(f), prepared, order.rank, k, quots))
+    return (r, [_wrap(ring, q) for q in quots]) if track else r
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder):
-    fe, fc = f.leading(order)
-    ge, gc = g.leading(order)
-    lcm = mono_lcm(fe, ge)
-    mf = f.ring.monomial(mono_div(lcm, fe), fc.inverse())
-    mg = f.ring.monomial(mono_div(lcm, ge), gc.inverse())
-    return mf * f - mg * g, mf, mg
+def _s_polynomial(f, g, k, bound):
+    """S-polynomial of two prepared divisors, with the exponents u_f, u_g
+    of its monomial multipliers: S = x^u_f * f / lc(f) - x^u_g * g / lc(g)."""
+    lf, finv, fexps, fcoeffs, fdeg = f
+    lg, ginv, gexps, gcoeffs, gdeg = g
+    lcm = mono_lcm(lf, lg)
+    uf, ug = mono_div(lcm, lf), mono_div(lcm, lg)
+    _check_product(sum(uf), fdeg, bound)
+    _check_product(sum(ug), gdeg, bound)
+    s = {}
+    _add_multiple(s, fexps, fcoeffs, uf, finv, k)
+    _add_multiple(s, gexps, gcoeffs, ug, k.neg(ginv), k)
+    return s, uf, ug
 
 
 def groebner_basis(gens, order: MonomialOrder = GREVLEX, track: bool = False):
@@ -489,80 +617,114 @@ def groebner_basis(gens, order: MonomialOrder = GREVLEX, track: bool = False):
     basis[i] = sum_j cofactors[i][j] * gens[j].
     """
     gens = tuple(gens)
-    basis = []
-    cofs = [] if track else None
-    for j, g in enumerate(gens):
-        if g.is_zero:
-            continue
-        basis.append(g)
-        if track:
-            cof = [g.ring.zero] * len(gens)
-            cof[j] = g.ring.one
-            cofs.append(cof)
+    basis, cofs = _buchberger(gens, order, track)
     if not basis:
         return ((), ()) if track else ()
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        i, j = pairs.pop(0)
-        fi, fj = basis[i], basis[j]
-        if mono_coprime(fi.leading(order)[0], fj.leading(order)[0]):
+    ring = gens[0].ring
+    basis = tuple(_wrap(ring, g) for g in basis)
+    if not track:
+        return basis
+    return basis, tuple(tuple(_wrap(ring, c) for c in cof) for cof in cofs)
+
+
+def _buchberger(gens, order: MonomialOrder, track: bool):
+    """Packed reduced basis and packed cofactors (None when untracked)."""
+    if not gens:
+        return [], None
+    ring = gens[0].ring
+    k, rank, bound = ring.field.kernel, order.rank, ring.max_degree
+    prepared = []
+    cofs = [] if track else None
+    for j, g in enumerate(gens):
+        gens[0]._check(g)
+        if g.is_zero:
             continue
-        s, mf, mg = s_polynomial(fi, fj, order)
-        scof = [mf * a - mg * b for a, b in zip(cofs[i], cofs[j])] if track else None
-        r, rcof = _reduce(s, scof, basis, cofs, order)
-        if not r.is_zero:
-            basis.append(r)
+        prepared.append(_prepare(_unwrap(g), rank, k))
+        if track:
+            cof = [{} for _ in gens]
+            cof[j] = {(0,) * ring.nvars: k.one}
+            cofs.append(cof)
+    n = len(prepared)
+    if not n:
+        return [], cofs
+    pairs = deque((i, j) for i in range(n) for j in range(i + 1, n))
+    while pairs:
+        i, j = pairs.popleft()
+        fi, fj = prepared[i], prepared[j]
+        if mono_coprime(fi[0], fj[0]):
+            continue
+        s, uf, ug = _s_polynomial(fi, fj, k, bound)
+        scof = None
+        if track:
+            mf, mg = {uf: fi[1]}, {ug: k.neg(fj[1])}
+            scof = []
+            for a, b in zip(cofs[i], cofs[j]):
+                c = {}
+                _add_product(c, mf, a, k, bound)
+                _add_product(c, mg, b, k, bound)
+                scof.append(c)
+        r, rcof = _reduce(s, scof, prepared, cofs, rank, k, bound)
+        if r:
+            prepared.append(_prepare(r, rank, k))
             if track:
                 cofs.append(rcof)
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    return _reduce_basis(basis, cofs, order)
+            pairs.extend((m, n) for m in range(n))
+            n += 1
+    return _reduce_basis(prepared, cofs, rank, k, bound)
 
 
-def _reduce(f: Polynomial, fcof, divisors, dcofs, order: MonomialOrder):
-    """Remainder of f by the divisors, and, when f carries cofactors, the
-    remainder's cofactors fcof - sum_k quotient_k * dcofs[k]."""
+def _reduce(f: dict, fcof, divisors, dcofs, rank, k, bound):
+    """Remainder of f (consumed) by the prepared divisors, and, when f
+    carries cofactors, the remainder's cofactors
+    fcof - sum_i quotient_i * dcofs[i]."""
     if fcof is None:
-        return divide(f, divisors, order), None
-    r, quots = divide(f, divisors, order, track=True)
-    out = list(fcof)
+        return _divide(f, divisors, rank, k), None
+    quots = [{} for _ in divisors]
+    r = _divide(f, divisors, rank, k, quots)
+    out = [dict(c) for c in fcof]
     for q, dc in zip(quots, dcofs):
-        if q.is_zero:
-            continue
-        for j in range(len(out)):
-            out[j] = out[j] - q * dc[j]
+        if q:
+            negq = {u: k.neg(c) for u, c in q.items()}
+            for acc, c in zip(out, dc):
+                _add_product(acc, negq, c, k, bound)
     return r, out
 
 
-def _reduce_basis(basis, cofs, order: MonomialOrder):
+def _reduce_basis(prepared, cofs, rank, k, bound):
     """Monic, minimal, then fully reduced; cofactors (None when untracked)
-    are scaled and reduced in step with their basis elements."""
+    are scaled and reduced in step with their basis elements.  The basis
+    comes out sorted by leading monomial ascending."""
+    one = k.one
     items = []
-    for k, g in enumerate(basis):
-        inv = g.leading(order)[1].inverse()
-        items.append((g * inv, None if cofs is None else [c * inv for c in cofs[k]]))
+    for n, (lead, inv, texps, tcoeffs, deg) in enumerate(prepared):
+        cof = None
+        if cofs is not None:
+            cof = [dict(zip(c, k.scale(c.values(), inv))) for c in cofs[n]]
+        items.append(((lead, one, texps, k.scale(tcoeffs, inv), deg), cof))
+    items.sort(key=lambda t: rank(t[0][0]), reverse=True)
     # minimal: drop any element whose leading term another one divides
-    items.sort(key=lambda t: order.key(t[0].leading(order)[0]))
     minimal = []
-    for g, cof in items:
-        ge = g.leading(order)[0]
-        if any(mono_divides(h.leading(order)[0], ge) for h, _ in minimal):
+    for item in items:
+        lead = item[0][0]
+        if any(mono_divides(h[0][0], lead) for h in minimal):
             continue
-        minimal.append((g, cof))
+        minimal.append(item)
     # fully reduce each element against the others; no other leading term
-    # divides its own, so the remainder stays monic
-    reduced = []
-    for i, (g, cof) in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
+    # divides its own, so the remainder stays monic and the order of the
+    # leading terms is kept
+    divisors = [d for d, _ in minimal]
+    dcofs = [c for _, c in minimal]
+    basis, rcofs = [], [] if cofs is not None else None
+    for i, ((lead, _, texps, tail, _), cof) in enumerate(minimal):
+        g = dict(zip(texps, tail))
+        g[lead] = one
+        others = divisors[:i] + divisors[i + 1 :]
         if others:
-            g, cof = _reduce(
-                g, cof, [h for h, _ in others], [c for _, c in others], order
-            )
-        reduced.append((g, cof))
-    reduced.sort(key=lambda t: order.key(t[0].leading(order)[0]))
-    polys = tuple(g for g, _ in reduced)
-    if cofs is None:
-        return polys
-    return polys, tuple(tuple(c) for _, c in reduced)
+            g, cof = _reduce(g, cof, others, dcofs[:i] + dcofs[i + 1 :], rank, k, bound)
+        basis.append(g)
+        if rcofs is not None:
+            rcofs.append(cof)
+    return basis, rcofs
 
 
 # ----------------------------------------------------------------------
@@ -570,7 +732,9 @@ def _reduce_basis(basis, cofs, order: MonomialOrder):
 
 
 class Ideal:
-    """A finitely generated ideal with a cached reduced Gröbner basis."""
+    """A finitely generated ideal with a cached reduced Gröbner basis per
+    order, kept next to its basis prepared as divisors.  Immutable: the
+    caches stay valid because the generators cannot change."""
 
     __slots__ = ("ring", "gens", "_gb")
 
@@ -579,26 +743,37 @@ class Ideal:
         for g in gens:
             if not isinstance(g, Polynomial) or g.ring != ring:
                 raise UsageError("generator outside the ring")
-        self.ring = ring
-        self.gens = gens
-        self._gb = {}
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "_gb", {})
 
-    def groebner(self, order: MonomialOrder = GREVLEX):
+    def __setattr__(self, name, value):
+        raise AttributeError("Ideal is immutable")
+
+    def _basis(self, order: MonomialOrder):
+        """(reduced basis, its prepared divisors), computed once per order."""
         sig = order.signature()
         if sig not in self._gb:
-            self._gb[sig] = groebner_basis(self.gens, order)
+            basis = groebner_basis(self.gens, order)
+            k = self.ring.field.kernel
+            prepared = [_prepare(_unwrap(g), order.rank, k) for g in basis]
+            self._gb[sig] = (basis, prepared)
         return self._gb[sig]
 
-    def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
+    def groebner(self, order: MonomialOrder = GREVLEX):
+        return self._basis(order)[0]
+
+    def _remainder(self, f: Polynomial, order: MonomialOrder) -> dict:
         if f.ring != self.ring:
             raise UsageError("polynomial outside the ring")
-        gb = self.groebner(order)
-        if not gb:
-            return f
-        return divide(f, list(gb), order)
+        prepared = self._basis(order)[1]
+        return _divide(_unwrap(f), prepared, order.rank, self.ring.field.kernel)
+
+    def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
+        return _wrap(self.ring, self._remainder(f, order))
 
     def member(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero
+        return not self._remainder(f, GREVLEX)
 
     def contains(self, other: "Ideal") -> bool:
         return all(self.member(g) for g in other.gens)

@@ -11,7 +11,7 @@ from itertools import permutations, product
 
 import pytest
 
-from cartier.field import FieldSpec
+from cartier.field import FieldElement, FieldSpec
 from cartier.semilinear import SemilinearModule, Subspace
 
 
@@ -38,6 +38,21 @@ def gf8():
 @pytest.fixture(scope="session")
 def gf9():
     return FieldSpec(3, 2)
+
+
+@pytest.fixture
+def element_op_calls(monkeypatch):
+    """Counts calls of FieldElement.__mul__, __add__, __sub__ and inverse."""
+    calls = []
+    for name in ("__mul__", "__add__", "__sub__", "inverse"):
+        real = getattr(FieldElement, name)
+
+        def counting(self, *args, real=real):
+            calls.append(1)
+            return real(self, *args)
+
+        monkeypatch.setattr(FieldElement, name, counting)
+    return calls
 
 
 def fp_poly_remainder(a, b, p):

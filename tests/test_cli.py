@@ -130,8 +130,10 @@ def test_malformed_input_is_a_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "text", ['[{"argv": ["field-info"]}]', '{"name": "x"}', "[1]", "[{"],
-    ids=["unnamed-case", "not-a-list", "not-a-case", "bad-json"],
+    "text",
+    ['[{"argv": ["field-info"]}]', '{"name": "x"}', "[1]", "[{",
+     '[{"name": "x", "argv": ["field-info", "--json"]}]'],
+    ids=["unnamed-case", "not-a-list", "not-a-case", "bad-json", "no-expect"],
 )
 def test_malformed_corpus_is_a_usage_error(tmp_path, capsys, text):
     path = tmp_path / "corpus.json"

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from cartier.errors import ResourceError, UsageError
-from cartier.field import FieldElement, FieldSpec
+from cartier.field import FieldSpec
 from cartier.linalg import is_zero_matrix, mat_mul, identity
 from cartier import linalg
 from cartier.semilinear import (
@@ -216,21 +216,6 @@ def test_decompose_walks_the_powers_once(gf8, monkeypatch):
     monkeypatch.setattr(linalg, "mat_mul", counting)
     m.decompose()
     assert len(calls) <= m.dim
-
-
-@pytest.fixture
-def element_op_calls(monkeypatch):
-    """Counts calls of FieldElement.__mul__, __add__ and __sub__."""
-    calls = []
-    for name in ("__mul__", "__add__", "__sub__"):
-        real = getattr(FieldElement, name)
-
-        def counting(self, other, real=real):
-            calls.append(1)
-            return real(self, other)
-
-        monkeypatch.setattr(FieldElement, name, counting)
-    return calls
 
 
 def test_hot_loops_stay_on_packed_rows(gf8, gf9, element_op_calls):
