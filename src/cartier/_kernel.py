@@ -7,8 +7,9 @@ TABLE_MAX_ORDER get log/antilog tables of a primitive element g (a few MB
 at most): multiplication and inversion add or negate logs, sigma^j
 multiplies a log by p^j mod (p^d - 1), and addition is XOR in
 characteristic 2 and a Zech-log lookup otherwise (Huber, "Some comments on
-Zech's logarithms", IEEE Trans. IT 1990).  Larger fields use
-polynomial-basis arithmetic behind the same interface.
+Zech's logarithms", IEEE Trans. IT 1990).  Larger prime fields compute
+on residues mod p; larger extension fields use polynomial-basis
+arithmetic behind the same interface.
 
 Besides scalar operations, a kernel works on whole rows (lists of packed
 ints): `scale`, `add_multiple` (row + c * other), `dot` and `frob_row`.
@@ -34,8 +35,8 @@ from .field import (
 
 
 class _PolyKernel:
-    """Polynomial-basis arithmetic on packed ints, for fields above
-    TABLE_MAX_ORDER.  Every operation unpacks its operands into
+    """Polynomial-basis arithmetic on packed ints, for extension fields
+    above TABLE_MAX_ORDER.  Every operation unpacks its operands into
     coefficient lists."""
 
     def __init__(self, p: int, d: int, modulus: tuple):
@@ -94,6 +95,56 @@ class _PolyKernel:
 
     def frob_row(self, row, j):
         return [self.frob(x, j) for x in row]
+
+
+class _PrimeKernel:
+    """F_p for a prime p above TABLE_MAX_ORDER: a packed element is its
+    residue, so every operation is integer arithmetic mod p and sigma is
+    the identity."""
+
+    def __init__(self, p: int):
+        self.p = self.order = p
+        self.one = 1
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def pow(self, a, n):
+        if n < 0:
+            a, n = self.inv(a), -n
+        return pow(a, n, self.p)
+
+    def inv(self, a):
+        if not a:
+            raise DomainError("cannot invert zero")
+        return pow(a, self.p - 2, self.p)
+
+    def frob(self, a, j):
+        return a
+
+    def scale(self, row, c):
+        p = self.p
+        return [x * c % p for x in row]
+
+    def add_multiple(self, row, c, other):
+        """row + c * other."""
+        p = self.p
+        return [(x + c * y) % p for x, y in zip(row, other)]
+
+    def dot(self, a, b):
+        return sum(x * y for x, y in zip(a, b)) % self.p
+
+    def frob_row(self, row, j):
+        return list(row)
 
 
 def _antilog_table(p: int, d: int, modulus: tuple, g: list, n: int) -> array:
@@ -309,7 +360,7 @@ def kernel(p: int, d: int, modulus: tuple):
     k = _KERNELS.get(key)
     if k is None:
         if p**d > TABLE_MAX_ORDER:
-            k = _PolyKernel(p, d, modulus)
+            k = _PrimeKernel(p) if d == 1 else _PolyKernel(p, d, modulus)
         elif p == 2:
             k = _XorKernel(p, d, modulus)
         else:

@@ -411,7 +411,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--module", type=str, action="append", default=[],
                            help="module JSON (inline or file); repeatable")
         p.add_argument("--cap", type=int, default=cap_default,
-                       help="resource cap for enumerations and chains")
+                       help="resource cap: points of k^n scanned and submodules "
+                       "found by lattice commands, steps of chains, members of "
+                       "other enumerations")
         p.add_argument("--json", action="store_true", help="canonical JSON output")
 
     handlers = {}

@@ -12,7 +12,9 @@ is the quasi-length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
+from operator import and_
 
 from .errors import InvariantViolation, ResourceError, UsageError
 from . import linalg
@@ -74,47 +76,33 @@ def fixed_submodule_lattice(module: SemilinearModule, cap: int = 100_000):
     ]
 
 
-def _cover_edges(lattice):
-    """Hasse diagram cover pairs (i, j) meaning lattice[i] < lattice[j]."""
-    n = len(lattice)
-    less = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and lattice[i].dim < lattice[j].dim:
-                less[i][j] = lattice[j].contains(lattice[i])
+def _cover_edges(lattice, cap: int):
+    """Hasse diagram cover pairs (i, j) meaning lattice[i] < lattice[j],
+    sorted, for subspaces sorted by dimension.
+
+    above[p] is the bitset of members containing the point p, so the
+    members containing N are the AND over N's RREF rows, which are
+    points.  The first of them after N is a cover; dropping everything
+    above it leaves the next.
+    """
+    points = linalg._Points(lattice[0].spec, lattice[0].ambient, cap)
+    above = [0] * len(points.vectors)
+    for i, sub in enumerate(lattice):
+        for p in points.of(sub._packed):
+            above[p] |= 1 << i
+    full = (1 << len(lattice)) - 1
+    up = [
+        reduce(and_, (above[points.index[tuple(r)]] for r in sub._packed), full)
+        for sub in lattice
+    ]
     edges = []
-    for i in range(n):
-        for j in range(n):
-            if less[i][j] and not any(
-                less[i][k] and less[k][j] for k in range(n)
-            ):
-                edges.append((i, j))
+    for i, members in enumerate(up):
+        rest = members & ~(1 << i)
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            edges.append((i, j))
+            rest &= ~up[j]
     return edges
-
-
-def _chain_lengths(lattice, edges):
-    """(shortest, longest) maximal-chain length from bottom to top."""
-    n = len(lattice)
-    if n == 1:
-        return 0, 0
-    bottom = next(i for i in range(n) if lattice[i].dim == 0)
-    top = max(range(n), key=lambda i: lattice[i].dim)
-    succ = [[] for _ in range(n)]
-    for i, j in edges:
-        succ[i].append(j)
-    order = sorted(range(n), key=lambda i: lattice[i].dim)
-    longest = [None] * n
-    shortest = [None] * n
-    longest[bottom] = shortest[bottom] = 0
-    for i in order:
-        if longest[i] is None:
-            continue
-        for j in succ[i]:
-            if longest[j] is None or longest[i] + 1 > longest[j]:
-                longest[j] = longest[i] + 1
-            if shortest[j] is None or shortest[i] + 1 < shortest[j]:
-                shortest[j] = shortest[i] + 1
-    return shortest[top], longest[top]
 
 
 def quasi_length(module: SemilinearModule, cap: int = 100_000) -> int:
@@ -141,32 +129,33 @@ class CrystalReport:
 
 def jordan_holder(module: SemilinearModule, cap: int = 100_000) -> CrystalReport:
     """Enumerate the crystal's submodule lattice and certify that every
-    maximal chain has the same length."""
+    maximal chain has the same length: each cover raises the height
+    above the bottom by exactly one."""
     rep = minimal_rep(module)
     lattice = fixed_submodule_lattice(rep, cap=cap)
-    edges = _cover_edges(lattice)
-    shortest, longest = _chain_lengths(lattice, edges)
-    if shortest != longest:
-        raise InvariantViolation(
-            f"maximal chains of different lengths: {shortest} and {longest}"
-        )
+    edges = _cover_edges(lattice, cap)
+    height = [0] + [None] * (len(lattice) - 1)
+    succ = [[] for _ in lattice]
+    for i, j in edges:  # a lower cover has a lower index
+        succ[i].append(j)
+        if height[j] is None:
+            height[j] = height[i] + 1
+        elif height[j] != height[i] + 1:
+            raise InvariantViolation(
+                f"maximal chains of different lengths reach member {j}"
+            )
     # canonical maximal chain: always step to the cover with least key
-    factor_dims = []
-    if lattice:
-        succ = {i: [] for i in range(len(lattice))}
-        for i, j in edges:
-            succ[i].append(j)
-        cur = next(i for i in range(len(lattice)) if lattice[i].dim == 0)
-        while succ[cur]:
-            nxt = min(succ[cur], key=lambda j: lattice[j].key())
-            factor_dims.append(lattice[nxt].dim - lattice[cur].dim)
-            cur = nxt
+    factor_dims, cur = [], 0
+    while succ[cur]:
+        nxt = min(succ[cur])
+        factor_dims.append(lattice[nxt].dim - lattice[cur].dim)
+        cur = nxt
     return CrystalReport(
         minimal_rep=rep,
-        quasi_length=longest,
+        quasi_length=height[-1],
         lattice=tuple(lattice),
         factor_dims=tuple(sorted(factor_dims)),
-        edges=tuple(sorted(edges)),
+        edges=tuple(edges),
     )
 
 
@@ -176,28 +165,21 @@ def nil_series(module: SemilinearModule, cap: int = 100_000):
 
     Returns the subspaces of the ambient space in order.
     """
-    spec = module.spec
-    n = module.dim
-    series = [Subspace.full(spec, n)]
-    under = module.stable_image()
-    series.append(under)
-    current = under  # invariant: C(current) = current
+    current = module.stable_image()  # invariant: C(current) = current
+    series = [Subspace.full(module.spec, module.dim), current]
     while current.dim > 0:
         restricted = module.restrict_to(current)
-        lattice = fixed_submodule_lattice(restricted, cap=cap)
-        proper = [s for s in lattice if s.dim < current.dim]
-        best = max(proper, key=lambda s: (s.dim, s.key()))
-        # back to ambient coordinates
-        ambient_best = _unrestrict(best, current)
+        # the largest proper fixed submodule: the lattice is sorted by
+        # dimension and ends with the whole of `current`
+        best = fixed_submodule_lattice(restricted, cap=cap)[-2]
         quotient, qmap = restricted.quotient_by(best)
         nil = quotient.nilpotent_part()
-        head = _unrestrict(qmap.preimage(nil), current)
         simple_part, _ = quotient.quotient_by(nil)
         if simple_part.is_nilpotent or not simple_part.is_simple(cap=cap):
             raise InvariantViolation("series factor is not simple non-nilpotent")
-        series.append(head)
-        series.append(ambient_best)
-        current = ambient_best
+        # back to ambient coordinates
+        series += [_unrestrict(qmap.preimage(nil), current), _unrestrict(best, current)]
+        current = series[-1]
     return series
 
 

@@ -12,8 +12,9 @@ structure built on top of the field.
 
 Arithmetic on packed ints runs in one kernel per (p, d, modulus), shared
 by every spec of that field and built on the first arithmetic in it:
-log/antilog (Zech) tables up to TABLE_MAX_ORDER elements, polynomial-basis
-arithmetic beyond (see `cartier._kernel`).  A kernel also works on whole
+log/antilog (Zech) tables up to TABLE_MAX_ORDER elements, residues mod p
+for larger prime fields and polynomial-basis arithmetic for larger
+extension fields (see `cartier._kernel`).  A kernel also works on whole
 rows of packed ints: scale, add a multiple of another row, dot product,
 Frobenius.
 
@@ -63,7 +64,7 @@ DEFAULT_MODULI = {
 MAX_SEARCH_DEGREE = 16
 
 # Fields up to this order get log/antilog tables (a few MB at most); larger
-# ones use polynomial-basis arithmetic.
+# ones compute on residues (d = 1) or in the polynomial basis.
 TABLE_MAX_ORDER = 7**6
 
 

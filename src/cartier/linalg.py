@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from itertools import product
 
+from .errors import ResourceError
 from .field import FieldSpec
 
 
@@ -27,10 +28,15 @@ def spec_of(*matrices):
 
 def rref(rows, spec: FieldSpec):
     """Reduced row echelon form.  Returns (rows_without_zeros, pivot_columns)."""
-    mat = [spec.unwrap(r) for r in rows]
+    red, pivots = _rref_packed([spec.unwrap(r) for r in rows], spec.kernel)
+    return tuple(spec.wrap(row) for row in red), pivots
+
+
+def _rref_packed(mat, k):
+    """`rref` on a list of packed rows, reduced in place with kernel k;
+    returns (rows_without_zeros, pivot_columns)."""
     if not mat:
-        return (), ()
-    k = spec.kernel
+        return [], ()
     ncols = len(mat[0])
     pivots = []
     r = 0
@@ -43,7 +49,9 @@ def rref(rows, spec: FieldSpec):
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        row = mat[r] = k.scale(mat[r], k.inv(mat[r][c]))
+        row = mat[r]
+        if row[c] != k.one:
+            row = mat[r] = k.scale(row, k.inv(row[c]))
         for i in range(len(mat)):
             f = mat[i][c]
             if i != r and f:
@@ -52,7 +60,7 @@ def rref(rows, spec: FieldSpec):
         r += 1
         if r == len(mat):
             break
-    return tuple(spec.wrap(row) for row in mat[:r]), tuple(pivots)
+    return mat[:r], tuple(pivots)
 
 
 def kernel_basis(rows, ncols, spec: FieldSpec):
@@ -70,6 +78,38 @@ def kernel_basis(rows, ncols, spec: FieldSpec):
             vec[pc] = k.neg(row[fc])
         basis.append(spec.wrap(vec))
     return basis
+
+
+class _Points:
+    """The points of k^n, packed vectors whose first nonzero entry is 1,
+    numbered in canonical order.  A subspace is known by the int bitset
+    of its points, so containment is a bitset test.  Raises
+    ResourceError when there are more than `cap` points."""
+
+    def __init__(self, spec: FieldSpec, n: int, cap: int):
+        count = (spec.order**n - 1) // (spec.order - 1)
+        if count > cap:
+            raise ResourceError(f"k^{n} has {count} points to scan, above the cap {cap}")
+        self.kernel = k = spec.kernel
+        self.vectors = [
+            (0,) * i + (k.one,) + tail
+            for i in range(n)
+            for tail in product(range(spec.order), repeat=n - i - 1)
+        ]
+        self.index = {v: i for i, v in enumerate(self.vectors)}
+
+    def of(self, rows):
+        """Indices of the points in the span of packed RREF rows: each row
+        plus every combination of the rows after it."""
+        k, found, tails = self.kernel, [], [[0] * len(rows[0])] if rows else []
+        for i in range(len(rows) - 1, -1, -1):
+            found += [self.index[tuple(k.add_multiple(t, k.one, rows[i]))] for t in tails]
+            if i:
+                tails = [k.add_multiple(t, c, rows[i]) for c in range(k.order) for t in tails]
+        return found
+
+    def mask(self, rows) -> int:
+        return sum(1 << i for i in self.of(rows))
 
 
 def _combine(coeffs, packed_vectors, n: int, k):

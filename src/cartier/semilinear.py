@@ -4,14 +4,14 @@ A module is a matrix A over GF(p^d) acting by C(v) = A . sigma^(-e)(v),
 where sigma^(-e) takes coordinatewise p^e-th roots (q = p^e, e | d).  The
 module-level structure theory lives here: nilpotent part, stable image,
 direct-sum decomposition, fixed points, base change, Hom-spaces, duality,
-and brute-force submodule enumeration.
+and the submodule lattice, grown from cyclic submodules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice, product
+from itertools import islice, product
 
 from .errors import InvariantViolation, ResourceError, UsageError
 from .field import FieldElement, FieldSpec, embed
@@ -488,60 +488,80 @@ class SemilinearModule(_TwistedModule):
             raise InvariantViolation("hom basis element fails the commuting identity")
         return HomSpace(basis=basis, q=spec.q)
 
-    def iter_subspaces(self, dims=None):
-        """All subspaces in canonical RREF enumeration order."""
-        spec, n = self.spec, self.dim
-        elements = tuple(spec.elements())
-        dims = range(n + 1) if dims is None else dims
-        for r in dims:
-            if r == 0:
-                yield Subspace.zero(spec, n)
-                continue
-            for pivots in combinations(range(n), r):
-                free_pos = [
-                    (i, j)
-                    for i in range(r)
-                    for j in range(n)
-                    if j > pivots[i] and j not in pivots
-                ]
-                for values in product(elements, repeat=len(free_pos)):
-                    rows = [[spec.zero] * n for _ in range(r)]
-                    for i, pc in enumerate(pivots):
-                        rows[i][pc] = spec.one
-                    for (i, j), val in zip(free_pos, values):
-                        rows[i][j] = val
-                    yield Subspace(
-                        spec, n, tuple(tuple(row) for row in rows), tuple(pivots)
-                    )
+    def _cyclic(self, v):
+        """Packed RREF rows and pivots of <v, Cv, C^2 v, ...> for a packed
+        vector v; the span is C-stable once C^i v adds nothing."""
+        k, a = self.spec.kernel, [self.spec.unwrap(c) for c in zip(*self.matrix)]
+        rows, pivots = [], ()
+        while True:
+            grown, more = linalg._rref_packed(rows + [v], k)
+            if len(grown) == len(rows):
+                return rows, pivots
+            rows, pivots = grown, more
+            v = linalg._combine(k.frob_row(v, -self.spec.e), a, self.dim, k)
 
-    def _check_lattice_cap(self, cap: int):
-        total = count_subspaces(self.dim, self.spec.order)
-        if total > cap:
-            raise ResourceError(
-                f"subspace lattice has {total} elements, above the cap {cap}"
-            )
+    def _lattice(self, cap: int):
+        """Every C-stable subspace, sorted by (dimension, canonical basis),
+        and the point bitset of each.
+
+        A stable subspace is the sum of the cyclic submodules of its
+        points, so the lattice is the closure of 0 under N -> N + <v>.
+        When N + <v> has dimension dim N + 1 it is a cover of N, the sum
+        for every point in it, so those points are skipped for N.
+        """
+        spec, n = self.spec, self.dim
+        points = linalg._Points(spec, n, cap)
+        elems, masks, where, cyclic = [Subspace.zero(spec, n)], [0], {(): 0}, {}
+
+        def member(rows, pivots):
+            key = tuple(map(tuple, rows))
+            if key not in where:
+                if len(elems) == cap:
+                    raise ResourceError(
+                        f"submodule lattice has more than {cap} members, above "
+                        f"the cap (the next one found has dimension {len(key)})"
+                    )
+                where[key] = len(elems)
+                elems.append(Subspace(spec, n, tuple(map(spec.wrap, key)), pivots))
+                masks.append(points.mask(key))
+            return where[key]
+
+        for sub, mask in zip(elems, masks):  # both grow as members are found
+            todo, sums = ~mask & ((1 << len(points.vectors)) - 1), {}
+            while todo:
+                low = todo & -todo
+                j = low.bit_length() - 1
+                if j not in cyclic:
+                    cyclic[j] = member(*self._cyclic(points.vectors[j]))
+                c = cyclic[j]
+                if c not in sums:  # N + <v> is <v> when N lies inside it
+                    sums[c] = member(*linalg._rref_packed(
+                        list(sub._packed + elems[c]._packed), spec.kernel
+                    )) if mask & ~masks[c] else c
+                m = sums[c]
+                todo &= ~(masks[m] if elems[m].dim == sub.dim + 1 else low)
+        order = sorted(range(len(elems)), key=lambda i: elems[i].key())
+        return [elems[i] for i in order], [masks[i] for i in order]
 
     def enumerate_submodules(self, cap: int = 100_000):
         """All C-stable subspaces, flagged with whether C maps them onto
-        themselves; sorted by (dimension, canonical basis)."""
-        self._check_lattice_cap(cap)
-        found = []
-        for sub in self.iter_subspaces():
-            if self.is_stable(sub):
-                found.append(
-                    SubmoduleInfo(subspace=sub, surjective=self.image_of(sub) == sub)
-                )
-        found.sort(key=lambda info: info.subspace.key())
-        return found
+        themselves (exactly when they lie in the stable image, where C is
+        bijective); sorted by (dimension, canonical basis).  `cap` bounds
+        the points of k^n scanned and the submodules found."""
+        lattice, masks = self._lattice(cap)
+        under = masks[lattice.index(self.stable_image())]
+        return [
+            SubmoduleInfo(subspace=sub, surjective=not mask & ~under)
+            for sub, mask in zip(lattice, masks)
+        ]
 
     def is_simple(self, cap: int = 100_000) -> bool:
-        if self.dim == 0:
-            return False
-        self._check_lattice_cap(cap)
-        for sub in self.iter_subspaces(dims=range(1, self.dim)):
-            if self.is_stable(sub):
-                return False
-        return True
+        """Whether 0 and V are the only C-stable subspaces: every cyclic
+        submodule is V."""
+        points = linalg._Points(self.spec, self.dim, cap)
+        return self.dim > 0 and all(
+            len(self._cyclic(v)[0]) == self.dim for v in points.vectors
+        )
 
     def end_ring(self, cap: int = 100_000):
         """(order, is_field) for the endomorphism ring of a simple module."""
@@ -586,10 +606,7 @@ class SemilinearModule(_TwistedModule):
     def restrict_to(self, sub: Subspace) -> "SemilinearModule":
         if not self.is_stable(sub):
             raise UsageError("cannot restrict to a subspace that is not C-stable")
-        rows = []
-        for r in sub.rows:
-            cs = sub.coords(self.apply(r))
-            rows.append(cs)
+        rows = [sub.coords(self.apply(r)) for r in sub.rows]
         # C(w_i) = sum_j rows[i][j] w_j, so the coordinate action is the transpose
         return SemilinearModule(self.spec, linalg.transpose(rows))
 
@@ -598,13 +615,9 @@ class SemilinearModule(_TwistedModule):
         if not self.is_stable(sub):
             raise UsageError("cannot quotient by a subspace that is not C-stable")
         qmap = QuotientMap(sub)
-        cols = []
-        for j in qmap.coords_cols:
-            image = tuple(self.matrix[i][j] for i in range(self.dim))
-            cols.append(qmap.project(image))
-        m = len(qmap.coords_cols)
-        matrix = tuple(tuple(cols[c][r] for c in range(m)) for r in range(m))
-        return SemilinearModule(self.spec, matrix), qmap
+        columns = linalg.transpose(self.matrix)
+        cols = [qmap.project(columns[j]) for j in qmap.coords_cols]
+        return SemilinearModule(self.spec, linalg.transpose(cols)), qmap
 
     # -- serialization ---------------------------------------------------
 

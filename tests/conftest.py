@@ -3,11 +3,13 @@
 The oracles here deliberately avoid the library's power-matrix and kernel
 paths: they iterate the structural map over every vector of the space, so
 they stay independent of the code they check.  Usable whenever |k|^n is a
-few thousand at most.
+few thousand at most.  The submodule oracles scan every subspace of k^n
+and find Hasse covers by a cubic search, so they suit lattices of a few
+hundred subspaces.
 """
 
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -272,3 +274,88 @@ def nilpotent_block_extension(rng: random.Random, spec: FieldSpec, n1: int, n2: 
         for j in range(n2):
             big[n1 + i][n1 + j] = quot.matrix[i][j]
     return SemilinearModule(spec, big), sub, quot
+
+
+def oracle_subspaces(spec: FieldSpec, n: int, dims=None):
+    """Every subspace of k^n in canonical RREF enumeration order: each
+    pivot set, then every value of the free entries."""
+    elements = tuple(spec.elements())
+    dims = range(n + 1) if dims is None else dims
+    for r in dims:
+        if r == 0:
+            yield Subspace.zero(spec, n)
+            continue
+        for pivots in combinations(range(n), r):
+            free_pos = [
+                (i, j)
+                for i in range(r)
+                for j in range(n)
+                if j > pivots[i] and j not in pivots
+            ]
+            for values in product(elements, repeat=len(free_pos)):
+                rows = [[spec.zero] * n for _ in range(r)]
+                for i, pc in enumerate(pivots):
+                    rows[i][pc] = spec.one
+                for (i, j), val in zip(free_pos, values):
+                    rows[i][j] = val
+                yield Subspace(
+                    spec, n, tuple(tuple(row) for row in rows), tuple(pivots)
+                )
+
+
+def oracle_submodules(module: SemilinearModule):
+    """(N, C(N) == N) for every C-stable subspace N, by testing every
+    subspace of k^n; sorted by (dimension, canonical basis)."""
+    found = [
+        (sub, module.image_of(sub) == sub)
+        for sub in oracle_subspaces(module.spec, module.dim)
+        if module.is_stable(sub)
+    ]
+    return sorted(found, key=lambda pair: pair[0].key())
+
+
+def oracle_fixed_lattice(module: SemilinearModule, cap=None):
+    """Every subspace with C(N) = N, by the exhaustive scan."""
+    return [sub for sub, onto in oracle_submodules(module) if onto]
+
+
+def oracle_is_simple(module: SemilinearModule, cap=None):
+    """No C-stable subspace strictly between 0 and V, by the exhaustive scan."""
+    return module.dim > 0 and not any(
+        module.is_stable(sub)
+        for sub in oracle_subspaces(module.spec, module.dim, range(1, module.dim))
+    )
+
+
+def oracle_cover_edges(lattice):
+    """Hasse diagram cover pairs (i, j) meaning lattice[i] < lattice[j],
+    from the full order relation: cubic in the lattice size."""
+    n = len(lattice)
+    less = [[False] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and lattice[i].dim < lattice[j].dim:
+                less[i][j] = lattice[j].contains(lattice[i])
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            if less[i][j] and not any(
+                less[i][k] and less[k][j] for k in range(n)
+            ):
+                edges.append((i, j))
+    return edges
+
+
+def oracle_chain(lattice, edges):
+    """(longest chain length, sorted factor dimensions along the chain that
+    always steps to the cover with least key), from bottom to top."""
+    succ = {i: [j for a, j in edges if a == i] for i in range(len(lattice))}
+    longest = {}
+    for i in sorted(range(len(lattice)), key=lambda i: -lattice[i].dim):
+        longest[i] = max((longest[j] + 1 for j in succ[i]), default=0)
+    cur, dims = 0, []
+    while succ[cur]:
+        nxt = min(succ[cur], key=lambda j: lattice[j].key())
+        dims.append(lattice[nxt].dim - lattice[cur].dim)
+        cur = nxt
+    return longest[0], tuple(sorted(dims))

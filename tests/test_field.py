@@ -274,11 +274,35 @@ def test_kernel_matches_polynomial_basis_sampled(p, d):
 
 
 def test_fields_above_the_cap_use_polynomial_arithmetic():
-    for spec in (FieldSpec(3, 11), FieldSpec(1_000_003, 1)):
+    """Above TABLE_MAX_ORDER, extension fields use the polynomial basis and
+    prime fields their residues."""
+    kinds = {(3, 11): _kernel._PolyKernel, (1_000_003, 1): _kernel._PrimeKernel}
+    for (p, d), kind in kinds.items():
+        spec = FieldSpec(p, d)
         assert spec.order > TABLE_MAX_ORDER
-        assert isinstance(spec.kernel, _kernel._PolyKernel)
+        assert type(spec.kernel) is kind
         assert spec.gen * spec.gen.inverse() == spec.one
-    assert not isinstance(FieldSpec(7, 6).kernel, _kernel._PolyKernel)
+    for table in (FieldSpec(7, 6).kernel, FieldSpec(7, 1).kernel):
+        assert not isinstance(table, (_kernel._PolyKernel, _kernel._PrimeKernel))
+
+
+@pytest.mark.parametrize("p,d", [(2, 3), (3, 2), (1_000_003, 1), (3, 11)])
+def test_row_operations_match_scalar_operations(p, d):
+    """scale, add_multiple, dot and frob_row of each kernel kind (XOR, Zech,
+    residue, polynomial basis) agree with its scalar operations."""
+    k = FieldSpec(p, d).kernel
+    rng = random.Random(p + d)
+    u, v = ([rng.randrange(p**d) if rng.random() < 0.8 else 0 for _ in range(6)]
+            for _ in range(2))
+    for c in (0, k.one, rng.randrange(1, p**d)):
+        assert k.scale(u, c) == [k.mul(x, c) for x in u]
+        assert k.add_multiple(u, c, v) == [k.add(x, k.mul(c, y)) for x, y in zip(u, v)]
+    dot = 0
+    for x, y in zip(u, v):
+        dot = k.add(dot, k.mul(x, y))
+    assert k.dot(u, v) == dot
+    for j in (1, -1, d + 1):
+        assert k.frob_row(u, j) == [k.frob(x, j) for x in u]
 
 
 def test_spec_and_field_info_build_no_tables(monkeypatch, capsys):
