@@ -76,25 +76,22 @@ def fixed_submodule_lattice(module: SemilinearModule, cap: int = 100_000):
     ]
 
 
-def _cover_edges(lattice, cap: int):
-    """Hasse diagram cover pairs (i, j) meaning lattice[i] < lattice[j],
-    sorted, for subspaces sorted by dimension.
+def _cover_edges(masks):
+    """Hasse diagram cover pairs (i, j) meaning member i < member j,
+    sorted, for members sorted by dimension and given by the bitsets of
+    their points.
 
     above[p] is the bitset of members containing the point p, so the
-    members containing N are the AND over N's RREF rows, which are
-    points.  The first of them after N is a cover; dropping everything
-    above it leaves the next.
+    members containing N are the AND over N's points.  The first of them
+    after N is a cover; dropping everything above it leaves the next.
     """
-    points = linalg._Points(lattice[0].spec, lattice[0].ambient, cap)
-    above = [0] * len(points.vectors)
-    for i, sub in enumerate(lattice):
-        for p in points.of(sub._packed):
+    points = [[p for p, bit in enumerate(bin(m)[:1:-1]) if bit == "1"] for m in masks]
+    above = [0] * masks[-1].bit_length()  # the last member is V
+    for i, ps in enumerate(points):
+        for p in ps:
             above[p] |= 1 << i
-    full = (1 << len(lattice)) - 1
-    up = [
-        reduce(and_, (above[points.index[tuple(r)]] for r in sub._packed), full)
-        for sub in lattice
-    ]
+    full = (1 << len(masks)) - 1
+    up = [reduce(and_, (above[p] for p in ps), full) for ps in points]
     edges = []
     for i, members in enumerate(up):
         rest = members & ~(1 << i)
@@ -132,8 +129,9 @@ def jordan_holder(module: SemilinearModule, cap: int = 100_000) -> CrystalReport
     maximal chain has the same length: each cover raises the height
     above the bottom by exactly one."""
     rep = minimal_rep(module)
-    lattice = fixed_submodule_lattice(rep, cap=cap)
-    edges = _cover_edges(lattice, cap)
+    # C is bijective on rep, so every C-stable subspace is fixed
+    lattice, masks = rep._lattice(cap)
+    edges = _cover_edges(masks)
     height = [0] + [None] * (len(lattice) - 1)
     succ = [[] for _ in lattice]
     for i, j in edges:  # a lower cover has a lower index
@@ -195,9 +193,11 @@ def hom_crys(source: SemilinearModule, target: SemilinearModule) -> HomSpace:
     return minimal_rep(source).hom_space(minimal_rep(target))
 
 
-def anti_nilpotent(module: SemilinearModule, cap: int = 100_000) -> bool:
-    """True when every C-stable subspace satisfies C(N) = N."""
-    return all(info.surjective for info in module.enumerate_submodules(cap=cap))
+def anti_nilpotent(module: SemilinearModule) -> bool:
+    """True when every C-stable subspace satisfies C(N) = N.  V is one of
+    them, and C(V) = V makes C bijective, so C(N) = N for every stable N:
+    the test is C(V) = V."""
+    return module.stable_image().dim == module.dim
 
 
 def invariant_profile(module: SemilinearModule, base_changes: int = 3):

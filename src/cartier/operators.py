@@ -19,7 +19,15 @@ from itertools import combinations
 
 from .errors import DomainError, InvariantViolation, ResourceError, UsageError
 from .field import FieldSpec
-from .poly import GREVLEX, Ideal, Polynomial, PolyRing, divide, groebner_basis
+from .poly import (
+    GREVLEX,
+    Ideal,
+    Polynomial,
+    PolyRing,
+    _add_product,
+    _buchberger,
+    _new,
+)
 
 DEFAULT_CHAIN_CAP = 64
 
@@ -41,44 +49,30 @@ _ANTICHAIN_COUNTS = {
 def frobenius_descent(g: Polynomial, e: int):
     """The unique expansion g = sum_b g_b^q * x^b with b in [0, q)^n.
 
-    Returns a dict from the exponent tuple b to the component g_b.
+    Returns a dict from the exponent tuple b to the component g_b.  Each
+    term c*x^a lands in exactly one component, as the term c^(1/q) *
+    x^(a // q) of g_(a % q), so no two terms meet.
     """
     ring = g.ring
     _require_twist(ring.field, e)
     q = ring.field.p**e
+    t = g._packed
     parts: dict = {}
-    for exps, c in g.terms.items():
-        b = tuple(a % q for a in exps)
-        s = tuple(a // q for a in exps)
-        root = c.inv_frobenius(e)
-        part = parts.setdefault(b, {})
-        prev = part.get(s)
-        val = root if prev is None else prev + root
-        if val.is_zero:
-            part.pop(s, None)
-        else:
-            part[s] = val
-    return {b: Polynomial(ring, terms) for b, terms in parts.items() if terms}
+    for a, root in zip(t, ring.field.kernel.frob_row(t.values(), -e)):
+        parts.setdefault(tuple(x % q for x in a), {})[tuple(x // q for x in a)] = root
+    return {b: _new(ring, part) for b, part in parts.items()}
 
 
 def cartier_std(g: Polynomial, e: int) -> Polynomial:
-    """Classical Cartier operator at level q = p^e, extended additively."""
+    """Classical Cartier operator at level q = p^e, extended additively:
+    the descent component g_(q-1, ..., q-1)."""
     ring = g.ring
     _require_twist(ring.field, e)
     q = ring.field.p**e
-    terms: dict = {}
-    for exps, c in g.terms.items():
-        if any((a + 1) % q for a in exps):
-            continue
-        out = tuple((a + 1) // q - 1 for a in exps)
-        root = c.inv_frobenius(e)
-        prev = terms.get(out)
-        val = root if prev is None else prev + root
-        if val.is_zero:
-            terms.pop(out, None)
-        else:
-            terms[out] = val
-    return Polynomial(ring, terms)
+    t = g._packed
+    kept = [a for a in t if not any((x + 1) % q for x in a)]
+    roots = ring.field.kernel.frob_row([t[a] for a in kept], -e)
+    return _new(ring, {tuple((x + 1) // q - 1 for x in a): r for a, r in zip(kept, roots)})
 
 
 def _require_twist(field: FieldSpec, e: int):
@@ -201,35 +195,31 @@ class CartierOperator:
         h = sum_b h_b^q * x^b, turns the combination into a single
         operator value.
         """
-        shifted = self._shifted_values(self.ring.one)
-        bs = [b for b, _ in shifted]
-        gens = [value for _, value in shifted]
-        if not gens:
+        ring = self.ring
+        shifted = self._shifted_values(ring.one)
+        if not shifted:
             return None
-        gb, cofs = groebner_basis(gens, GREVLEX, track=True)
-        rem, quots = divide(self.ring.one, list(gb), GREVLEX, track=True)
-        if not rem.is_zero:
+        k, bound, one = ring.field.kernel, ring.max_degree, ring.one._packed
+        basis, cofs = _buchberger([g for _, g in shifted], GREVLEX, True)
+        if basis != [one]:  # the reduced basis of the unit ideal is (1)
             return None
-        coeffs = [self.ring.zero] * len(gens)
-        for u, cof in zip(quots, cofs):
-            if u.is_zero:
-                continue
-            for j in range(len(gens)):
-                coeffs[j] = coeffs[j] + u * cof[j]
-        check = self.ring.zero
-        for c, g in zip(coeffs, gens):
-            check = check + c * g
-        if not (check - self.ring.one).is_zero:
+        coeffs = cofs[0]  # 1 = sum_b coeffs[b] * f_{q-1-b}
+        check = {}
+        for c, (_, g) in zip(coeffs, shifted):
+            _add_product(check, c, g._packed, k, bound)
+        if check != one:
             raise InvariantViolation("cofactor bookkeeping lost the unit")
-        h = self.ring.zero
-        for c, b in zip(coeffs, bs):
-            h = h + c.frobenius_power(self.e) * self.ring.monomial(b)
+        h = {}
+        for c, (b, _) in zip(coeffs, shifted):
+            c = _new(ring, c).frobenius_power(self.e)._packed
+            _add_product(h, c, {b: k.one}, k, bound)
+        h = _new(ring, h)
         # The ring's degree bound guards user input.  f * h is one product
         # of two known polynomials, so check it in a copy of the ring whose
         # bound fits it.
         degree = self.multiplier.total_degree() + h.total_degree()
-        wide = PolyRing(self.ring.field, self.ring.vars, max(degree, self.ring.max_degree))
-        fh = Polynomial(wide, self.multiplier.terms) * Polynomial(wide, h.terms)
+        wide = PolyRing(ring.field, ring.vars, max(degree, ring.max_degree))
+        fh = _new(wide, self.multiplier._packed) * _new(wide, h._packed)
         if cartier_std(fh, self.e) != wide.one:
             raise InvariantViolation("splitting witness failed verification")
         return h
@@ -239,7 +229,7 @@ class CartierOperator:
         with a monomial multiplier, sorted canonically; complete because
         compatible ideals of such operators are fixed, radical and monomial.
         """
-        if len(self.multiplier.terms) != 1:
+        if len(self.multiplier._packed) != 1:
             raise UsageError("enumeration requires a monomial multiplier")
         if not self.is_split():
             raise UsageError("enumeration requires a split operator")

@@ -1,21 +1,26 @@
 """Sparse multivariate polynomials over GF(p^d).
 
-Terms live in a read-only mapping from exponent tuple to nonzero
-coefficient.  The serialized form sorts terms descending under the ring's
-default order (grevlex), so printing is canonical and parse/print
-round-trips.  Polynomials and monomial orders are immutable.
+A polynomial stores its terms once, as a dict {exponent tuple: packed
+int} holding no zero coefficient, the way a `FieldElement` wraps one
+packed int (see `cartier.field`).  All arithmetic runs on these packed
+terms through the field's kernel, with one set of helpers shared by the
+polynomial operators, the parser, division and Buchberger: `_add_multiple`
+(acc += c * x^u * f), `_add_product` (acc += m * f) and `_power`, under the
+one degree guard `_check_product`.  The public `terms` is a read-only
+mapping {exponent tuple: FieldElement}, built on each access.
+
+The serialized form sorts terms descending under the ring's default order
+(grevlex), so printing is canonical and parse/print round-trips.
+Polynomials and monomial orders are immutable.
 
 Gröbner bases are plain Buchberger (pairs in FIFO order, the
 coprime-leading-term criterion), reduced to the unique reduced basis for
 the order.  On request the same run also tracks cofactors, used where an
-explicit representation 1 = sum h_i g_i is required.
-
-Division and Buchberger run on packed terms {exps: packed int} through
-the field's kernel (see `cartier.field`): they unwrap once at entry and
-wrap once at exit.  Division pops the leading pending monomial from a
-heap keyed by `MonomialOrder.rank`, and each divisor's leading term,
-inverse leading coefficient and tail are prepared once: per Buchberger
-run as the basis grows, and per `Ideal` next to its cached basis.
+explicit representation 1 = sum h_i g_i is required.  Division pops the
+leading pending monomial from a heap keyed by `MonomialOrder.rank`, and
+each divisor's leading term, inverse leading coefficient and tail are
+prepared once: per Buchberger run as the basis grows, and per `Ideal`
+next to its cached basis.
 """
 
 from __future__ import annotations
@@ -88,10 +93,6 @@ def elimination_order(k: int) -> MonomialOrder:
     return MonomialOrder("block", k)
 
 
-def mono_mul(a, b):
-    return tuple(map(add, a, b))
-
-
 def mono_divides(a, b) -> bool:
     return all(map(le, a, b))
 
@@ -145,18 +146,17 @@ class PolyRing:
 
     @property
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return _new(self, {})
 
     @property
     def one(self) -> "Polynomial":
-        return Polynomial(self, {(0,) * self.nvars: self.field.one})
+        return self.monomial((0,) * self.nvars)
 
     def var(self, name: str) -> "Polynomial":
         if name not in self.vars:
             raise UsageError(f"unknown variable {name!r}")
         i = self.vars.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {exps: self.field.one})
+        return self.monomial(1 if j == i else 0 for j in range(self.nvars))
 
     def monomial(self, exps, coeff=None) -> "Polynomial":
         exps = tuple(int(x) for x in exps)
@@ -165,14 +165,12 @@ class PolyRing:
         c = self.field.one if coeff is None else coeff
         if c.is_zero:
             return self.zero
-        return Polynomial(self, {exps: c})
+        return _new(self, {exps: self.field.unwrap((c,))[0]})
 
     def constant(self, c) -> "Polynomial":
         if isinstance(c, int):
             c = self.field.from_int(c)
-        if c.is_zero:
-            return self.zero
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return self.monomial((0,) * self.nvars, c)
 
     def parse(self, text: str) -> "Polynomial":
         return _parse(self, text)
@@ -186,17 +184,26 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial; no zero coefficients stored.  `terms`
-    is a read-only view of a private copy of the given terms."""
+    """Immutable sparse polynomial; no zero coefficients stored.  The
+    terms are kept packed; `terms` is a read-only {exps: FieldElement}
+    view of them."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_packed")
 
     def __init__(self, ring: PolyRing, terms):
+        terms = dict(terms)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", MappingProxyType(dict(terms)))
+        object.__setattr__(
+            self, "_packed", dict(zip(terms, ring.field.unwrap(terms.values())))
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @property
+    def terms(self):
+        t = self._packed
+        return MappingProxyType(dict(zip(t, self.ring.field.wrap(t.values()))))
 
     def _check(self, other):
         if not isinstance(other, Polynomial):
@@ -206,109 +213,81 @@ class Polynomial:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._packed)
 
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
             and self.ring == other.ring
-            and self.terms == other.terms
+            and self._packed == other._packed
         )
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, frozenset(self._packed.items())))
 
     def total_degree(self) -> int:
         """Degree of the polynomial, -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(map(sum, self._packed), default=-1)
+
+    def _scaled(self, c):
+        """self * c for a nonzero packed c."""
+        t = self._packed
+        return _new(self.ring, dict(zip(t, self.ring.field.kernel.scale(t.values(), c))))
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            s = c if s is None else s + c
-            if s.is_zero:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return Polynomial(self.ring, terms)
+        k, acc, o = self.ring.field.kernel, dict(self._packed), other._packed
+        _add_multiple(acc, o, o.values(), (0,) * self.ring.nvars, k.one, k)
+        return _new(self.ring, acc)
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        k = self.ring.field.kernel
+        return self._scaled(k.neg(k.one))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement):
-            if other.is_zero:
-                return self.ring.zero
-            return Polynomial(self.ring, {e: c * other for e, c in self.terms.items()})
         if isinstance(other, int):
-            return self * self.ring.field.from_int(other)
+            other = self.ring.field.from_int(other)
+        if isinstance(other, FieldElement):
+            if other.is_zero or self.is_zero:
+                return self.ring.zero
+            return self._scaled(self.ring.field.unwrap((other,))[0])
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return self.ring.zero
-        bound = self.ring.max_degree
-        if self.total_degree() + other.total_degree() > bound:
-            raise ResourceError(
-                f"product degree {self.total_degree() + other.total_degree()} "
-                f"exceeds the configured bound {bound}"
-            )
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = mono_mul(e1, e2)
-                c = c1 * c2
-                s = terms.get(e)
-                s = c if s is None else s + c
-                if s.is_zero:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return Polynomial(self.ring, terms)
+        return _new(self.ring, _mul(self._packed, other._packed, self.ring))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise UsageError("negative polynomial power")
-        result = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _new(self.ring, _power(self._packed, n, self.ring))
 
     def frobenius_power(self, j: int) -> "Polynomial":
         """f^(p^j), computed termwise (additive Frobenius in char p)."""
-        pj = self.ring.field.p**j
-        if self.total_degree() * pj > self.ring.max_degree:
+        if j < 0:
+            raise UsageError("frobenius iteration count must be >= 0")
+        ring, t = self.ring, self._packed
+        pj = ring.field.p**j
+        if self.total_degree() * pj > ring.max_degree:
             raise ResourceError("Frobenius power exceeds the degree bound")
-        return Polynomial(
-            self.ring,
-            {
-                tuple(x * pj for x in e): c.frobenius(j)
-                for e, c in self.terms.items()
-            },
-        )
+        exps = [tuple(x * pj for x in e) for e in t]
+        return _new(ring, dict(zip(exps, ring.field.kernel.frob_row(t.values(), j))))
 
     def leading(self, order: MonomialOrder):
         """(exponents, coefficient) of the leading term under the order."""
         if self.is_zero:
             raise DomainError("zero polynomial has no leading term")
-        e = min(self.terms, key=order.rank)
-        return e, self.terms[e]
+        e = min(self._packed, key=order.rank)
+        return e, self.ring.field.wrap((self._packed[e],))[0]
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
-        _, c = self.leading(order)
-        return self * c.inverse()
+        e, _ = self.leading(order)
+        return self._scaled(self.ring.field.kernel.inv(self._packed[e]))
 
     def sorted_terms(self, order: MonomialOrder = GREVLEX):
         rank = order.rank
@@ -318,11 +297,10 @@ class Polynomial:
         if self.is_zero:
             return "0"
         ring = self.ring
+        one = ring.field.one.packed
         parts = []
-        for exps, coeff in self.sorted_terms():
-            factors = []
-            if not (coeff == ring.field.one) or all(x == 0 for x in exps):
-                factors.append(str(coeff))
+        for exps, c in sorted(self._packed.items(), key=lambda t: GREVLEX.rank(t[0])):
+            factors = [] if c == one and any(exps) else [str(ring.field.wrap((c,))[0])]
             for name, k in zip(ring.vars, exps):
                 if k == 1:
                     factors.append(name)
@@ -333,6 +311,14 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self}>"
+
+
+def _new(ring: PolyRing, packed: dict) -> Polynomial:
+    """The polynomial with these packed terms, which it takes over."""
+    f = object.__new__(Polynomial)
+    object.__setattr__(f, "ring", ring)
+    object.__setattr__(f, "_packed", packed)
+    return f
 
 
 # ----------------------------------------------------------------------
@@ -377,31 +363,36 @@ MAX_NESTING = 100
 
 
 def _parse(ring: PolyRing, text: str) -> Polynomial:
+    """Recursive descent on packed terms.  A variable or a constant is a
+    one-term dict; products and powers run through `_add_product`, so the
+    degree guard fires on the same product, with the same degrees, as it
+    would for the polynomial operators."""
     tk = _Tokenizer(text)
+    field = ring.field
+    k = field.kernel
+    origin, one, minus = (0,) * ring.nvars, k.one, k.neg(k.one)
     depth = 0
 
     def parse_expr():
+        acc, sign = {}, one
         ch = tk.peek()
-        neg = False
         if ch in ("+", "-"):
             tk.pos += 1
-            neg = ch == "-"
-        acc = parse_term()
-        if neg:
-            acc = -acc
+            sign = minus if ch == "-" else one
         while True:
+            term = parse_term()
+            _add_multiple(acc, term, term.values(), origin, sign, k)
             ch = tk.peek()
             if ch not in ("+", "-"):
                 return acc
             tk.pos += 1
-            rhs = parse_term()
-            acc = acc + (-rhs if ch == "-" else rhs)
+            sign = minus if ch == "-" else one
 
     def parse_term():
         acc = parse_factor()
         while tk.peek() == "*":
             tk.pos += 1
-            acc = acc * parse_factor()
+            acc = _mul(acc, parse_factor(), ring)
         return acc
 
     def parse_factor():
@@ -414,8 +405,11 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
             n = tk.take_int()
             if n > ring.max_degree:
                 tk.error(f"exponent {n} overflows the degree bound {ring.max_degree}")
-            base = base**n
+            base = _power(base, n, ring)
         return base
+
+    def constant(c):
+        return {origin: c.packed} if c else {}
 
     def parse_atom():
         nonlocal depth
@@ -439,7 +433,7 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
                 tk.pos += 1
                 negate = not negate
             atom = parse_atom()
-            return -atom if negate else atom
+            return dict(zip(atom, k.scale(atom.values(), minus))) if negate else atom
         if ch == "[":
             tk.pos += 1
             coeffs = []
@@ -456,42 +450,33 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
                 if not c.isdigit():
                     tk.error("expected a digit in coefficient literal")
                 coeffs.append(tk.take_int())
-            if len(coeffs) > ring.field.d:
+            if len(coeffs) > field.d:
                 tk.error("coefficient literal longer than the field degree")
-            return ring.constant(ring.field.element(coeffs))
+            return constant(field.element(coeffs))
         if ch.isdigit():
-            return ring.constant(tk.take_int())
+            return constant(field.from_int(tk.take_int()))
         if ch.isalpha() or ch == "_":
             start = tk.pos
             name = tk.take_name()
             if name not in ring.vars:
                 tk.pos = start
                 tk.error(f"unknown variable {name!r}")
-            return ring.var(name)
+            i = ring.vars.index(name)
+            return {origin[:i] + (1,) + origin[i + 1 :]: one}
         tk.error(f"unexpected character {ch!r}")
 
     result = parse_expr()
     if tk.peek() is not None:
         tk.error(f"trailing input {tk.text[tk.pos:]!r}")
-    return result
+    return _new(ring, result)
 
 
 # ----------------------------------------------------------------------
-# division and Buchberger
+# packed arithmetic, division and Buchberger
 #
-# Here a polynomial is a dict {exps: packed coefficient} and arithmetic goes
-# through the field's kernel.  A divisor is prepared once as the tuple
-# (leading exponents, inverse leading coefficient, tail exponents, tail
-# coefficients, total degree), the tail in term order without the leading
-# term.
-
-
-def _unwrap(f: Polynomial) -> dict:
-    return dict(zip(f.terms, f.ring.field.unwrap(f.terms.values())))
-
-
-def _wrap(ring: PolyRing, terms: dict) -> Polynomial:
-    return Polynomial(ring, zip(terms, ring.field.wrap(terms.values())))
+# A divisor is prepared once as the tuple (leading exponents, inverse
+# leading coefficient, tail exponents, tail coefficients, total degree),
+# the tail in term order without the leading term.
 
 
 def _prepare(terms: dict, rank, k):
@@ -509,7 +494,7 @@ def _prepare(terms: dict, rank, k):
 
 
 def _check_product(deg_a: int, deg_b: int, bound: int):
-    """The degree guard of `Polynomial.__mul__`, for packed products."""
+    """The degree guard of every polynomial product."""
     if deg_a + deg_b > bound:
         raise ResourceError(
             f"product degree {deg_a + deg_b} exceeds the configured bound {bound}"
@@ -537,12 +522,30 @@ def _add_multiple(acc: dict, exps, coeffs, u, c, k) -> list:
 
 
 def _add_product(acc: dict, m: dict, f: dict, k, bound: int):
-    """acc += m * f, in place, under the degree guard of
-    `Polynomial.__mul__` (checked only when both factors are nonzero)."""
+    """acc += m * f, in place, under the degree guard (checked only when
+    both factors are nonzero)."""
     if m and f:
         _check_product(max(map(sum, m)), max(map(sum, f)), bound)
         for u, c in m.items():
             _add_multiple(acc, f, f.values(), u, c, k)
+
+
+def _mul(a: dict, b: dict, ring: PolyRing) -> dict:
+    acc = {}
+    _add_product(acc, a, b, ring.field.kernel, ring.max_degree)
+    return acc
+
+
+def _power(f: dict, n: int, ring: PolyRing) -> dict:
+    """f^n by square and multiply, starting from 1."""
+    result = {(0,) * ring.nvars: ring.field.kernel.one}
+    while n:
+        if n & 1:
+            result = _mul(result, f, ring)
+        if n > 1:
+            f = _mul(f, f, ring)
+        n >>= 1
+    return result
 
 
 def _divide(work: dict, divisors, rank, k, quots=None) -> dict:
@@ -589,10 +592,10 @@ def divide(f: Polynomial, divisors, order: MonomialOrder, track: bool = False):
     prepared = []
     for d in divisors:
         f._check(d)
-        prepared.append(_prepare(_unwrap(d), order.rank, k))
+        prepared.append(_prepare(d._packed, order.rank, k))
     quots = [{} for _ in prepared] if track else None
-    r = _wrap(ring, _divide(_unwrap(f), prepared, order.rank, k, quots))
-    return (r, [_wrap(ring, q) for q in quots]) if track else r
+    r = _new(ring, _divide(dict(f._packed), prepared, order.rank, k, quots))
+    return (r, [_new(ring, q) for q in quots]) if track else r
 
 
 def _s_polynomial(f, g, k, bound):
@@ -621,10 +624,10 @@ def groebner_basis(gens, order: MonomialOrder = GREVLEX, track: bool = False):
     if not basis:
         return ((), ()) if track else ()
     ring = gens[0].ring
-    basis = tuple(_wrap(ring, g) for g in basis)
+    basis = tuple(_new(ring, g) for g in basis)
     if not track:
         return basis
-    return basis, tuple(tuple(_wrap(ring, c) for c in cof) for cof in cofs)
+    return basis, tuple(tuple(_new(ring, c) for c in cof) for cof in cofs)
 
 
 def _buchberger(gens, order: MonomialOrder, track: bool):
@@ -639,7 +642,7 @@ def _buchberger(gens, order: MonomialOrder, track: bool):
         gens[0]._check(g)
         if g.is_zero:
             continue
-        prepared.append(_prepare(_unwrap(g), rank, k))
+        prepared.append(_prepare(g._packed, rank, k))
         if track:
             cof = [{} for _ in gens]
             cof[j] = {(0,) * ring.nvars: k.one}
@@ -756,7 +759,7 @@ class Ideal:
         if sig not in self._gb:
             basis = groebner_basis(self.gens, order)
             k = self.ring.field.kernel
-            prepared = [_prepare(_unwrap(g), order.rank, k) for g in basis]
+            prepared = [_prepare(g._packed, order.rank, k) for g in basis]
             self._gb[sig] = (basis, prepared)
         return self._gb[sig]
 
@@ -767,10 +770,10 @@ class Ideal:
         if f.ring != self.ring:
             raise UsageError("polynomial outside the ring")
         prepared = self._basis(order)[1]
-        return _divide(_unwrap(f), prepared, order.rank, self.ring.field.kernel)
+        return _divide(dict(f._packed), prepared, order.rank, self.ring.field.kernel)
 
     def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
-        return _wrap(self.ring, self._remainder(f, order))
+        return _new(self.ring, self._remainder(f, order))
 
     def member(self, f: Polynomial) -> bool:
         return not self._remainder(f, GREVLEX)
@@ -816,10 +819,7 @@ class Ideal:
         big = PolyRing(ring.field, (aux,) + ring.vars, ring.max_degree)
 
         def up(f, shift_t):
-            terms = {}
-            for e, c in f.terms.items():
-                terms[(shift_t,) + e] = c
-            return Polynomial(big, terms)
+            return _new(big, {(shift_t,) + e: c for e, c in f._packed.items()})
 
         t = big.var(aux)
         one = big.one
@@ -828,10 +828,8 @@ class Ideal:
         gb = groebner_basis(gens, elimination_order(1))
         down_gens = []
         for g in gb:
-            if all(e[0] == 0 for e in g.terms):
-                down_gens.append(
-                    Polynomial(ring, {e[1:]: c for e, c in g.terms.items()})
-                )
+            if all(e[0] == 0 for e in g._packed):
+                down_gens.append(_new(ring, {e[1:]: c for e, c in g._packed.items()}))
         return Ideal(ring, tuple(down_gens))
 
     def colon_element(self, g: Polynomial) -> "Ideal":
@@ -862,30 +860,23 @@ class Ideal:
     # -- monomial ideal helpers --------------------------------------
 
     def _monomial_gens(self):
+        """The minimal monomial generators, sorted."""
         gens = set()
         for g in self.gens:
             if g.is_zero:
                 continue
-            if len(g.terms) != 1:
+            if len(g._packed) != 1:
                 raise UsageError("ideal is not given by monomial generators")
-            gens.add(next(iter(g.terms)))
-        return [
-            e for e in sorted(gens)
-            if not any(f != e and mono_divides(f, e) for f in gens)
-        ]
+            gens.add(next(iter(g._packed)))
+        return _minimal_monomials(gens)
 
     def is_squarefree_monomial(self) -> bool:
         return all(all(x <= 1 for x in e) for e in self._monomial_gens())
 
     def monomial_radical(self) -> "Ideal":
         """Exponent truncation to <= 1 on the minimal monomial generators."""
-        truncated = {
-            tuple(min(x, 1) for x in e) for e in self._monomial_gens()
-        }
-        minimal = [
-            e for e in sorted(truncated)
-            if not any(mono_divides(f, e) and f != e for f in truncated)
-        ]
+        truncated = {tuple(min(x, 1) for x in e) for e in self._monomial_gens()}
+        minimal = _minimal_monomials(truncated)
         return Ideal(self.ring, tuple(self.ring.monomial(e) for e in minimal))
 
     # -- serialization -------------------------------------------------
@@ -902,3 +893,8 @@ class Ideal:
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.gens) or "0"
         return f"Ideal({gens})"
+
+
+def _minimal_monomials(exps):
+    """The exponent tuples of `exps` that no other one divides, sorted."""
+    return [e for e in sorted(exps) if not any(f != e and mono_divides(f, e) for f in exps)]

@@ -5,7 +5,8 @@ paths: they iterate the structural map over every vector of the space, so
 they stay independent of the code they check.  Usable whenever |k|^n is a
 few thousand at most.  The submodule oracles scan every subspace of k^n
 and find Hasse covers by a cubic search, so they suit lattices of a few
-hundred subspaces.
+hundred subspaces.  `oracle_parse` evaluates a polynomial string with the
+polynomial operators, one product per `*` and one power per `^`.
 """
 
 import random
@@ -14,6 +15,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from cartier.field import FieldElement, FieldSpec
+from cartier.poly import MAX_NESTING, _Tokenizer
 from cartier.semilinear import SemilinearModule, Subspace
 
 
@@ -359,3 +361,105 @@ def oracle_chain(lattice, edges):
         dims.append(lattice[nxt].dim - lattice[cur].dim)
         cur = nxt
     return longest[0], tuple(sorted(dims))
+
+
+def oracle_parse(ring, text: str):
+    """Recursive descent evaluated with `Polynomial` operators: every atom
+    is a polynomial, `*` a polynomial product and `^` a polynomial power."""
+    tk = _Tokenizer(text)
+    depth = 0
+
+    def parse_expr():
+        ch = tk.peek()
+        neg = False
+        if ch in ("+", "-"):
+            tk.pos += 1
+            neg = ch == "-"
+        acc = parse_term()
+        if neg:
+            acc = -acc
+        while True:
+            ch = tk.peek()
+            if ch not in ("+", "-"):
+                return acc
+            tk.pos += 1
+            rhs = parse_term()
+            acc = acc + (-rhs if ch == "-" else rhs)
+
+    def parse_term():
+        acc = parse_factor()
+        while tk.peek() == "*":
+            tk.pos += 1
+            acc = acc * parse_factor()
+        return acc
+
+    def parse_factor():
+        base = parse_atom()
+        while tk.peek() == "^":
+            tk.pos += 1
+            ch = tk.peek()
+            if ch is None or not ch.isdigit():
+                tk.error("expected a nonnegative integer exponent")
+            n = tk.take_int()
+            if n > ring.max_degree:
+                tk.error(f"exponent {n} overflows the degree bound {ring.max_degree}")
+            base = base**n
+        return base
+
+    def parse_atom():
+        nonlocal depth
+        ch = tk.peek()
+        if ch is None:
+            tk.error("unexpected end of input")
+        if ch == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                tk.error(f"parentheses nested deeper than {MAX_NESTING}")
+            tk.pos += 1
+            inner = parse_expr()
+            if tk.peek() != ")":
+                tk.error("expected ')'")
+            tk.pos += 1
+            depth -= 1
+            return inner
+        if ch == "-":
+            negate = False
+            while tk.peek() == "-":
+                tk.pos += 1
+                negate = not negate
+            atom = parse_atom()
+            return -atom if negate else atom
+        if ch == "[":
+            tk.pos += 1
+            coeffs = []
+            while True:
+                c = tk.peek()
+                if c is None:
+                    tk.error("unterminated coefficient literal")
+                if c == "]":
+                    tk.pos += 1
+                    break
+                if c == ",":
+                    tk.pos += 1
+                    continue
+                if not c.isdigit():
+                    tk.error("expected a digit in coefficient literal")
+                coeffs.append(tk.take_int())
+            if len(coeffs) > ring.field.d:
+                tk.error("coefficient literal longer than the field degree")
+            return ring.constant(ring.field.element(coeffs))
+        if ch.isdigit():
+            return ring.constant(tk.take_int())
+        if ch.isalpha() or ch == "_":
+            start = tk.pos
+            name = tk.take_name()
+            if name not in ring.vars:
+                tk.pos = start
+                tk.error(f"unknown variable {name!r}")
+            return ring.var(name)
+        tk.error(f"unexpected character {ch!r}")
+
+    result = parse_expr()
+    if tk.peek() is not None:
+        tk.error(f"trailing input {tk.text[tk.pos:]!r}")
+    return result

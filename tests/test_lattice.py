@@ -111,6 +111,15 @@ def test_identity_on_f2_6_within_a_second_and_a_half():
     assert elapsed < 1.5
 
 
+def test_anti_nilpotent_identity_on_f2_8_at_once():
+    """F_2^8 has 417,199 stable subspaces under the identity, all fixed;
+    bijectivity answers without growing the lattice."""
+    f2 = FieldSpec(2, 1)
+    start = time.process_time()
+    assert crystal.anti_nilpotent(SemilinearModule(f2, identity(8, f2)))
+    assert time.process_time() - start < 0.5
+
+
 def test_random_8_dim_module_over_f2_enumerates():
     """F_2^8 has 417,199 subspaces, above the default cap; its 255 points
     and the few submodules are below it."""

@@ -45,6 +45,25 @@ def operator_corpus():
     return ops
 
 
+def test_polynomial_code_stays_on_packed_terms(gf4, element_op_calls):
+    ring = PolyRing(gf4, ("x", "y"))
+    f = ring.parse("[0,1]*x^3*y + (x + [1,1]*y)^2 - x*y + -[1,1]")
+    g = ring.parse("x*y + 1")
+    h = (f + g) * g**3 - f * gf4.gen + 3 * f
+    assert not h.frobenius_power(1).is_zero
+    assert cartier_std(h, 2) == cartier_std(cartier_std(h, 1), 1)
+    assert frobenius_descent(h, 2)
+    op = CartierOperator(ring, ring.parse("x*y + [0,1]*x^3*y^2 + x^2*y^5"), 1)
+    assert op.find_splitting() is not None
+    ideal = Ideal(ring, (f, g))
+    assert op.stable_image(op.image_ideal(ideal))[0].gens
+    assert ideal.intersect(Ideal(ring, (h,))).gens
+    assert ideal.colon(Ideal(ring, (ring.var("x"),))).gens
+    assert element_op_calls == []
+    gf4.one * gf4.one
+    assert len(element_op_calls) == 1  # the counter sees element arithmetic
+
+
 # -- descent ---------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cartier.errors import DomainError, ResourceError, UsageError
+from cartier.errors import CartierError, DomainError, ResourceError, UsageError
 from cartier.field import FieldSpec
 from cartier.poly import (
     GREVLEX,
@@ -22,6 +22,8 @@ from cartier.poly import (
     mono_lcm,
     mono_div,
 )
+
+from conftest import oracle_parse
 
 
 @pytest.fixture
@@ -124,6 +126,89 @@ def test_parse_nesting_limit(R3):
     assert R3.parse("(" * 100 + "x" + ")" * 100) == R3.var("x")
     with pytest.raises(UsageError, match="nested deeper"):
         R3.parse("(" * 3000 + "x" + ")" * 3000)
+
+
+# The parser against `conftest.oracle_parse` (one polynomial product per
+# `*`, one polynomial power per `^`): printed results, or the error kind
+# and message.  Small degree bounds make the guard fire inside products
+# and powers; mutated strings give syntax errors.
+PARSE_FIELDS = [(2, 1), (7, 1), (2, 2), (3, 2), (1000003, 1)]
+
+
+def random_expression(rng, ring, depth=0):
+    """Coefficient literals, unary minus runs, nesting and powers of sums."""
+    field = ring.field
+    pick = rng.random()
+    if depth >= 3 or pick < 0.45:
+        atoms = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.random()
+            if kind < 0.5:
+                atom = rng.choice(ring.vars)
+            elif kind < 0.75:
+                atom = str(rng.randrange(min(3 * field.p, 10**7)))
+            else:
+                digits = (rng.randrange(field.p) for _ in range(rng.randint(1, field.d)))
+                atom = "[" + ",".join(map(str, digits)) + "]"
+            if rng.random() < 0.3:
+                atom += f"^{rng.randint(0, 7)}"
+            if rng.random() < 0.2:
+                atom = "-" * rng.randint(1, 4) + atom
+            atoms.append(atom)
+        return "*".join(atoms)
+    if pick < 0.8:
+        text = random_expression(rng, ring, depth + 1)
+        for _ in range(rng.randint(1, 2)):
+            text += rng.choice([" + ", " - ", "-"]) + random_expression(rng, ring, depth + 1)
+        return rng.choice(["", "", "-", "+"]) + text
+    text = f"({random_expression(rng, ring, depth + 1)})"
+    if rng.random() < 0.6:
+        text += f"^{rng.randint(0, 4)}"
+    if rng.random() < 0.5:
+        text = random_expression(rng, ring, depth + 1) + "*" + text
+    return text
+
+
+def _mutated(rng, text):
+    i = rng.randrange(len(text) + 1)
+    if rng.random() < 0.5:
+        return text[:i] + text[i + 1 :]
+    return text[:i] + rng.choice("()^*+-[],9x@") + text[i:]
+
+
+def _parse_outcome(parse, ring, text):
+    try:
+        return str(parse(ring, text))
+    except CartierError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("p, d", PARSE_FIELDS, ids=[f"GF{p}^{d}" for p, d in PARSE_FIELDS])
+def test_parser_matches_product_based_oracle(p, d):
+    rng = random.Random(p * 10 + d)
+    field = FieldSpec(p, d)
+    for bound in (200, 10):
+        ring = PolyRing(field, ("x", "y", "z")[: rng.randint(1, 3)], bound)
+        for _ in range(60):
+            text = random_expression(rng, ring)
+            if rng.random() < 0.2:
+                text = _mutated(rng, text)
+            expected = _parse_outcome(oracle_parse, ring, text)
+            assert _parse_outcome(PolyRing.parse, ring, text) == expected, text
+
+
+def test_parser_degree_guard_matches_oracle(R2):
+    for text, expected in [
+        ("x^150*y^150", "ResourceError: product degree 300 exceeds the configured bound 200"),
+        ("0*x^150*y^150", "0"),
+        ("x^150*y^150*0", "ResourceError: product degree 300 exceeds the configured bound 200"),
+        ("(x + y)^150 * (x^2)^26", "ResourceError: product degree 202 exceeds the configured bound 200"),
+        ("(x^150)^2", "ResourceError: product degree 300 exceeds the configured bound 200"),
+        # the guard fires on the square inside the power, not on x^303
+        ("x^101^3", "ResourceError: product degree 202 exceeds the configured bound 200"),
+    ]:
+        assert _parse_outcome(oracle_parse, R2, text) == expected
+        assert _parse_outcome(PolyRing.parse, R2, text) == expected
 
 
 # -- orders ---------------------------------------------------------------
@@ -286,8 +371,8 @@ def test_gb_matches_sympy_on_classic_systems(name):
 def test_buchberger_stays_on_packed_terms(element_op_calls):
     ring, gens = classic_system("cyclic4")
     x = ring.var("a")
-    element_op_calls.clear()  # parsing does element arithmetic
-    x * x
+    one = ring.field.one
+    one * one
     assert len(element_op_calls) == 1  # the counter sees element arithmetic
     basis = groebner_basis(gens, GREVLEX)
     ideal = Ideal(ring, basis)
