@@ -308,8 +308,10 @@ def _cmd_poly_supp(args):
     op = _operator_from_args(args)
     ideal = _ideal_from_args(args, op.ring)
     module = IdealModule(op, ideal)
-    nilpotent, order = module.nilpotence(cap=args.cap)
     report = module.supp_crys(cap=args.cap)
+    # nilpotent exactly when J contains the stable image, i.e. (J : stable) = R
+    nilpotent = report.ann.is_unit
+    order = report.iterations if nilpotent else None
     payload = {
         "annihilator": report.ann.canonical_strings(),
         "iterations": report.iterations,

@@ -223,7 +223,20 @@ class _Elements(dict):
         return self.setdefault(v, x) if spec.order <= TABLE_MAX_ORDER else x
 
 
-class FieldSpec:
+class _Immutable:
+    """Base of the library's value classes: __init__ sets the attributes
+    once, through object.__setattr__; assigning or deleting one raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class FieldSpec(_Immutable):
     """Immutable description of GF(p^d) together with the twist exponent e.
 
     q = p^e is the power of Frobenius all semilinear structures twist by.
@@ -271,9 +284,6 @@ class FieldSpec:
             raise AttributeError(name)
         object.__setattr__(self, name, value)
         return value
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldSpec is immutable")
 
     def __eq__(self, other):
         return self is other or (
@@ -373,7 +383,7 @@ class FieldSpec:
         )
 
 
-class FieldElement:
+class FieldElement(_Immutable):
     """An element of GF(p^d): canonical coefficient tuple and packed int,
     immutable."""
 
@@ -383,9 +393,6 @@ class FieldElement:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "packed", _pack(coeffs, spec.p))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
 
     def _check(self, other):
         if not isinstance(other, FieldElement):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DomainError, InvariantViolation, ResourceError, UsageError
-from .field import FieldSpec
+from .field import FieldSpec, _Immutable
 from .poly import (
     GREVLEX,
     Ideal,
@@ -83,7 +83,7 @@ def _require_twist(field: FieldSpec, e: int):
         raise UsageError("operator level must be >= 1")
 
 
-class CartierOperator:
+class CartierOperator(_Immutable):
     """The operator g -> cartier_std(f * g, e) on a polynomial ring."""
 
     __slots__ = ("ring", "multiplier", "e")
@@ -92,9 +92,9 @@ class CartierOperator:
         if multiplier.ring != ring:
             raise UsageError("multiplier outside the ring")
         _require_twist(ring.field, e)
-        self.ring = ring
-        self.multiplier = multiplier
-        self.e = e
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "multiplier", multiplier)
+        object.__setattr__(self, "e", e)
 
     @property
     def q(self) -> int:
@@ -293,7 +293,7 @@ class SupportReport:
     iterations: int
 
 
-class IdealModule:
+class IdealModule(_Immutable):
     """The cyclic quotient R/J with the operator descending to it.
 
     Construction requires the operator to map J into J, so the action on
@@ -307,8 +307,8 @@ class IdealModule:
             raise UsageError("ideal outside the operator's ring")
         if not op.is_compatible(ideal):
             raise UsageError("operator does not preserve the ideal; no quotient action")
-        self.op = op
-        self.ideal = ideal
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "ideal", ideal)
 
     def _image_chain(self, cap: int):
         """Stable value of K_0 = R, K_{i+1} = op(K_i) + J, with step count."""
@@ -322,17 +322,13 @@ class IdealModule:
         raise ResourceError(f"quotient image chain did not stabilise within {cap} steps")
 
     def nilpotence(self, cap: int = DEFAULT_CHAIN_CAP):
-        """(is_nilpotent, order-or-None) for the quotient module."""
-        ring = self.op.ring
-        cur = Ideal(ring, (ring.one,))
-        for i in range(cap):
-            if self.ideal.contains(cur):
-                return True, i
-            nxt = self.op.image_ideal(cur).sum(self.ideal)
-            if nxt.equals(cur):
-                return False, None
-            cur = nxt
-        raise ResourceError(f"quotient image chain did not stabilise within {cap} steps")
+        """(is_nilpotent, order-or-None) for the quotient module.
+
+        The chain descends, and K_i = J makes every later K_j = J.  So the
+        quotient is nilpotent exactly when J contains the stable value, and
+        its order is then the step count."""
+        stable, steps = self._image_chain(cap)
+        return (True, steps) if self.ideal.contains(stable) else (False, None)
 
     def supp_crys(self, cap: int = DEFAULT_CHAIN_CAP) -> SupportReport:
         """Annihilator of the stable image: the reduced locus where the

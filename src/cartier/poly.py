@@ -31,10 +31,10 @@ from operator import add, le, mul, neg, sub
 from types import MappingProxyType
 
 from .errors import DomainError, InvariantViolation, ResourceError, UsageError
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, _Immutable
 
 
-class MonomialOrder:
+class MonomialOrder(_Immutable):
     """grevlex, lex, or a block-elimination order with k leading variables.
 
     `rank(exps)` is a flat tuple whose ascending order is the descending
@@ -60,9 +60,6 @@ class MonomialOrder:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "block", block)
         object.__setattr__(self, "rank", rank)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialOrder is immutable")
 
     def key(self, exps):
         """Sort key: ascending in the monomial order."""
@@ -109,7 +106,7 @@ def mono_coprime(a, b) -> bool:
     return not any(map(mul, a, b))
 
 
-class PolyRing:
+class PolyRing(_Immutable):
     """GF(p^d)[x_1, ..., x_n] with a total-degree guard on products.
     Immutable."""
 
@@ -123,9 +120,6 @@ class PolyRing:
         object.__setattr__(self, "vars", variables)
         object.__setattr__(self, "max_degree", max_degree)
         object.__setattr__(self, "_hash", hash((field, variables)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyRing is immutable")
 
     @property
     def nvars(self) -> int:
@@ -183,7 +177,7 @@ class PolyRing:
         return cls(FieldSpec.from_json(data["field"]), data["vars"])
 
 
-class Polynomial:
+class Polynomial(_Immutable):
     """Immutable sparse polynomial; no zero coefficients stored.  The
     terms are kept packed; `terms` is a read-only {exps: FieldElement}
     view of them."""
@@ -192,13 +186,9 @@ class Polynomial:
 
     def __init__(self, ring: PolyRing, terms):
         terms = dict(terms)
+        packed = zip(terms, ring.field.unwrap(terms.values()))
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(
-            self, "_packed", dict(zip(terms, ring.field.unwrap(terms.values())))
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+        object.__setattr__(self, "_packed", {a: c for a, c in packed if c})
 
     @property
     def terms(self):
@@ -734,7 +724,7 @@ def _reduce_basis(prepared, cofs, rank, k, bound):
 # ideals
 
 
-class Ideal:
+class Ideal(_Immutable):
     """A finitely generated ideal with a cached reduced Gröbner basis per
     order, kept next to its basis prepared as divisors.  Immutable: the
     caches stay valid because the generators cannot change."""
@@ -749,9 +739,6 @@ class Ideal:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "_gb", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ideal is immutable")
 
     def _basis(self, order: MonomialOrder):
         """(reduced basis, its prepared divisors), computed once per order."""

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import islice, product
 
 from .errors import InvariantViolation, ResourceError, UsageError
-from .field import FieldElement, FieldSpec, embed
+from .field import FieldElement, FieldSpec, _Immutable, embed
 from . import linalg
 
 
@@ -73,7 +73,7 @@ def _twisted_powers(matrix, spec: FieldSpec, twist):
         b = linalg.mat_mul(matrix, twist(b, spec.e))
 
 
-class Subspace:
+class Subspace(_Immutable):
     """A subspace of k^n in reduced row echelon form.
 
     The representation is canonical, so equality of subspaces is equality
@@ -89,9 +89,6 @@ class Subspace:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "_packed", tuple(spec.unwrap(r) for r in rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
 
     @classmethod
     def from_vectors(cls, spec: FieldSpec, ambient: int, vectors) -> "Subspace":
@@ -311,7 +308,7 @@ def _fq_greedy_basis(vectors, spec: FieldSpec, n: int):
     return chosen
 
 
-class _TwistedModule:
+class _TwistedModule(_Immutable):
     """A square matrix A over GF(p^d) acting through a power of Frobenius.
 
     Subclasses fix the twist: sigma^(-e) for a Cartier module, sigma^e for
@@ -336,9 +333,9 @@ class _TwistedModule:
             for x in row:
                 if not isinstance(x, FieldElement) or x.spec != spec:
                     raise UsageError("matrix entry outside the coefficient field")
-        self.spec = spec
-        self.dim = n
-        self.matrix = matrix
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "dim", n)
+        object.__setattr__(self, "matrix", matrix)
 
     def _powers(self):
         return _twisted_powers(self.matrix, self.spec, self._twist)
@@ -451,14 +448,28 @@ class SemilinearModule(_TwistedModule):
             big, tuple(tuple(phi(x) for x in row) for row in self.matrix)
         )
 
+    def _base_change_fixed_dims(self):
+        """Yield len(self.base_change(m).fixed_points()) for m = 1, 2, ...
+        as n - rank(B^m - I), B = B_(d/e), without building GF(p^(dm)).
+
+        B = C^(d/e) is k-linear.  A fixed point v over the algebraic closure
+        has v^(p^d) = B v, so it lies in GF(p^(dm))^n exactly when B^m v = v.
+        The fixed points span the unit part over the closure (Katz, LNM 350,
+        4.1), and B is nilpotent on the nilpotent part."""
+        spec, n = self.spec, self.dim
+        b = bm = self.power_matrix(spec.d // spec.e)
+        ident = linalg.identity(n, spec)
+        while True:
+            shifted = [linalg.vec_sub(r, i, spec) for r, i in zip(bm, ident)]
+            yield n - linalg.matrix_rank(shifted, spec)
+            bm = linalg.mat_mul(bm, b)
+
     def saturation_degree(self, max_m: int = 6) -> int | None:
         """Least m <= max_m where the fixed-point F_q-dimension reaches
         the stable-image dimension; None when the cap is hit first."""
         target = self.stable_image().dim
-        for m in range(1, max_m + 1):
-            if len(self.base_change(m).fixed_points()) == target:
-                return m
-        return None
+        dims = zip(range(1, max_m + 1), self._base_change_fixed_dims())
+        return next((m for m, fixed in dims if fixed == target), None)
 
     # -- Hom, End, enumeration -----------------------------------------
 
@@ -653,14 +664,15 @@ class SemilinearModule(_TwistedModule):
         return f"SemilinearModule(dim={self.dim}, field=GF({self.spec.p}^{self.spec.d}), e={self.spec.e})"
 
 
-class QuotientMap:
+class QuotientMap(_Immutable):
     """Projection of k^n onto the complement of a subspace's pivot columns."""
 
+    __slots__ = ("sub", "coords_cols")
+
     def __init__(self, sub: Subspace):
-        self.sub = sub
-        self.coords_cols = tuple(
-            j for j in range(sub.ambient) if j not in set(sub.pivots)
-        )
+        object.__setattr__(self, "sub", sub)
+        cols = tuple(j for j in range(sub.ambient) if j not in set(sub.pivots))
+        object.__setattr__(self, "coords_cols", cols)
 
     def project(self, v):
         r = self.sub.reduce(v)

@@ -5,7 +5,8 @@ paths: they iterate the structural map over every vector of the space, so
 they stay independent of the code they check.  Usable whenever |k|^n is a
 few thousand at most.  The submodule oracles scan every subspace of k^n
 and find Hasse covers by a cubic search, so they suit lattices of a few
-hundred subspaces.  `oracle_parse` evaluates a polynomial string with the
+hundred subspaces.  `oracle_isomorphic` searches every intertwiner for an
+invertible one.  `oracle_parse` evaluates a polynomial string with the
 polynomial operators, one product per `*` and one power per `^`.
 """
 
@@ -14,9 +15,11 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from cartier import linalg
+from cartier.errors import ResourceError
 from cartier.field import FieldElement, FieldSpec
 from cartier.poly import MAX_NESTING, _Tokenizer
-from cartier.semilinear import SemilinearModule, Subspace
+from cartier.semilinear import SemilinearModule, Subspace, subfield_elements
 
 
 @pytest.fixture(scope="session")
@@ -123,6 +126,15 @@ def random_module(rng: random.Random, spec: FieldSpec, n: int) -> SemilinearModu
     )
 
 
+def module_with_nilpotent_part(rng: random.Random, spec: FieldSpec, n: int):
+    """A random module, half the time with a zero row, so that C is
+    singular and the module usually has a nilpotent part."""
+    rows = [list(r) for r in random_module(rng, spec, n).matrix]
+    if n and rng.random() < 0.5:
+        rows[rng.randrange(n)] = [spec.zero] * n
+    return SemilinearModule(spec, rows)
+
+
 def random_suite(count: int = 200, max_dim: int = 4, seed: int = 20240211):
     """The randomized module suite: GF(2), GF(4), GF(8), dimensions <= 4."""
     rng = random.Random(seed)
@@ -223,6 +235,26 @@ def oracle_intertwiners(source: SemilinearModule, target: SemilinearModule):
         if _matmul(phi, a, spec) == _matmul(b, twisted, spec):
             found.append(phi)
     return found
+
+
+def oracle_isomorphic(
+    source: SemilinearModule, target: SemilinearModule, cap: int = 100_000
+) -> bool:
+    """Search all intertwiners for an invertible one (small modules only)."""
+    if source.spec != target.spec or source.dim != target.dim:
+        return False
+    if source.dim == 0:
+        return True
+    hom = source.hom_space(target)
+    count = hom.q**hom.dim
+    if count > cap:
+        raise ResourceError(f"{count} intertwiners exceed the cap {cap}")
+    spec, n = source.spec, source.dim
+    flat_basis = [linalg.flatten(phi) for phi in hom.basis]
+    return any(
+        linalg.is_invertible(linalg.reshape(v, n, n), spec)
+        for v in linalg.every_combination(subfield_elements(spec), flat_basis, n * n, spec)
+    )
 
 
 def block_extension(rng: random.Random, spec: FieldSpec, n1: int, n2: int):

@@ -2,20 +2,23 @@
 nilpotence."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from cartier.errors import UsageError
 from cartier.field import FieldSpec
 from cartier.linalg import identity
-from cartier.semilinear import SemilinearModule, Subspace
-from cartier import crystal
+from cartier.semilinear import SemilinearModule, Subspace, sigma_inv_mat
+from cartier import crystal, linalg
 
 from conftest import (
     block_extension,
     module_from_ints,
+    module_with_nilpotent_part,
     oracle_determinant,
     oracle_intertwiners,
+    oracle_isomorphic,
     random_module,
     random_suite,
     strictly_upper,
@@ -50,7 +53,7 @@ def test_minimal_rep_idempotent_on_suite():
         assert again.dim == rep.dim
         assert crystal.invariant_profile(again) == crystal.invariant_profile(rep)
         if rep.dim <= 3:
-            assert crystal.isomorphic_exhaustive(again, rep)
+            assert oracle_isomorphic(again, rep)
 
 
 def test_nil_isomorphic_modules_share_minimal_rep(f2):
@@ -78,7 +81,7 @@ def test_nil_isomorphic_modules_share_minimal_rep(f2):
             crystal.fixed_submodule_lattice(rep_ext)
         )
         if rep_seed.dim <= 3:
-            assert crystal.isomorphic_exhaustive(rep_seed, rep_ext)
+            assert oracle_isomorphic(rep_seed, rep_ext)
 
 
 def test_order_independence_quotient_vs_restrict(f2):
@@ -100,7 +103,7 @@ def test_order_independence_quotient_vs_restrict(f2):
         hom_b = rep_b.hom_space(rep_b)
         assert hom_a.dim == hom_b.dim
         if rep_a.dim <= 3:
-            assert crystal.isomorphic_exhaustive(rep_a, rep_b)
+            assert oracle_isomorphic(rep_a, rep_b)
 
 
 # -- nil-isomorphisms -----------------------------------------------------------
@@ -175,7 +178,7 @@ def test_intertwiners_match_brute_force(spec):
             invertible = any(
                 not oracle_determinant(phi, spec).is_zero for phi in maps
             )
-            assert crystal.isomorphic_exhaustive(a, b) == invertible
+            assert oracle_isomorphic(a, b) == invertible
 
 
 # -- quasi-length -------------------------------------------------------------------
@@ -356,7 +359,7 @@ def test_isomorphism_verdict_small(f2):
     assert verdict in ("isomorphic", "distinct")
 
 
-def test_isomorphism_verdict_profile_mode(f2):
+def test_isomorphism_verdict_exact_in_dimension_4(f2):
     a = module_from_ints(
         f2,
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
@@ -365,8 +368,104 @@ def test_isomorphism_verdict_profile_mode(f2):
         f2,
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
     )
-    assert crystal.isomorphism_verdict(a, a) == "profile-isomorphic"
-    assert crystal.isomorphism_verdict(a, b) == "profile-distinct"
+    assert crystal.isomorphism_verdict(a, a) == "isomorphic"
+    assert crystal.isomorphism_verdict(a, b) == "distinct"
+
+
+def jordan_blocks(spec, sizes):
+    """Direct sum of unipotent Jordan blocks J_s(1) over a prime field."""
+    n = sum(sizes)
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size):
+            rows[i][i] = 1
+            if i + 1 < start + size:
+                rows[i][i + 1] = 1
+        start += size
+    return module_from_ints(spec, rows)
+
+
+def test_isomorphism_verdict_tells_jordan_types_with_equal_profiles(f2):
+    # J_4(1) + J_2(1) and J_3(1) + J_3(1) share dimension, ranks and the
+    # fixed-point dimensions (2, 4, 2); their endomorphism rings have
+    # dimensions 10 and 12
+    a, b = jordan_blocks(f2, (4, 2)), jordan_blocks(f2, (3, 3))
+    assert crystal.invariant_profile(a) == crystal.invariant_profile(b)
+    assert crystal.isomorphism_verdict(a, b) == "distinct"
+    assert crystal.isomorphism_verdict(b, a) == "distinct"
+
+
+def test_isomorphism_verdict_sees_nilpotent_part_and_field(f2, gf4):
+    # equal unit parts (C = 1 on a line), nilpotent parts J_2(0) and
+    # J_1(0) + J_1(0)
+    a = module_from_ints(f2, [[1, 0, 0], [0, 0, 1], [0, 0, 0]])
+    b = module_from_ints(f2, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert crystal.minimal_rep(a) == crystal.minimal_rep(b)
+    assert crystal.isomorphism_verdict(a, b) == "distinct"
+    assert not oracle_isomorphic(a, b)
+    same_ints = module_from_ints(gf4, [[1, 0, 0], [0, 0, 1], [0, 0, 0]])
+    assert crystal.isomorphism_verdict(a, same_ints) == "distinct"
+
+
+def conjugate(module, rng):
+    """The module in a random basis: P . A . sigma^(-e)(P)^(-1)."""
+    spec, n = module.spec, module.dim
+    while True:
+        p = random_module(rng, spec, n).matrix
+        if linalg.is_invertible(p, spec):
+            break
+    twisted_inverse = linalg.invert(sigma_inv_mat(p, spec.e), spec)
+    return SemilinearModule(spec, linalg.mat_mul(linalg.mat_mul(p, module.matrix), twisted_inverse))
+
+
+@pytest.mark.parametrize(
+    "spec, max_dim, count",
+    [
+        (FieldSpec(2, 1), 4, 70),
+        (FieldSpec(3, 1), 3, 45),
+        (FieldSpec(2, 2), 3, 45),
+        (FieldSpec(2, 2, None, 2), 3, 45),
+    ],
+    ids=["F2", "F3", "GF4-q2", "GF4-q4"],
+)
+def test_isomorphism_verdict_matches_exhaustive_search(spec, max_dim, count):
+    # pairs with equal rank sequences, split into isomorphism classes by
+    # the exhaustive oracle; half the modules are conjugates of the others
+    rng = random.Random(spec.order * 10 + spec.e)
+    groups = {}
+    for _ in range(count):
+        m = module_with_nilpotent_part(rng, spec, rng.randint(1, max_dim))
+        for x in (m, conjugate(m, rng)):
+            groups.setdefault(crystal.invariant_profile(x)[2], []).append(x)
+    pairs = isomorphic = 0
+    for members in groups.values():
+        reps, classes = [], []
+        for x in members:
+            cls = next((i for i, r in enumerate(reps) if oracle_isomorphic(r, x)), None)
+            if cls is None:
+                cls = len(reps)
+                reps.append(x)
+            classes.append(cls)
+        for i, j in combinations(range(len(members)), 2):
+            same = classes[i] == classes[j]
+            verdict = crystal.isomorphism_verdict(members[i], members[j])
+            assert verdict == ("isomorphic" if same else "distinct")
+            pairs += 1
+            isomorphic += same
+    assert pairs >= 500 and 0 < isomorphic < pairs
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FieldSpec(2, 1), FieldSpec(3, 1), FieldSpec(2, 2), FieldSpec(3, 2), FieldSpec(3, 2, None, 2)],
+    ids=["F2", "F3", "GF4", "GF9-q3", "GF9-q9"],
+)
+def test_isomorphism_verdict_on_conjugated_modules(spec):
+    rng = random.Random(spec.order + spec.e)
+    for n in (4, 5, 6):
+        m = module_with_nilpotent_part(rng, spec, n)
+        assert crystal.isomorphism_verdict(m, conjugate(m, rng)) == "isomorphic"
 
 
 def test_report_json(f2):

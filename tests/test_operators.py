@@ -527,6 +527,59 @@ def test_zero_module_nilpotent_of_order_zero(Rx):
     assert m.nilpotence() == (True, 0)
 
 
+def oracle_nilpotence(module, cap=64):
+    """(is_nilpotent, order) by testing K_i <= J at each step of the chain
+    K_0 = R, K_(i+1) = C(K_i) + J, until it repeats."""
+    ring = module.op.ring
+    cur = Ideal(ring, (ring.one,))
+    for i in range(cap):
+        if module.ideal.contains(cur):
+            return True, i
+        nxt = module.op.image_ideal(cur).sum(module.ideal)
+        if nxt.equals(cur):
+            return False, None
+        cur = nxt
+    raise AssertionError("chain did not stabilise")
+
+
+def test_nilpotence_matches_chain_oracle_and_support():
+    checked = nilpotent = 0
+    for op in operator_corpus():
+        ring = op.ring
+        x = [ring.var(v) for v in ring.vars]
+        seeds = [(x[0],), (x[0] ** 2,), (x[-1] ** 3, x[0] * x[-1]), (x[0] + ring.one,), ()]
+        for gens in seeds:
+            ideal = op.smallest_stable_containing(Ideal(ring, gens))
+            module = IdealModule(op, ideal)
+            got = module.nilpotence()
+            assert got == oracle_nilpotence(module)
+            report = module.supp_crys()
+            # the CLI reads nilpotence off the support report
+            assert got == (report.ann.is_unit, report.iterations if got[0] else None)
+            checked += 1
+            nilpotent += got[0]
+    assert checked > 60 and 0 < nilpotent < checked
+
+
+def test_operator_and_quotient_module_are_immutable(Rx):
+    op = CartierOperator(Rx, Rx.var("x"), 1)
+    m = IdealModule(op, Ideal(Rx, (Rx.var("x"),)))
+    for obj, name, value in [
+        (op, "multiplier", Rx.one),
+        (op, "e", 2),
+        (op, "ring", None),
+        (m, "ideal", Ideal(Rx, ())),
+        (m, "op", None),
+    ]:
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) == before
+    assert m.nilpotence() == (False, None)
+
+
 def test_supp_crys_line(Rx):
     op = CartierOperator(Rx, Rx.var("x"), 1)
     m = IdealModule(op, Ideal(Rx, (Rx.var("x"),)))

@@ -239,6 +239,17 @@ def test_rank_sorts_the_leading_monomial_first():
         assert by_rank == sorted(exps, key=order.key, reverse=True)
 
 
+def test_polynomial_drops_zero_coefficients():
+    f3 = FieldSpec(3, 1)
+    R = PolyRing(f3, ("x",))
+    f = Polynomial(R, {(1,): f3.zero})
+    assert f.is_zero and f == R.zero and str(f) == str(R.zero)
+    assert f.total_degree() == -1 and hash(f) == hash(R.zero)
+    g = Polynomial(R, {(2,): f3.one, (1,): f3.zero, (0,): f3.from_int(2)})
+    assert dict(g.terms) == {(2,): f3.one, (0,): f3.from_int(2)}
+    assert g == R.parse("x^2 + 2")
+
+
 def test_polynomial_values_are_immutable(R2):
     one = R2.field.one
     terms = {(1, 0): one}

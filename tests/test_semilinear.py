@@ -1,10 +1,13 @@
 """Structure theory of modules with a q^(-1)-linear operator."""
 
+import importlib.util
 import random
-from itertools import product
+from itertools import islice, product
+from pathlib import Path
 
 import pytest
 
+from cartier import crystal, field, semilinear
 from cartier.errors import ResourceError, UsageError
 from cartier.field import FieldSpec
 from cartier.linalg import is_zero_matrix, mat_mul, identity
@@ -21,6 +24,7 @@ from cartier.semilinear import (
 from conftest import (
     block_extension,
     module_from_ints,
+    module_with_nilpotent_part,
     nilpotent_block_extension,
     oracle_fixed_points,
     oracle_nilpotent_part,
@@ -241,6 +245,27 @@ def test_subspace_is_immutable(f2):
     assert sub.rows == ((f2.one, f2.zero),)
 
 
+def test_modules_and_quotient_maps_are_immutable(f2):
+    m = module_from_ints(f2, [[1, 1], [0, 0]])
+    dual = m.dual()
+    _, qmap = m.quotient_by(m.nilpotent_part())
+    for obj, name, value in [
+        (m, "matrix", ((f2.zero,) * 2,) * 2),
+        (m, "dim", 3),
+        (m, "spec", FieldSpec(2, 2)),
+        (dual, "matrix", ()),
+        (qmap, "sub", Subspace.zero(f2, 2)),
+        (qmap, "coords_cols", ()),
+    ]:
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) == before
+    assert hash(m) == hash(module_from_ints(f2, [[1, 1], [0, 0]]))
+
+
 def test_nilord_examples(f2):
     assert module_from_ints(f2, [[0]]).nilord() == 1
     assert module_from_ints(f2, [[1]]).nilord() is None
@@ -358,6 +383,103 @@ def test_one_dimensional_modules_saturate_immediately(gf4, gf8):
             m = SemilinearModule(spec, [[a]])
             if m.stable_image().dim:
                 assert m.saturation_degree(max_m=6) == 1
+
+
+# Fields of the base-change oracle: every GF(p^(dm)) it builds for m <= 4
+# stays within the searched moduli.
+BASE_CHANGE_FIELDS = [
+    FieldSpec(2, 1),
+    FieldSpec(3, 1),
+    FieldSpec(5, 1),
+    FieldSpec(2, 2),
+    FieldSpec(2, 2, None, 2),
+    FieldSpec(2, 3),
+    FieldSpec(3, 2),
+    FieldSpec(3, 2, None, 2),
+]
+
+
+def oracle_base_change_dims(module, m_max):
+    """F_q-dimensions of the fixed points over GF(p^(dm)), m = 1..m_max,
+    from the module base-changed into each field."""
+    return [len(module.base_change(m).fixed_points()) for m in range(1, m_max + 1)]
+
+
+@pytest.mark.parametrize("spec", BASE_CHANGE_FIELDS, ids=repr)
+def test_base_change_invariants_match_building_the_field(spec):
+    rng = random.Random(spec.p * 100 + spec.d * 10 + spec.e)
+    capped = reached = 0
+    for _ in range(40):
+        m = module_with_nilpotent_part(rng, spec, rng.randint(0, 4))
+        oracle = oracle_base_change_dims(m, 4)
+        assert list(islice(m._base_change_fixed_dims(), 4)) == oracle
+        assert crystal.invariant_profile(m)[3] == tuple(oracle[:3])
+        target, max_m = m.stable_image().dim, rng.randint(1, 4)
+        expected = next((i + 1 for i in range(max_m) if oracle[i] == target), None)
+        assert m.saturation_degree(max_m=max_m) == expected
+        capped += expected is None
+        reached += expected is not None
+    assert reached and (capped or spec.order == 2)
+
+
+def test_profile_and_saturation_build_no_field(monkeypatch):
+    rng = random.Random(8)
+    modules = [
+        module_with_nilpotent_part(rng, spec, 4)
+        for spec in (FieldSpec(2, 6), FieldSpec(3, 2, None, 2), FieldSpec(2, 3))
+    ]
+    built, embedded = [], []
+    real_init, real_embed = FieldSpec.__init__, field.embed
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    def counting_embed(small, big):
+        embedded.append(big)
+        return real_embed(small, big)
+
+    monkeypatch.setattr(FieldSpec, "__init__", counting_init)
+    monkeypatch.setattr(semilinear, "embed", counting_embed)
+    for m in modules:
+        crystal.invariant_profile(m)
+        m.saturation_degree(max_m=12)
+    assert built == [] and embedded == []
+    modules[0].base_change(2)  # the counters see a base change
+    assert len(built) == 1 and len(embedded) == 1
+
+
+def load_benchmark_checks():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    loader = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(checks)
+    return checks
+
+
+def test_profile_over_gf64_passes_the_benchmark_check():
+    # the third base change is GF(2^18), beyond the searched moduli
+    checks, spec, rng = load_benchmark_checks(), FieldSpec(2, 6), random.Random(64)
+    for _ in range(4):
+        m = module_with_nilpotent_part(rng, spec, 4)
+        profile = crystal.invariant_profile(m)
+        assert checks.profile(m, profile) is None
+        assert list(profile[3][:2]) == oracle_base_change_dims(m, 2)
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_saturation_degree_answers_over_gf2_powers(d):
+    spec, rng = FieldSpec(2, d), random.Random(d)
+    limit = 12 // d  # base changes the oracle builds cheaply
+    for _ in range(6):
+        m = module_with_nilpotent_part(rng, spec, 3)
+        sat, target = m.saturation_degree(max_m=6), m.stable_image().dim
+        oracle = oracle_base_change_dims(m, limit)
+        first = next((i + 1 for i, f in enumerate(oracle) if f == target), None)
+        if first is not None:
+            assert sat == first
+        else:
+            assert sat is None or limit < sat <= 6
 
 
 def test_stable_image_universal_property(f2, gf4):
