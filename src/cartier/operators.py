@@ -15,7 +15,6 @@ nilpotence/support analysis of cyclic quotients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import DomainError, InvariantViolation, ResourceError, UsageError
 from .field import FieldSpec, _Immutable
@@ -81,6 +80,30 @@ def _require_twist(field: FieldSpec, e: int):
     # base level divides d.
     if e < 1:
         raise UsageError("operator level must be >= 1")
+
+
+def _antichains(width: int):
+    """Every antichain of subsets of range(width), subsets as bitmasks."""
+    out = []
+
+    def extend(start, chosen):
+        out.append(tuple(chosen))
+        for s in range(start, 1 << width):
+            if all(s & t not in (s, t) for t in chosen):
+                chosen.append(s)
+                extend(s + 1, chosen)
+                chosen.pop()
+
+    extend(0, [])
+    return out
+
+
+def _minimal_transversals(family, width: int):
+    """The subsets of range(width) that meet every member of the family
+    and have no proper subset that does, as bitmasks."""
+    hit = {h for h in range(1 << width) if all(h & s for s in family)}
+    bits = [1 << n for n in range(width)]
+    return [h for h in hit if all(h & ~b not in hit for b in bits if h & b)]
 
 
 class CartierOperator(_Immutable):
@@ -226,44 +249,45 @@ class CartierOperator(_Immutable):
 
     def enumerate_compatible_monomial(self, cap: int = 100_000):
         """All compatible squarefree monomial ideals of a split operator
-        with a monomial multiplier, sorted canonically; complete because
-        compatible ideals of such operators are fixed, radical and monomial.
+        with a monomial multiplier f = c*x^a, sorted canonically; complete
+        because compatible ideals of such operators are fixed, radical and
+        monomial.
+
+        Built directly, without a compatibility test: a squarefree monomial
+        ideal is compatible exactly when each of its minimal primes
+        (x_i : i in S) has S inside T = {i : a_i = q-1}.  For i outside T
+        and a generator x^H whose support meets S in i alone (one exists
+        because S is minimal), some C(f * x^H * x^b) is a monomial outside
+        the prime; primes on T are compatible, and so are intersections.
+        So the answers are the intersections over the antichains of
+        subsets of T, and each is generated by the monomials of the
+        minimal transversals of its antichain (the empty antichain gives
+        the unit ideal, the antichain of the empty set the zero ideal).
+        Their number is the Dedekind number of |T|, which `cap` bounds.
         """
         if len(self.multiplier._packed) != 1:
             raise UsageError("enumeration requires a monomial multiplier")
         if not self.is_split():
             raise UsageError("enumeration requires a split operator")
-        n = self.ring.nvars
-        total = _ANTICHAIN_COUNTS.get(n)
+        a = next(iter(self.multiplier._packed))
+        support = [i for i, x in enumerate(a) if x == self.q - 1]
+        total = _ANTICHAIN_COUNTS.get(len(support))
         if total is None or total > cap:
             raise ResourceError(
                 f"antichain count {total if total is not None else '>10^20'} "
                 f"exceeds the cap {cap}"
             )
-        subsets = []
-        for r in range(n + 1):
-            subsets.extend(frozenset(c) for c in combinations(range(n), r))
-        antichains = []
-
-        def extend(start, chosen):
-            antichains.append(tuple(chosen))
-            for i in range(start, len(subsets)):
-                s = subsets[i]
-                if all(not (s <= t or t <= s) for t in chosen):
-                    chosen.append(s)
-                    extend(i + 1, chosen)
-                    chosen.pop()
-
-        extend(0, [])
         out = []
-        for chain in antichains:
-            gens = tuple(
-                self.ring.monomial(tuple(1 if i in s else 0 for i in range(n)))
-                for s in sorted(chain, key=sorted)
+        for primes in _antichains(len(support)):
+            supports = sorted(
+                [v for n, v in enumerate(support) if h >> n & 1]
+                for h in _minimal_transversals(primes, len(support))
             )
-            ideal = Ideal(self.ring, gens)
-            if self.is_compatible(ideal):
-                out.append(ideal)
+            gens = tuple(
+                self.ring.monomial(1 if i in s else 0 for i in range(self.ring.nvars))
+                for s in supports
+            )
+            out.append(Ideal(self.ring, gens))
         out.sort(key=lambda i: i.key())
         return out
 

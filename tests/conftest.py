@@ -8,6 +8,8 @@ and find Hasse covers by a cubic search, so they suit lattices of a few
 hundred subspaces.  `oracle_isomorphic` searches every intertwiner for an
 invertible one.  `oracle_parse` evaluates a polynomial string with the
 polynomial operators, one product per `*` and one power per `^`.
+`oracle_compatible_monomial` runs the operator's `is_compatible` test on
+every squarefree monomial ideal of the ring.
 """
 
 import random
@@ -18,7 +20,7 @@ import pytest
 from cartier import linalg
 from cartier.errors import ResourceError
 from cartier.field import FieldElement, FieldSpec
-from cartier.poly import MAX_NESTING, _Tokenizer
+from cartier.poly import MAX_NESTING, Ideal, _Tokenizer
 from cartier.semilinear import SemilinearModule, Subspace, subfield_elements
 
 
@@ -495,3 +497,37 @@ def oracle_parse(ring, text: str):
     if tk.peek() is not None:
         tk.error(f"trailing input {tk.text[tk.pos:]!r}")
     return result
+
+
+def oracle_compatible_monomial(op):
+    """The squarefree monomial ideals that `op.is_compatible` accepts,
+    sorted canonically: one Gröbner check for each antichain of subsets of
+    the variables, each antichain giving the monomials it supports as
+    generators (the empty antichain the zero ideal)."""
+    n = op.ring.nvars
+    subsets = []
+    for r in range(n + 1):
+        subsets.extend(frozenset(c) for c in combinations(range(n), r))
+    antichains = []
+
+    def extend(start, chosen):
+        antichains.append(tuple(chosen))
+        for i in range(start, len(subsets)):
+            s = subsets[i]
+            if all(not (s <= t or t <= s) for t in chosen):
+                chosen.append(s)
+                extend(i + 1, chosen)
+                chosen.pop()
+
+    extend(0, [])
+    out = []
+    for chain in antichains:
+        gens = tuple(
+            op.ring.monomial(tuple(1 if i in s else 0 for i in range(n)))
+            for s in sorted(chain, key=sorted)
+        )
+        ideal = Ideal(op.ring, gens)
+        if op.is_compatible(ideal):
+            out.append(ideal)
+    out.sort(key=lambda i: i.key())
+    return out

@@ -4,15 +4,21 @@ The reference below is the straightforward textbook version, kept here for
 testing only: it runs on `Polynomial`/`FieldElement` arithmetic, finds the
 leading pending term with `max` over the whole work dict at every step,
 and computes its own sort keys, so it shares none of the packed code paths.
-Pair order (FIFO), the coprime criterion, the scan order of the divisors
-and every tie-break are the same, so remainders, quotients, reduced bases
-and cofactors must agree exactly.
+
+Cofactor-tracked runs share its pair order (FIFO) and its only criterion
+(coprime leading terms), and the scan order of the divisors and every
+tie-break are the same, so tracked reduced bases and cofactors, and
+remainders and quotients, must agree exactly.  Untracked runs reduce the
+generators first, take pairs by sugar and drop them by the Gebauer–Möller
+criteria; the reduced basis is unique, so theirs must equal the
+reference's all the same, with far fewer S-polynomials formed.
 """
 
 import random
 
 import pytest
 
+from cartier import poly
 from cartier.field import TABLE_MAX_ORDER, FieldSpec
 from cartier.poly import (
     GREVLEX,
@@ -23,7 +29,7 @@ from cartier.poly import (
     groebner_basis,
 )
 
-from test_poly import random_poly
+from test_poly import classic_system, random_poly
 
 
 def _grevlex_key(exps):
@@ -180,3 +186,82 @@ def test_packed_buchberger_matches_reference(p, d, order):
         assert divide(f, divisors, order) == r
         assert divide(f, basis, order) == ref_divide(f, list(basis), key)
     assert nontrivial
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["grevlex", "lex", "elim1"])
+@pytest.mark.parametrize("p,d", FIELDS, ids=[f"{p}^{d}" for p, d in FIELDS])
+def test_criteria_buchberger_matches_fifo_reference(p, d, order):
+    # Up to five generators, some of them multiples of others, so that
+    # generator reduction and all three criteria have work to do.
+    big = p**d > TABLE_MAX_ORDER
+    ring = PolyRing(FieldSpec(p, d), ("x", "y") if big else ("x", "y", "z"))
+    rng = random.Random(7000 * p + 10 * d + len(repr(order)))
+    nontrivial = 0
+    for _ in range(6 if big else 12):
+        gens = [
+            random_poly(rng, ring, max_terms=3, max_exp=2) for _ in range(rng.randint(2, 4))
+        ]
+        gens.append(gens[0] * random_poly(rng, ring, max_terms=2, max_exp=1))
+        basis = groebner_basis(gens, order)
+        assert basis == ref_groebner(gens, order)
+        nontrivial += len(basis) > 1
+    assert nontrivial
+
+
+def _record_calls(monkeypatch, name):
+    """Patch poly.<name> to append (arguments, result) of each call to the
+    list it returns."""
+    calls = []
+    real = getattr(poly, name)
+
+    def recording(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(poly, name, recording)
+    return calls
+
+
+# (system, most S-polynomials formed per S-polynomial of the FIFO path).
+# Cyclic-4 forms 8 where the FIFO path forms 35; Katsura-4 8 of 15 and
+# Katsura-5 26 of 49, where each pair that the criteria keep but that
+# reduces to zero shares its lcm with a pair they dropped.
+WORK_BOUNDS = [("cyclic4", 0.5), ("katsura4", 0.6), ("katsura5", 0.6)]
+
+
+@pytest.mark.parametrize("name,bound", WORK_BOUNDS, ids=[n for n, _ in WORK_BOUNDS])
+def test_criteria_form_fewer_s_polynomials(monkeypatch, name, bound):
+    ring, gens = classic_system(name)
+    spolys = _record_calls(monkeypatch, "_s_polynomial")
+    reductions = _record_calls(monkeypatch, "_reduce")
+    fifo = groebner_basis(gens, GREVLEX, track=True)[0]
+    fifo_formed = len(spolys)
+    fifo_zero = sum(not r for _, (r, _) in reductions[:fifo_formed])
+    del spolys[:], reductions[:]
+    assert groebner_basis(gens, GREVLEX) == fifo
+    formed = len(spolys)
+    zero = sum(not r for _, (r, _) in reductions[:formed])
+    assert formed <= bound * fifo_formed
+    # at most half as many reduce to zero, the work wasted outright
+    assert 2 * zero <= fifo_zero
+
+
+def test_homogeneous_pairs_leave_in_degree_order(monkeypatch):
+    # On homogeneous input the sugar of a pair is the degree of its lcm, so
+    # the sugar queue forms S-polynomials in nondecreasing lcm degree, under
+    # lex too, where the order key alone would not; the FIFO queue of
+    # tracked runs does not.
+    ring = PolyRing(FieldSpec(7, 1), ("a", "b", "c", "d", "h"))
+    texts = ("a+b+c+d", "a*b+b*c+c*d+d*a", "a*b*c+b*c*d+c*d*a+d*a*b", "a*b*c*d-h^4")
+    gens = [ring.parse(t) for t in texts]
+    spolys = _record_calls(monkeypatch, "_s_polynomial")
+
+    def lcm_degrees():
+        return [sum(poly.mono_lcm(f[0], g[0])) for (f, g, _, _), _ in spolys]
+
+    basis = groebner_basis(gens, LEX)
+    assert lcm_degrees() == sorted(lcm_degrees()) and len(set(lcm_degrees())) > 2
+    del spolys[:]
+    assert groebner_basis(gens, LEX, track=True)[0] == basis
+    assert lcm_degrees() != sorted(lcm_degrees())

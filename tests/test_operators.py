@@ -16,6 +16,7 @@ from cartier.operators import (
     frobenius_descent,
 )
 
+from conftest import oracle_compatible_monomial
 from test_poly import random_poly
 
 
@@ -498,6 +499,59 @@ def test_enumerate_three_variables():
         for b in ideals:
             assert tuple(a.sum(b).canonical_strings()) in keys
             assert tuple(a.intersect(b).canonical_strings()) in keys
+
+
+# (p, d, e, variables): q = p^e in {2, 3, 4, 5} in up to 3 variables, then
+# 4 variables at q = 2, and level e = 2 at q = 4 and q = 9.
+ENUM_CASES = [
+    (2, 1, 1, 3), (3, 1, 1, 3), (2, 2, 1, 3), (5, 1, 1, 3),
+    (2, 1, 1, 4), (2, 1, 2, 3), (3, 1, 2, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "p,d,e,n", ENUM_CASES, ids=[f"{p}^{d}-e{e}-n{n}" for p, d, e, n in ENUM_CASES]
+)
+def test_enumerate_matches_compatibility_oracle(p, d, e, n):
+    """Every multiplier c*x^a with a_i <= q-1, the coefficients c running
+    through the nonzero field elements: the generators and the order of
+    the answer are the scan's."""
+    field = FieldSpec(p, d)
+    units = [c for c in field.elements() if not c.is_zero]
+    q = p**e
+    count = 0
+    for m in range(1, n + 1) if n < 4 else (n,):
+        ring = PolyRing(field, ("x", "y", "z", "w")[:m])
+        for a in product(range(q), repeat=m):
+            op = CartierOperator(ring, ring.monomial(a, units[count % len(units)]), e)
+            got = op.enumerate_compatible_monomial()
+            assert [i.gens for i in got] == [i.gens for i in oracle_compatible_monomial(op)]
+            count += 1
+    assert count >= q**n
+
+
+def test_enumerate_five_variables_with_small_support():
+    # T = {x, y, z}: 20 answers, those of x*y*z in three variables; the
+    # cap follows |T|, not the 7581 antichains on five variables
+    five = PolyRing(FieldSpec(2, 1), ("x", "y", "z", "u", "v"))
+    three = PolyRing(FieldSpec(2, 1), ("x", "y", "z"))
+    got = CartierOperator(five, five.parse("x*y*z"), 1).enumerate_compatible_monomial(cap=20)
+    want = CartierOperator(three, three.parse("x*y*z"), 1).enumerate_compatible_monomial()
+    assert len(got) == 20
+    assert [i.canonical_strings() for i in got] == [i.canonical_strings() for i in want]
+    with pytest.raises(ResourceError, match="antichain count 20 exceeds the cap 19"):
+        CartierOperator(five, five.parse("x*y*z"), 1).enumerate_compatible_monomial(cap=19)
+
+
+def test_enumerate_cap_follows_the_support():
+    ring = PolyRing(FieldSpec(3, 1), tuple("abcdef"))
+    op = CartierOperator(ring, ring.parse("2*a^2*b^2*c*d"), 1)  # T = {a, b}
+    assert [i.canonical_strings() for i in op.enumerate_compatible_monomial()] == [
+        [], ["1"], ["a"], ["a*b"], ["b"], ["b", "a"]
+    ]
+    full = CartierOperator(ring, ring.parse("a^2*b^2*c^2*d^2*e^2*f^2"), 1)
+    with pytest.raises(ResourceError, match="antichain count 7828354 exceeds the cap"):
+        full.enumerate_compatible_monomial()
 
 
 # -- quotient modules ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Polynomial arithmetic, parsing, Gröbner bases, and ideal operations."""
 
 import random
+import re
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cartier import poly
 from cartier.errors import CartierError, DomainError, ResourceError, UsageError
 from cartier.field import FieldSpec
 from cartier.poly import (
@@ -90,6 +92,26 @@ def test_parse_print_round_trip_hypothesis(exps):
 def test_parse_syntax_error_has_position(R2):
     with pytest.raises(UsageError, match="position"):
         R2.parse("x + + ^")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("  x +\t ", "position 7: unexpected end of input"),
+        ("   )", "position 3: unexpected character ')'"),
+        (" x \n y", "position 5: trailing input 'y'"),
+        ("x\u3000^ \u2003w", "position 5: expected a nonnegative integer exponent"),
+        ("x *\r\n  q", "position 7: unknown variable 'q'"),
+    ],
+)
+def test_parse_error_positions_count_whitespace(R2, text, message):
+    with pytest.raises(UsageError, match=f"^syntax error at {re.escape(message)}$"):
+        R2.parse(text)
+
+
+def test_parse_skips_every_kind_of_whitespace(R2):
+    x, y = R2.var("x"), R2.var("y")
+    assert R2.parse("\t x\u3000*\n y ^ 2\x0b+\u2003 1 \f") == x * y**2 + R2.one
 
 
 def test_parse_unknown_variable(R2):
@@ -460,6 +482,41 @@ def test_colon_examples(R2):
 def test_colon_by_zero_raises(R2):
     with pytest.raises(DomainError):
         Ideal(R2, (R2.var("x"),)).colon_element(R2.zero)
+
+
+def long_intersection():
+    """(g1, g2) and (h) over F_7 in x, y, z, with deg g1 = 14 and deg h = 11.
+    With FIFO pairs and the coprime criterion only, the elimination basis
+    behind their intersection takes minutes."""
+    ring = PolyRing(FieldSpec(7, 1), ("x", "y", "z"))
+    gens = ("x^2*y^9*z^3 + x^6*z + 4*y^6*z + 4*y^3*z", "6*x^4*z + 5*x^2*z + 1")
+    return (
+        Ideal(ring, tuple(ring.parse(g) for g in gens)),
+        Ideal(ring, (ring.parse("5*y^10*z + 2*y^8*z^3 + 4"),)),
+    )
+
+
+def test_long_intersection_answers_within_the_budget():
+    I, J = long_intersection()
+    meet = I.intersect(J)
+    assert I.contains(meet) and J.contains(meet)
+    assert meet.contains(I.product(J))
+
+
+def test_buchberger_budget_raises_with_progress(monkeypatch):
+    monkeypatch.setattr(poly, "MAX_SPAIRS", 10)
+    I, J = long_intersection()
+    progress = r"unfinished after 10 S-pairs reduced: \d+ basis elements, largest sugar \d+"
+    with pytest.raises(ResourceError, match=progress):
+        I.intersect(J)
+    # the tracked cyclic-4 run reduces 35 S-pairs
+    ring, gens = classic_system("cyclic4")
+    monkeypatch.setattr(poly, "MAX_SPAIRS", 34)
+    progress = "after 34 S-pairs reduced: 10 basis elements, largest sugar 6$"
+    with pytest.raises(ResourceError, match=progress):
+        groebner_basis(gens, GREVLEX, track=True)
+    monkeypatch.setattr(poly, "MAX_SPAIRS", 35)
+    groebner_basis(gens, GREVLEX, track=True)
 
 
 def monomial_ideal(ring, exps_list):
