@@ -13,10 +13,11 @@ The serialized form sorts terms descending under the ring's default order
 (grevlex), so printing is canonical and parse/print round-trips.
 Polynomials and monomial orders are immutable.
 
-Gröbner bases come from one Buchberger loop with the Gebauer–Möller
-criteria and the sugar strategy, reduced to the unique reduced basis for
-the order.  On request the loop also tracks cofactors, used where an
-explicit representation 1 = sum h_i g_i is required.  Division pops the
+Gröbner bases come from one Buchberger loop with one pair queue, the
+Gebauer–Möller criteria and the sugar strategy, reduced to the unique
+reduced basis for the order.  On request the loop also tracks cofactors,
+used where an explicit representation 1 = sum h_i g_i is required; it
+forms the same S-polynomials either way.  Division pops the
 leading pending monomial from a heap keyed by `MonomialOrder.rank`, and
 each divisor's leading term, inverse leading coefficient and tail are
 prepared once: per Buchberger run as the basis grows, and per `Ideal`
@@ -25,7 +26,6 @@ next to its cached basis.
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heapify, heappop, heappush
 from operator import add, le, mul, neg, sub
 from types import MappingProxyType
@@ -114,6 +114,9 @@ class PolyRing(_Immutable):
 
     def __init__(self, field: FieldSpec, variables, max_degree: int = 200):
         variables = tuple(variables)
+        for name in variables:
+            if not (isinstance(name, str) and name and _Tokenizer(name).take_name() == name):
+                raise UsageError(f"variable name {name!r} is not a name the parser reads")
         if len(set(variables)) != len(variables):
             raise UsageError("duplicate variable names")
         object.__setattr__(self, "field", field)
@@ -314,6 +317,11 @@ def _new(ring: PolyRing, packed: dict) -> Polynomial:
 # ----------------------------------------------------------------------
 # parsing
 
+# Digits an integer literal may have: below the smallest limit Python can
+# be set to for converting a string to an int, so a longer literal is a
+# usage error instead of a ValueError.
+MAX_INT_DIGITS = 600
+
 
 class _Tokenizer:
     def __init__(self, text: str):
@@ -340,19 +348,26 @@ class _Tokenizer:
 
     def take_int(self) -> int:
         start = self.pos
-        while self.pos < self.end and self.text[self.pos].isdigit():
+        while self.pos < self.end and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer")
+        if self.pos - start > MAX_INT_DIGITS:
+            self.pos = start
+            self.error(f"integer literal longer than {MAX_INT_DIGITS} digits")
         return int(self.text[start : self.pos])
 
     def take_name(self) -> str:
-        start = self.pos
-        while self.pos < self.end and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.text[start : self.pos]
+        """The variable name at the cursor, or "" if none starts there: an
+        alphabetic character or "_", then alphanumerics and "_".  The one
+        rule for names, which `PolyRing` holds its variables to."""
+        text, start, pos = self.text, self.pos, self.pos
+        if pos < self.end and (text[pos].isalpha() or text[pos] == "_"):
+            pos += 1
+            while pos < self.end and (text[pos].isalnum() or text[pos] == "_"):
+                pos += 1
+        self.pos = pos
+        return text[start:pos]
 
 
 # Parenthesis depth the recursive-descent parser accepts; deeper input is
@@ -398,7 +413,7 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
         while tk.peek() == "^":
             tk.pos += 1
             ch = tk.peek()
-            if ch is None or not ch.isdigit():
+            if ch is None or not ch.isdecimal():
                 tk.error("expected a nonnegative integer exponent")
             n = tk.take_int()
             if n > ring.max_degree:
@@ -445,17 +460,17 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
                 if c == ",":
                     tk.pos += 1
                     continue
-                if not c.isdigit():
+                if not c.isdecimal():
                     tk.error("expected a digit in coefficient literal")
                 coeffs.append(tk.take_int())
             if len(coeffs) > field.d:
                 tk.error("coefficient literal longer than the field degree")
             return constant(field.element(coeffs))
-        if ch.isdigit():
+        if ch.isdecimal():
             return constant(field.from_int(tk.take_int()))
-        if ch.isalpha() or ch == "_":
-            start = tk.pos
-            name = tk.take_name()
+        start = tk.pos
+        name = tk.take_name()
+        if name:
             if name not in ring.vars:
                 tk.pos = start
                 tk.error(f"unknown variable {name!r}")
@@ -476,13 +491,12 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
 # leading coefficient, tail exponents, tail coefficients, total degree),
 # the tail in term order without the leading term.
 #
-# Buchberger is one loop over a pair queue chosen from `track`.  Untracked
-# runs reduce each generator by the ones before it, smallest leading term
-# first, and use `_SugarPairs`: sugar order and the Gebauer–Möller chain,
-# product and triangle criteria.  Tracked runs keep the generators as
-# given and use `_FifoPairs`: first in, first out, coprime criterion only,
-# which keeps their cofactors and the splitting witnesses built from them.
-# Either run raises ResourceError once it has reduced MAX_SPAIRS S-pairs,
+# Buchberger is one loop over one pair queue.  It reduces each generator by
+# the ones before it, smallest leading term first, then takes pairs from
+# `_SugarPairs`: sugar order and the Gebauer–Möller chain, product and
+# triangle criteria.  `track` only decides whether cofactors are carried
+# through the same reductions; a generator starts from its unit cofactor.
+# A run raises ResourceError once it has reduced MAX_SPAIRS S-pairs,
 # naming the basis size and the largest sugar.
 
 
@@ -501,11 +515,13 @@ def _prepare(terms: dict, rank, k):
 
 
 def _check_product(deg_a: int, deg_b: int, bound: int):
-    """The degree guard of every polynomial product."""
-    if deg_a + deg_b > bound:
-        raise ResourceError(
-            f"product degree {deg_a + deg_b} exceeds the configured bound {bound}"
-        )
+    """The degree guard of every polynomial product.  A degree too long to
+    print (a lift to x^(q-2) at a huge level q) is named by its bit length."""
+    degree = deg_a + deg_b
+    if degree > bound:
+        bits = degree.bit_length()
+        shown = degree if bits <= 1000 else f"of 2^{bits - 1} or more"
+        raise ResourceError(f"product degree {shown} exceeds the configured bound {bound}")
 
 
 def _add_multiple(acc: dict, exps, coeffs, u, c, k) -> list:
@@ -639,31 +655,10 @@ def groebner_basis(gens, order: MonomialOrder = GREVLEX, track: bool = False):
 
 
 # S-pairs one Buchberger run may reduce before it raises ResourceError.
-# Over F_7, cyclic-6 reduces 350 of them and cyclic-5 with cofactors 919;
-# no run in the tests, the corpus or the benchmark reduces more than 96.
+# Over F_7, cyclic-6 reduces 350 of them and cyclic-5 108, with or without
+# cofactors; no run in the tests, the corpus or the benchmark reduces more
+# than 108.
 MAX_SPAIRS = 5_000
-
-
-class _FifoPairs:
-    """Pairs first in, first out, skipping those with coprime leading
-    terms: the pair order of cofactor-tracked runs, whose cofactors (and so
-    the splitting witnesses built from them) depend on it."""
-
-    def __init__(self, leads):
-        self.leads = leads
-        n = len(leads)
-        self.pairs = deque((i, j) for i in range(n) for j in range(i + 1, n))
-
-    def add(self, h):
-        self.pairs.extend((g, h) for g in range(h))
-
-    def pop(self):
-        leads, pairs = self.leads, self.pairs
-        while pairs:
-            i, j = pairs.popleft()
-            if not mono_coprime(leads[i], leads[j]):
-                return i, j
-        return None
 
 
 class _SugarPairs:
@@ -724,24 +719,22 @@ def _buchberger(gens, order: MonomialOrder, track: bool):
         gens[0]._check(g)
     prepared = []
     cofs = [] if track else None
-    if track:
-        for j, g in enumerate(gens):
-            if g:
-                prepared.append(_prepare(g._packed, rank, k))
-                cof = [{} for _ in gens]
-                cof[j] = {(0,) * ring.nvars: k.one}
-                cofs.append(cof)
-    else:
-        inputs = [g._packed for g in gens if g]
-        for t in sorted(inputs, key=lambda t: min(map(rank, t)), reverse=True):
-            r = _divide(dict(t), prepared, rank, k)
-            if r:
-                prepared.append(_prepare(r, rank, k))
+    inputs = [(j, g._packed) for j, g in enumerate(gens) if g]
+    for j, t in sorted(inputs, key=lambda jt: min(map(rank, jt[1])), reverse=True):
+        unit = None
+        if track:
+            unit = [{} for _ in gens]
+            unit[j] = {(0,) * ring.nvars: k.one}
+        r, rcof = _reduce(dict(t), unit, prepared, cofs, rank, k, bound)
+        if r:
+            prepared.append(_prepare(r, rank, k))
+            if track:
+                cofs.append(rcof)
     if not prepared:
         return [], cofs
     leads = [d[0] for d in prepared]
     sugars = [d[4] for d in prepared]
-    pairs = _FifoPairs(leads) if track else _SugarPairs(leads, sugars, order.key)
+    pairs = _SugarPairs(leads, sugars, order.key)
     reduced = 0
     while (pair := pairs.pop()) is not None:
         if reduced == MAX_SPAIRS:

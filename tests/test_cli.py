@@ -119,14 +119,27 @@ def test_split_witness_past_degree_bound(capsys):
         ["poly-cartier", "--vars", "x", "--expr", "(" * 3000 + "x" + ")" * 3000],
         ["poly-image", "--vars", "x", "--f", "x", "--ideal", '["x", 1]'],
         ["corpus-run", "no-such-corpus.json"],
+        ["poly-split", "--p", "2", "--vars", "1x", "--f", "1"],
+        ["poly-split", "--p", "2", "--vars", "x y", "--f", "1"],
     ],
     ids=["empty-module", "module-list", "module-entry", "module-deep",
-         "modulus", "expr-deep", "ideal-entry", "corpus-missing"],
+         "modulus", "expr-deep", "ideal-entry", "corpus-missing",
+         "vars-digit-first", "vars-space"],
 )
 def test_malformed_input_is_a_usage_error(capsys, argv):
     code, out = capture(capsys, argv + ["--json"])
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "usage"
+
+
+@pytest.mark.parametrize("e", ["20", "99999"])
+def test_huge_splitting_level_is_a_resource_error(capsys, e):
+    # the witness lifts to x^(q-2), q = 2^e; at e = 99999 its degree has
+    # about 30,000 digits, more than Python prints by default
+    argv = ["poly-split", "--p", "2", "--vars", "x", "--f", "x", "--e", e, "--json"]
+    code, out = capture(capsys, argv)
+    assert code == 3
+    assert "exceeds the configured bound 200" in json.loads(out)["error"]["detail"]
 
 
 @pytest.mark.parametrize(

@@ -5,13 +5,15 @@ testing only: it runs on `Polynomial`/`FieldElement` arithmetic, finds the
 leading pending term with `max` over the whole work dict at every step,
 and computes its own sort keys, so it shares none of the packed code paths.
 
-Cofactor-tracked runs share its pair order (FIFO) and its only criterion
-(coprime leading terms), and the scan order of the divisors and every
-tie-break are the same, so tracked reduced bases and cofactors, and
-remainders and quotients, must agree exactly.  Untracked runs reduce the
-generators first, take pairs by sugar and drop them by the Gebauer–Möller
-criteria; the reduced basis is unique, so theirs must equal the
-reference's all the same, with far fewer S-polynomials formed.
+The reference keeps the generators as given, takes pairs first in, first
+out, and drops only those with coprime leading terms.  Division scans the
+divisors in the same order and breaks every tie the same way, so tracked
+remainders and quotients must agree exactly.  Buchberger reduces the
+generators first, takes pairs by sugar and drops them by the
+Gebauer–Möller criteria, with or without cofactors; the reduced basis is
+unique, so it must equal the reference's all the same, with far fewer
+S-polynomials formed.  Cofactors are not unique: tracked ones are held to
+their defining identity basis[i] = sum_j cofs[i][j] * gens[j].
 """
 
 import random
@@ -85,29 +87,13 @@ def ref_divide(f, divisors, key, track=False):
     return (r, quots) if track else r
 
 
-def ref_reduce(f, fcof, divisors, dcofs, key):
-    if fcof is None:
-        return ref_divide(f, divisors, key), None
-    r, quots = ref_divide(f, divisors, key, track=True)
-    out = list(fcof)
-    for q, dc in zip(quots, dcofs):
-        if not q.is_zero:
-            out = [o - q * d for o, d in zip(out, dc)]
-    return r, out
-
-
-def ref_groebner(gens, order, track=False):
+def ref_groebner(gens, order, zero_flags=None):
+    """The reduced basis.  With `zero_flags` (a list), appends for each
+    S-polynomial formed whether it reduced to zero."""
     key = reference_key(order)
-    basis, cofs = [], []
-    for j, g in enumerate(gens):
-        if g.is_zero:
-            continue
-        basis.append(g)
-        cof = [g.ring.zero] * len(gens)
-        cof[j] = g.ring.one
-        cofs.append(cof)
+    basis = [g for g in gens if not g.is_zero]
     if not basis:
-        return ((), ()) if track else ()
+        return ()
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:
         i, j = pairs.pop(0)
@@ -118,40 +104,38 @@ def ref_groebner(gens, order, track=False):
         ring = basis[i].ring
         mf = ring.monomial(tuple(x - y for x, y in zip(lcm, fe)), fc.inverse())
         mg = ring.monomial(tuple(x - y for x, y in zip(lcm, ge)), gc.inverse())
-        s = mf * basis[i] - mg * basis[j]
-        scof = [mf * a - mg * b for a, b in zip(cofs[i], cofs[j])]
-        r, rcof = ref_reduce(s, scof, basis, cofs, key)
+        r = ref_divide(mf * basis[i] - mg * basis[j], basis, key)
+        if zero_flags is not None:
+            zero_flags.append(r.is_zero)
         if not r.is_zero:
             basis.append(r)
-            cofs.append(rcof)
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
     # monic, minimal, fully reduced
-    items = []
-    for g, cof in zip(basis, cofs):
-        inv = ref_leading(g, key)[1].inverse()
-        items.append((g * inv, [c * inv for c in cof]))
-    items.sort(key=lambda t: key(ref_leading(t[0], key)[0]))
+    items = [g * ref_leading(g, key)[1].inverse() for g in basis]
+    items.sort(key=lambda g: key(ref_leading(g, key)[0]))
     minimal = []
-    for g, cof in items:
+    for g in items:
         ge = ref_leading(g, key)[0]
-        if any(
-            all(x <= y for x, y in zip(ref_leading(h, key)[0], ge)) for h, _ in minimal
-        ):
+        if any(all(x <= y for x, y in zip(ref_leading(h, key)[0], ge)) for h in minimal):
             continue
-        minimal.append((g, cof))
+        minimal.append(g)
     reduced = []
-    for i, (g, cof) in enumerate(minimal):
+    for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        if others:
-            g, cof = ref_reduce(
-                g, cof, [h for h, _ in others], [c for _, c in others], key
-            )
-        reduced.append((g, cof))
-    reduced.sort(key=lambda t: key(ref_leading(t[0], key)[0]))
-    polys = tuple(g for g, _ in reduced)
-    if not track:
-        return polys
-    return polys, tuple(tuple(c) for _, c in reduced)
+        reduced.append(ref_divide(g, others, key) if others else g)
+    reduced.sort(key=lambda g: key(ref_leading(g, key)[0]))
+    return tuple(reduced)
+
+
+def assert_cofactors(basis, cofs, gens):
+    """basis[i] = sum_j cofs[i][j] * gens[j], in `Polynomial` arithmetic."""
+    assert len(cofs) == len(basis)
+    for g, cof in zip(basis, cofs):
+        assert len(cof) == len(gens)
+        total = g.ring.zero
+        for c, f in zip(cof, gens):
+            total = total + c * f
+        assert total == g
 
 
 FIELDS = [(2, 1), (7, 1), (2, 2), (3, 2), (1000003, 1), (3, 11)]
@@ -165,27 +149,28 @@ def test_reference_fields_cover_both_kernels():
 
 @pytest.mark.parametrize("order", ORDERS, ids=["grevlex", "lex", "elim1"])
 @pytest.mark.parametrize("p,d", FIELDS, ids=[f"{p}^{d}" for p, d in FIELDS])
-def test_packed_buchberger_matches_reference(p, d, order):
+def test_packed_buchberger_matches_reference(monkeypatch, p, d, order):
     # Over a large field random ideals are rarely trivial, and its
     # polynomial-basis arithmetic is slow: those instances get two variables.
     big = p**d > TABLE_MAX_ORDER
     ring = PolyRing(FieldSpec(p, d), ("x", "y") if big else ("x", "y", "z"))
     key = reference_key(order)
     rng = random.Random(1000 * p + 10 * d + len(repr(order)))
-    nontrivial = 0
+    spolys = _record_calls(monkeypatch, "_s_polynomial")
+    nontrivial = formed = 0
     for _ in range(6 if big else 12):
         gens = [random_poly(rng, ring, max_terms=3, max_exp=2) for _ in range(3)]
-        basis, cofs = groebner_basis(gens, order, track=True)
-        assert (basis, cofs) == ref_groebner(gens, order, track=True)
-        assert groebner_basis(gens, order) == basis
+        basis, n = _assert_one_path(spolys, gens, order)
+        assert basis == ref_groebner(gens, order)
         nontrivial += len(basis) > 1
+        formed += n
         divisors = [g for g in gens if not g.is_zero]
         f = random_poly(rng, ring, max_terms=5, max_exp=4)
         r, quots = divide(f, divisors, order, track=True)
         assert (r, quots) == ref_divide(f, divisors, key, track=True)
         assert divide(f, divisors, order) == r
         assert divide(f, basis, order) == ref_divide(f, list(basis), key)
-    assert nontrivial
+    assert nontrivial and formed
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=["grevlex", "lex", "elim1"])
@@ -223,25 +208,31 @@ def _record_calls(monkeypatch, name):
     return calls
 
 
-# (system, most S-polynomials formed per S-polynomial of the FIFO path).
-# Cyclic-4 forms 8 where the FIFO path forms 35; Katsura-4 8 of 15 and
-# Katsura-5 26 of 49, where each pair that the criteria keep but that
-# reduces to zero shares its lcm with a pair they dropped.
-WORK_BOUNDS = [("cyclic4", 0.5), ("katsura4", 0.6), ("katsura5", 0.6)]
+# (system, S-polynomials the FIFO reference forms, most S-polynomials
+# formed per S-polynomial of the reference).  Cyclic-4 forms 8 where the
+# reference forms 35; Katsura-4 8 of 15 and Katsura-5 26 of 49, where each
+# pair that the criteria keep but that reduces to zero shares its lcm with
+# a pair they dropped.
+WORK_BOUNDS = [("cyclic4", 35, 0.5), ("katsura4", 15, 0.6), ("katsura5", 49, 0.6)]
 
 
-@pytest.mark.parametrize("name,bound", WORK_BOUNDS, ids=[n for n, _ in WORK_BOUNDS])
-def test_criteria_form_fewer_s_polynomials(monkeypatch, name, bound):
+@pytest.mark.parametrize(
+    "name,fifo_formed,bound", WORK_BOUNDS, ids=[n for n, _, _ in WORK_BOUNDS]
+)
+def test_criteria_form_fewer_s_polynomials(monkeypatch, name, fifo_formed, bound):
     ring, gens = classic_system(name)
+    fifo_zero_flags = []
+    fifo = ref_groebner(gens, GREVLEX, zero_flags=fifo_zero_flags)
+    assert len(fifo_zero_flags) == fifo_formed
+    fifo_zero = sum(fifo_zero_flags)
     spolys = _record_calls(monkeypatch, "_s_polynomial")
     reductions = _record_calls(monkeypatch, "_reduce")
-    fifo = groebner_basis(gens, GREVLEX, track=True)[0]
-    fifo_formed = len(spolys)
-    fifo_zero = sum(not r for _, (r, _) in reductions[:fifo_formed])
-    del spolys[:], reductions[:]
     assert groebner_basis(gens, GREVLEX) == fifo
     formed = len(spolys)
-    zero = sum(not r for _, (r, _) in reductions[:formed])
+    # each nonzero generator is reduced once before the first S-pair
+    n = sum(1 for g in gens if not g.is_zero)
+    assert len(reductions) >= n + formed
+    zero = sum(not r for _, (r, _) in reductions[n : n + formed])
     assert formed <= bound * fifo_formed
     # at most half as many reduce to zero, the work wasted outright
     assert 2 * zero <= fifo_zero
@@ -250,8 +241,8 @@ def test_criteria_form_fewer_s_polynomials(monkeypatch, name, bound):
 def test_homogeneous_pairs_leave_in_degree_order(monkeypatch):
     # On homogeneous input the sugar of a pair is the degree of its lcm, so
     # the sugar queue forms S-polynomials in nondecreasing lcm degree, under
-    # lex too, where the order key alone would not; the FIFO queue of
-    # tracked runs does not.
+    # lex too, where the order key alone would not, and tracked runs form
+    # the same ones.
     ring = PolyRing(FieldSpec(7, 1), ("a", "b", "c", "d", "h"))
     texts = ("a+b+c+d", "a*b+b*c+c*d+d*a", "a*b*c+b*c*d+c*d*a+d*a*b", "a*b*c*d-h^4")
     gens = [ring.parse(t) for t in texts]
@@ -261,7 +252,53 @@ def test_homogeneous_pairs_leave_in_degree_order(monkeypatch):
         return [sum(poly.mono_lcm(f[0], g[0])) for (f, g, _, _), _ in spolys]
 
     basis = groebner_basis(gens, LEX)
-    assert lcm_degrees() == sorted(lcm_degrees()) and len(set(lcm_degrees())) > 2
+    untracked = lcm_degrees()
+    assert untracked == sorted(untracked) and len(set(untracked)) > 2
     del spolys[:]
     assert groebner_basis(gens, LEX, track=True)[0] == basis
-    assert lcm_degrees() != sorted(lcm_degrees())
+    assert lcm_degrees() == untracked
+
+
+def _assert_one_path(spolys, gens, order):
+    """Tracked and untracked runs call `_s_polynomial`, recorded in spolys,
+    on the same pairs in the same order and reach the same basis; tracked
+    cofactors satisfy their identity.  Returns the basis and the number of
+    S-polynomials formed."""
+    del spolys[:]
+    basis = groebner_basis(gens, order)
+    untracked = [args[:2] for args, _ in spolys]
+    del spolys[:]
+    tracked, cofs = groebner_basis(gens, order, track=True)
+    assert tracked == basis
+    assert [args[:2] for args, _ in spolys] == untracked
+    assert_cofactors(basis, cofs, gens)
+    return basis, len(untracked)
+
+
+# (system, S-polynomials formed with or without cofactors)
+ONE_PATH_SYSTEMS = [("cyclic4", 8), ("katsura4", 8), ("katsura5", 26)]
+
+
+@pytest.mark.parametrize(
+    "name,formed", ONE_PATH_SYSTEMS, ids=[n for n, _ in ONE_PATH_SYSTEMS]
+)
+def test_tracked_runs_form_the_untracked_pairs(monkeypatch, name, formed):
+    ring, gens = classic_system(name)
+    spolys = _record_calls(monkeypatch, "_s_polynomial")
+    assert _assert_one_path(spolys, gens, GREVLEX)[1] == formed
+
+
+CYCLIC5 = (
+    "a+b+c+d+e",
+    "a*b+b*c+c*d+d*e+e*a",
+    "a*b*c+b*c*d+c*d*e+d*e*a+e*a*b",
+    "a*b*c*d+b*c*d*e+c*d*e*a+d*e*a*b+e*a*b*c",
+    "a*b*c*d*e-1",
+)
+
+
+def test_tracked_cyclic5_forms_the_untracked_pairs(monkeypatch):
+    ring = PolyRing(FieldSpec(7, 1), ("a", "b", "c", "d", "e"))
+    gens = [ring.parse(t) for t in CYCLIC5]
+    spolys = _record_calls(monkeypatch, "_s_polynomial")
+    assert _assert_one_path(spolys, gens, GREVLEX)[1] == 108
