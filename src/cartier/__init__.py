@@ -9,97 +9,50 @@ splittings and compatible ideals, and the quotient structure obtained by
 ignoring everything a power of C kills.  All arithmetic is exact and
 small enough to cross-check against brute force."""
 
-from .errors import (
-    CartierError,
-    DomainError,
-    InvariantViolation,
-    ResourceError,
-    UsageError,
-)
-from .field import DEFAULT_MODULI, FieldElement, FieldSpec, default_modulus, embed
-from .poly import (
-    GREVLEX,
-    LEX,
-    Ideal,
-    MonomialOrder,
-    Polynomial,
-    PolyRing,
-    elimination_order,
-    groebner_basis,
-)
-from .semilinear import (
-    FrobeniusModule,
-    HomSpace,
-    NilDecomposition,
-    SemilinearModule,
-    SubmoduleInfo,
-    Subspace,
-    count_subspaces,
-    gaussian_binomial,
-)
-from .operators import (
-    CartierOperator,
-    IdealModule,
-    SupportReport,
-    cartier_std,
-    frobenius_descent,
-)
-from .crystal import (
-    CrystalReport,
-    anti_nilpotent,
-    hom_crys,
-    invariant_profile,
-    is_nil_isomorphism,
-    isomorphism_verdict,
-    jordan_holder,
-    minimal_rep,
-    nil_series,
-    quasi_length,
-)
+import importlib
+
+# Each export, by the submodule that defines it.  Nothing below is imported
+# until first asked for (PEP 562), so `import cartier` costs almost nothing
+# and a CLI process loads only the layers its subcommand uses.
+_EXPORTS = {
+    "errors": (
+        "CartierError", "DomainError", "InvariantViolation", "ResourceError",
+        "UsageError",
+    ),
+    "field": ("DEFAULT_MODULI", "FieldElement", "FieldSpec", "default_modulus", "embed"),
+    "poly": (
+        "GREVLEX", "LEX", "Ideal", "MonomialOrder", "Polynomial", "PolyRing",
+        "elimination_order", "groebner_basis",
+    ),
+    "semilinear": (
+        "FrobeniusModule", "HomSpace", "NilDecomposition", "SemilinearModule",
+        "SubmoduleInfo", "Subspace", "count_subspaces", "gaussian_binomial",
+    ),
+    "operators": (
+        "CartierOperator", "IdealModule", "SupportReport", "cartier_std",
+        "frobenius_descent",
+    ),
+    "crystal": (
+        "CrystalReport", "anti_nilpotent", "hom_crys", "invariant_profile",
+        "is_nil_isomorphism", "isomorphism_verdict", "jordan_holder",
+        "minimal_rep", "nil_series", "quasi_length",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CartierError",
-    "DomainError",
-    "InvariantViolation",
-    "ResourceError",
-    "UsageError",
-    "DEFAULT_MODULI",
-    "FieldElement",
-    "FieldSpec",
-    "default_modulus",
-    "embed",
-    "GREVLEX",
-    "LEX",
-    "Ideal",
-    "MonomialOrder",
-    "Polynomial",
-    "PolyRing",
-    "elimination_order",
-    "groebner_basis",
-    "FrobeniusModule",
-    "HomSpace",
-    "NilDecomposition",
-    "SemilinearModule",
-    "SubmoduleInfo",
-    "Subspace",
-    "count_subspaces",
-    "gaussian_binomial",
-    "CartierOperator",
-    "IdealModule",
-    "SupportReport",
-    "cartier_std",
-    "frobenius_descent",
-    "CrystalReport",
-    "anti_nilpotent",
-    "hom_crys",
-    "invariant_profile",
-    "is_nil_isomorphism",
-    "isomorphism_verdict",
-    "jordan_holder",
-    "minimal_rep",
-    "nil_series",
-    "quasi_length",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -7,6 +7,14 @@ names an existing file, the file wins and a warning goes to stderr.
 
 Exit codes: 0 success, 1 corpus failures, 2 usage errors, 3 resource-cap
 errors, 4 invariant violations.
+
+`import cartier` is lazy, and each handler imports the layers it uses, so
+`python -m cartier.cli` loads only what its subcommand needs: field-info
+loads `field`; the poly-* commands `field`, `poly` and `operators`; the
+semilinear-* commands `field`, `linalg` and `semilinear`; the crystal-*
+commands those and `crystal`; corpus-run whatever its cases use.  The
+argparse parser is built once per process, however many times run() is
+called.
 """
 
 from __future__ import annotations
@@ -19,11 +27,6 @@ import os
 import sys
 
 from .errors import CartierError, DomainError, InvariantViolation, ResourceError, UsageError
-from .field import FieldSpec
-from .poly import Ideal, PolyRing
-from .operators import CartierOperator, IdealModule
-from .semilinear import SemilinearModule
-from . import crystal
 
 SUBCOMMANDS = (
     "field-info",
@@ -62,11 +65,13 @@ def _malformed(what: str):
         yield
     except KeyError as exc:
         raise UsageError(f"{what} is malformed: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError, RecursionError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise UsageError(f"{what} is malformed: {exc}") from exc
 
 
-def _field_from_args(args) -> FieldSpec:
+def _field_from_args(args):
+    from .field import FieldSpec
+
     modulus = None
     if args.modulus:
         with _malformed("--modulus"):
@@ -74,14 +79,18 @@ def _field_from_args(args) -> FieldSpec:
     return FieldSpec(args.p, args.d, modulus, args.e)
 
 
-def _ring_from_args(args) -> PolyRing:
+def _ring_from_args(args):
+    from .poly import PolyRing
+
     if not args.vars:
         raise UsageError("--vars is required for ring commands")
     names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     return PolyRing(_field_from_args(args), names)
 
 
-def _operator_from_args(args) -> CartierOperator:
+def _operator_from_args(args):
+    from .operators import CartierOperator
+
     ring = _ring_from_args(args)
     f = _resolve(args.f)
     if f is None:
@@ -89,7 +98,9 @@ def _operator_from_args(args) -> CartierOperator:
     return CartierOperator(ring, ring.parse(f), args.e)
 
 
-def _ideal_from_args(args, ring: PolyRing) -> Ideal:
+def _ideal_from_args(args, ring):
+    from .poly import Ideal
+
     raw = _resolve(args.ideal)
     if raw is None:
         raise UsageError("--ideal is required")
@@ -100,7 +111,9 @@ def _ideal_from_args(args, ring: PolyRing) -> Ideal:
     return Ideal(ring, tuple(ring.parse(g) for g in gens))
 
 
-def _module_from_args(modules: list, index: int = 0) -> SemilinearModule:
+def _module_from_args(modules: list, index: int = 0):
+    from .semilinear import SemilinearModule
+
     if len(modules) <= index:
         raise UsageError("--module is required")
     text = _resolve(modules[index])
@@ -122,6 +135,14 @@ def _emit(args, payload: dict, text_lines):
 
 def _cmd_field_info(args):
     spec = _field_from_args(args)
+    try:
+        lines = [
+            f"field GF({spec.p}^{spec.d}), order {spec.order}",
+            f"twist e={spec.e}, q={spec.q}",
+            f"modulus {list(spec.modulus)}",
+        ]
+    except ValueError as exc:  # more digits than int -> str converts
+        raise ResourceError(f"q or the field order is too long to print: {exc}") from exc
     payload = {
         "p": spec.p,
         "d": spec.d,
@@ -130,11 +151,6 @@ def _cmd_field_info(args):
         "order": spec.order,
         "modulus": list(spec.modulus),
     }
-    lines = [
-        f"field GF({spec.p}^{spec.d}), order {spec.order}",
-        f"twist e={spec.e}, q={spec.q}",
-        f"modulus {list(spec.modulus)}",
-    ]
     _emit(args, payload, lines)
 
 
@@ -197,15 +213,19 @@ def _cmd_semilinear_lattice(args):
 
 
 def _cmd_crystal_minimal(args):
+    from .crystal import minimal_rep
+
     module = _module_from_args(args.module)
-    rep = crystal.minimal_rep(module)
+    rep = minimal_rep(module)
     payload = {"original_dim": module.dim, "minimal": rep.to_json()}
     _emit(args, payload, [f"minimal representative dimension {rep.dim}"])
 
 
 def _cmd_crystal_quasilength(args):
+    from .crystal import jordan_holder
+
     module = _module_from_args(args.module)
-    report = crystal.jordan_holder(module, cap=args.cap)
+    report = jordan_holder(module, cap=args.cap)
     payload = {
         "quasi_length": report.quasi_length,
         "lattice_size": len(report.lattice),
@@ -222,12 +242,12 @@ def _cmd_crystal_quasilength(args):
 
 
 def _cmd_poly_cartier(args):
+    from .operators import cartier_std
+
     ring = _ring_from_args(args)
     expr = _resolve(args.expr)
     if expr is None:
         raise UsageError("--expr is required")
-    from .operators import cartier_std
-
     result = cartier_std(ring.parse(expr), args.e)
     _emit(args, {"result": str(result)}, [str(result)])
 
@@ -305,6 +325,8 @@ def _cmd_poly_split(args):
 
 
 def _cmd_poly_supp(args):
+    from .operators import IdealModule
+
     op = _operator_from_args(args)
     ideal = _ideal_from_args(args, op.ring)
     module = IdealModule(op, ideal)
@@ -326,13 +348,19 @@ def _cmd_poly_supp(args):
     _emit(args, payload, lines)
 
 
+def _corpus_case(case):
+    argv = case["argv"]
+    if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
+        raise ValueError(f"argv {argv!r} is not a list of strings")
+    if "corpus-run" in argv:
+        raise ValueError("a case cannot run corpus-run")
+    return case["name"], argv, case.get("exit", 0), case["expect"]
+
+
 def _cmd_corpus_run(args):
     try:
         with open(args.corpus, "r", encoding="utf-8") as fh, _malformed("corpus"):
-            cases = [
-                (case["name"], list(case["argv"]), case.get("exit", 0), case["expect"])
-                for case in json.load(fh)
-            ]
+            cases = [_corpus_case(case) for case in json.load(fh)]
     except OSError as exc:
         raise UsageError(f"cannot read the corpus: {exc}") from exc
     results = []
@@ -468,9 +496,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built on the first run() and reused, e.g. by corpus-run
+
+
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     handler = args._handlers[args.command]
     try:
         code = handler(args)
@@ -503,3 +536,9 @@ def main() -> None:
 
 if __name__ == "__main__":
     main()
+else:
+    # Imported as a module (the `cartier` console script, tests, in-process
+    # callers of run()): every layer is loaded, as before, because some
+    # callers look layers up in sys.modules (perfbench's tracer does).
+    # Only `python -m cartier.cli` loads a subcommand's layers alone.
+    from . import operators, crystal  # noqa: E402,F401

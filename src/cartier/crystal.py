@@ -11,12 +11,12 @@ is the quasi-length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
 from operator import and_
 
 from .errors import InvariantViolation, UsageError
+from .field import _Immutable
 from . import linalg
 from .semilinear import (
     SemilinearModule,
@@ -105,13 +105,27 @@ def quasi_length(module: SemilinearModule, cap: int = 100_000) -> int:
     return jordan_holder(module, cap=cap).quasi_length
 
 
-@dataclass(frozen=True)
-class CrystalReport:
-    minimal_rep: SemilinearModule
-    quasi_length: int
-    lattice: tuple  # Subspaces of the minimal representative, C(N) = N
-    factor_dims: tuple  # dimensions of the factors along a maximal chain
-    edges: tuple  # Hasse cover pairs as index pairs into `lattice`
+class CrystalReport(_Immutable):
+    """The minimal representative, its quasi-length, its lattice of
+    subspaces N with C(N) = N, the dimensions of the factors along a
+    maximal chain, and the Hasse cover pairs as index pairs into
+    `lattice`."""
+
+    __slots__ = ("minimal_rep", "quasi_length", "lattice", "factor_dims", "edges")
+
+    def __init__(
+        self,
+        minimal_rep: SemilinearModule,
+        quasi_length: int,
+        lattice: tuple,
+        factor_dims: tuple,
+        edges: tuple,
+    ):
+        object.__setattr__(self, "minimal_rep", minimal_rep)
+        object.__setattr__(self, "quasi_length", quasi_length)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "factor_dims", factor_dims)
+        object.__setattr__(self, "edges", edges)
 
     def to_json(self) -> dict:
         return {

@@ -26,9 +26,8 @@ row-level code; on tabled fields wrapping looks up an interned element.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
-from .errors import InvariantViolation, UsageError
+from .errors import InvariantViolation, ResourceError, UsageError
 
 # Lexicographically least monic irreducible polynomial of degree d over F_p,
 # as the tuple (c0, ..., c_{d-1}, 1).  Verified again at construction time.
@@ -67,15 +66,41 @@ MAX_SEARCH_DEGREE = 16
 # ones compute on residues (d = 1) or in the polynomial basis.
 TABLE_MAX_ORDER = 7**6
 
+# q = p^e is computed as an int, so e is bounded by the size of q: 2^e with
+# e = 99999 still fits, while e = 10^20 would compute until memory runs out.
+MAX_Q_BITS = 1 << 20
+
+
+# Miller-Rabin with the first 13 primes as bases decides every n below the
+# smallest strong pseudoprime to all of them (Sorenson and Webster, 2017);
+# trial division up to sqrt(n) would take hours already at 19 digits.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_DECIDED_BELOW = 3317044064679887385961981
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    if n >= _DECIDED_BELOW:
+        raise ResourceError(
+            f"primality of a {n.bit_length()}-bit integer is decided below 2^81 only"
+        )
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _WITNESSES:
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 1
     return True
 
 
@@ -174,8 +199,9 @@ def _is_irreducible(mod: tuple, p: int, d: int) -> bool:
 def _search_modulus(p: int, d: int) -> tuple:
     """Lexicographically least monic irreducible of degree d over F_p."""
     for c0 in range(1, p):
-        for rest in product(range(p), repeat=d - 1):
-            mod = (c0,) + rest + (1,)
+        # the middle coefficients in lex order, without a tuple of range(p)
+        for packed in range(p ** (d - 1)):
+            mod = (c0, *_unpack(packed, p, d - 1), 1)
             if _is_irreducible(mod, p, d):
                 return mod
     raise UsageError(f"no modulus available for degree {d} over F_{p}")
@@ -257,6 +283,10 @@ class FieldSpec(_Immutable):
             raise UsageError("extension degree must be >= 1")
         if e < 1:
             raise UsageError("twist exponent must be >= 1")
+        if e > MAX_Q_BITS // p.bit_length():
+            raise ResourceError(
+                f"twist exponent too large: q = {p}^e would exceed about {MAX_Q_BITS} bits"
+            )
         if modulus is None:
             modulus = default_modulus(p, d)
         modulus = tuple(int(c) % p for c in modulus)

@@ -14,8 +14,6 @@ nilpotence/support analysis of cyclic quotients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError, InvariantViolation, ResourceError, UsageError
 from .field import FieldSpec, _Immutable
 from .poly import (
@@ -309,12 +307,15 @@ class CartierOperator(_Immutable):
         return f"CartierOperator(f={self.multiplier}, e={self.e})"
 
 
-@dataclass(frozen=True)
-class SupportReport:
-    """Annihilator of the stable image of a cyclic quotient module."""
+class SupportReport(_Immutable):
+    """Annihilator of the stable image of a cyclic quotient module, and the
+    number of steps the image chain took to stabilise."""
 
-    ann: Ideal
-    iterations: int
+    __slots__ = ("ann", "iterations")
+
+    def __init__(self, ann: Ideal, iterations: int):
+        object.__setattr__(self, "ann", ann)
+        object.__setattr__(self, "iterations", iterations)
 
 
 class IdealModule(_Immutable):

@@ -9,7 +9,6 @@ and the submodule lattice, grown from cyclic submodules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
 
@@ -181,19 +180,27 @@ class Subspace(_Immutable):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
-@dataclass(frozen=True)
-class NilDecomposition:
-    v_nil: Subspace
-    v_underline: Subspace
-    nilord: int | None  # order of nilpotence of the whole module, or None
+class NilDecomposition(_Immutable):
+    """V = v_nil + v_underline, and the order of nilpotence of the whole
+    module (None when it is not nilpotent)."""
+
+    __slots__ = ("v_nil", "v_underline", "nilord")
+
+    def __init__(self, v_nil: Subspace, v_underline: Subspace, nilord: int | None):
+        object.__setattr__(self, "v_nil", v_nil)
+        object.__setattr__(self, "v_underline", v_underline)
+        object.__setattr__(self, "nilord", nilord)
 
 
-@dataclass(frozen=True)
-class HomSpace:
-    """F_q-basis of the space of structure-compatible linear maps V -> W."""
+class HomSpace(_Immutable):
+    """F_q-basis of the space of structure-compatible linear maps V -> W;
+    each basis matrix has shape dim(W) x dim(V)."""
 
-    basis: tuple  # matrices, shape dim(W) x dim(V)
-    q: int
+    __slots__ = ("basis", "q")
+
+    def __init__(self, basis: tuple, q: int):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "q", q)
 
     @property
     def dim(self) -> int:
@@ -204,10 +211,14 @@ class HomSpace:
         return self.q**len(self.basis)
 
 
-@dataclass(frozen=True)
-class SubmoduleInfo:
-    subspace: Subspace
-    surjective: bool  # True when the structural map carries N onto N
+class SubmoduleInfo(_Immutable):
+    """A stable subspace N, and whether the structural map carries N onto N."""
+
+    __slots__ = ("subspace", "surjective")
+
+    def __init__(self, subspace: Subspace, surjective: bool):
+        object.__setattr__(self, "subspace", subspace)
+        object.__setattr__(self, "surjective", surjective)
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,19 @@
 """Command-line behaviour: dispatch, determinism, exit codes, corpus."""
 
+import contextlib
+import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import cartier
+from cartier import cli
 from cartier.cli import run
 
 ZERO_MODULE = (
@@ -121,10 +130,19 @@ def test_split_witness_past_degree_bound(capsys):
         ["corpus-run", "no-such-corpus.json"],
         ["poly-split", "--p", "2", "--vars", "1x", "--f", "1"],
         ["poly-split", "--p", "2", "--vars", "x y", "--f", "1"],
+        ["semilinear-analyze", "--module", '{"field":{"p":1e400},"matrix":[[[1]]]}'],
+        ["semilinear-analyze", "--module", '{"field":{"p":2,"d":1e400},"matrix":[[[1]]]}'],
+        ["semilinear-analyze", "--module", '{"field":{"p":2,"e":1e400},"matrix":[[[1]]]}'],
+        ["semilinear-analyze", "--module",
+         '{"field":{"p":2,"modulus":[1,1e400]},"matrix":[[[1]]]}'],
+        ["semilinear-analyze", "--module", '{"field":{"p":2},"e":1e400,"matrix":[[[1]]]}'],
+        ["crystal-minimal", "--module", '{"field":{"p":2},"dim":1e400,"matrix":[[[1]]]}'],
+        ["semilinear-lattice", "--module", '{"field":{"p":2},"matrix":[[[1e400]]]}'],
     ],
     ids=["empty-module", "module-list", "module-entry", "module-deep",
          "modulus", "expr-deep", "ideal-entry", "corpus-missing",
-         "vars-digit-first", "vars-space"],
+         "vars-digit-first", "vars-space", "inf-p", "inf-d", "inf-e", "inf-modulus",
+         "inf-module-e", "inf-dim", "inf-entry"],
 )
 def test_malformed_input_is_a_usage_error(capsys, argv):
     code, out = capture(capsys, argv + ["--json"])
@@ -145,15 +163,35 @@ def test_huge_splitting_level_is_a_resource_error(capsys, e):
 @pytest.mark.parametrize(
     "text",
     ['[{"argv": ["field-info"]}]', '{"name": "x"}', "[1]", "[{",
-     '[{"name": "x", "argv": ["field-info", "--json"]}]'],
-    ids=["unnamed-case", "not-a-list", "not-a-case", "bad-json", "no-expect"],
+     '[{"name": "x", "argv": ["field-info", "--json"]}]',
+     '[{"name": "self", "argv": ["corpus-run", "CORPUS", "--json"], "expect": null}]',
+     '[{"name": "ints", "argv": [1, 2], "expect": null}]',
+     '[{"name": "text", "argv": "field-info", "expect": null}]'],
+    ids=["unnamed-case", "not-a-list", "not-a-case", "bad-json", "no-expect",
+         "runs-itself", "int-argv", "string-argv"],
 )
 def test_malformed_corpus_is_a_usage_error(tmp_path, capsys, text):
     path = tmp_path / "corpus.json"
-    path.write_text(text)
+    path.write_text(text.replace("CORPUS", str(path)))
     code, out = capture(capsys, ["corpus-run", str(path), "--json"])
     assert code == 2
-    assert json.loads(out)["error"]["kind"] == "usage"
+    error = json.loads(out)["error"]
+    assert error["kind"] == "usage"
+    assert error["detail"].startswith("corpus is malformed")
+
+
+def test_malformed_corpus_runs_no_case(tmp_path, capsys, monkeypatch):
+    cases = [
+        {"name": "info", "argv": ["field-info", "--json"], "expect": None},
+        {"name": "nested", "argv": ["corpus-run", "other.json"], "expect": None},
+    ]
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(cases))
+    ran = []
+    monkeypatch.setattr(cli, "_cmd_field_info", lambda args: ran.append(args))
+    monkeypatch.setattr(cli, "_parser", None)  # rebuilt with the recording handler
+    code, out = capture(capsys, ["corpus-run", str(path), "--json"])
+    assert code == 2 and ran == []
 
 
 def test_domain_error_maps_to_usage_exit(capsys):
@@ -194,6 +232,62 @@ def test_corpus_run_bundled(capsys):
     assert payload["passed"] == len(payload["results"]) >= 20
 
 
+def test_corpus_run_builds_the_parser_once(capsys, monkeypatch):
+    builds = []
+    build = cli._build_parser
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    corpus = os.path.join(os.path.dirname(__file__), "..", "corpus", "acceptance.json")
+    code, out = capture(capsys, ["corpus-run", corpus, "--json"])
+    assert code == 0
+    assert len(json.loads(out)["results"]) >= 20
+    assert len(builds) == 1
+
+
+SRC = str(pathlib.Path(cartier.__file__).resolve().parent.parent)
+LAYERS = {"poly", "semilinear", "operators", "crystal", "linalg"}
+POLY_ARGV = ["poly-cartier", "--p", "2", "--vars", "x", "--expr", "x^3"]
+
+
+def loaded_modules(argv):
+    """Modules a `python -m cartier.cli` process imports, read from -X importtime."""
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cartier.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, needed, unused",
+    [
+        (["field-info", "--p", "7", "--d", "2", "--json"], {"field"}, LAYERS),
+        (POLY_ARGV, {"poly", "operators"}, {"semilinear", "crystal", "linalg"}),
+        (["semilinear-analyze", "--module", ID_MODULE], {"semilinear", "linalg"},
+         {"poly", "operators", "crystal"}),
+        (["crystal-quasilength", "--module", ID_MODULE], {"crystal", "semilinear"},
+         {"poly", "operators"}),
+    ],
+    ids=["field-info", "poly", "semilinear", "crystal"],
+)
+def test_a_subcommand_loads_only_its_layers(argv, needed, unused):
+    modules = loaded_modules(argv)
+    assert {f"cartier.{m}" for m in needed} <= modules
+    assert not {f"cartier.{m}" for m in unused} & modules
+    assert "dataclasses" not in modules
+
+
 def test_corpus_run_detects_failure(tmp_path, capsys):
     bad = [
         {
@@ -232,3 +326,125 @@ def test_corpus_run_records_rejected_argv(tmp_path, capsys):
         ("info", "PASS", ""),
     ]
     assert (report["passed"], report["failed"]) == (2, 1)
+
+
+# ----------------------------------------------------------------------
+# the error contract on generated argv
+
+FIELD_FLAGS = ("--p", "--d", "--modulus", "--e", "--cap")
+RING_FLAGS = ("--vars", "--f", "--ideal", "--expr")
+GF4_MODULE = (
+    '{"field":{"p":2,"d":2,"modulus":[1,1,1],"e":1},"dim":2,'
+    '"matrix":[[[0,1],[1]],[[0],[1,1]]]}'
+)
+# Values a flag is meant to take; every flag also draws from ODD_VALUES.
+PLAUSIBLE = {
+    "--p": ["2", "3", "5", "7"],
+    "--d": ["1", "2", "3"],
+    "--e": ["1", "2", "3"],
+    "--modulus": ["1,1", "1,1,1", "1,0,1", "2,1", "1,x"],
+    "--cap": ["0", "1", "5", "50"],
+    "--vars": ["x", "x,y", "x,y,z"],
+    "--f": ["x", "x^2", "x*y", "x^3+y", "1", "0", "x^2*y+y^3", "z"],
+    "--module": [ZERO_MODULE, ID_MODULE, GF4_MODULE],
+}
+PLAUSIBLE["--expr"] = PLAUSIBLE["--ideal"] = PLAUSIBLE["--f"] + ["x;y", '["x", "y^2"]']
+ODD_VALUES = ["-1", "1e400", "", "²", "20000", "9" * 30, "1" * 19, "1" * 700, "7" * 5000]
+CORPORA = [
+    "[]",
+    "{",
+    '[{"name": "a", "argv": ["field-info", "--json"], "expect": null}]',
+    '[{"name": "a", "argv": ["corpus-run", "c.json"], "expect": null}]',
+    '[{"name": "a", "argv": [1, 2], "expect": null}]',
+    '[{"name": "a", "argv": "field-info", "expect": null}]',
+]
+
+
+def _module_texts():
+    """Module JSON near the valid shape, with odd leaves, and random JSON."""
+    leaves = st.sampled_from(["1", "2", "3", "0", "-1", "1e400", '""', '"²"', "null",
+                              "9" * 30, "[1,1]", "[1,0,1]", "[[[1]]]", "[[[0]]]",
+                              "[[[1],[0]],[[1],[1]]]", "[[[0,1]],[[1]]]"])
+    field = st.dictionaries(st.sampled_from(["p", "d", "e", "modulus"]), leaves, max_size=4)
+    module = st.fixed_dictionaries(
+        {"field": field},
+        optional={"dim": leaves, "e": leaves, "matrix": leaves},
+    )
+
+    def render(value):
+        if isinstance(value, dict):
+            return "{" + ",".join(f'"{k}":{render(v)}' for k, v in value.items()) + "}"
+        return value
+
+    anything = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 9) | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(["field", "p", "d", "matrix", "dim"]), inner,
+                          max_size=3),
+        max_leaves=8,
+    )
+    return module.map(render) | anything.map(json.dumps)
+
+
+def _values(flag):
+    plausible = st.sampled_from(PLAUSIBLE[flag])
+    odd = st.sampled_from(ODD_VALUES)
+    if flag == "--cap":  # no long digit runs: a cap above 50 only slows the test
+        odd = st.sampled_from(["-1", "1e400", "", "²"])
+    elif flag == "--module":
+        odd = odd | _module_texts()
+    return st.one_of(plausible, plausible, odd)
+
+
+VALUES = {flag: _values(flag) for flag in PLAUSIBLE}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with its required flags, then a few more flags; every
+    value is plausible or odd."""
+    command = draw(st.sampled_from(cli.SUBCOMMANDS))
+    if command == "corpus-run":
+        argv = [command, draw(st.sampled_from(CORPORA + ["no-such-corpus.json"]))]
+    else:
+        flags, required = FIELD_FLAGS, ()
+        if command.startswith("poly-"):
+            flags = required = RING_FLAGS
+            flags += FIELD_FLAGS
+        elif command != "field-info":
+            required = ("--module", "--module") if command == "semilinear-hom" else ("--module",)
+            flags += ("--module",)
+        argv = [command]
+        for flag in required + tuple(draw(st.lists(st.sampled_from(flags), max_size=3))):
+            argv += [flag, draw(VALUES[flag])]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+def check_contract(argv):
+    """Run argv in process; return its exit code after checking the contract."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        if argv[0] == "corpus-run" and argv[1] in CORPORA:
+            path = os.path.join(tmp, "c.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(argv[1])
+            argv = [argv[0], path, *argv[2:]]
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse
+            assert exc.code in (0, 2), (argv, exc.code)
+            return exc.code
+    assert code in (0, 2, 3, 4) or (code == 1 and argv[0] == "corpus-run"), (argv, code)
+    if "--json" in argv and code in (2, 3, 4):
+        error = json.loads(out.getvalue())
+        assert list(error) == ["error"] and sorted(error["error"]) == ["detail", "kind"], error
+    return code
+
+
+@settings(max_examples=200, deadline=2000)
+@given(argvs())
+def test_every_argv_keeps_the_exit_code_contract(argv):
+    check_contract(argv)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cartier import _kernel, field
 from cartier.cli import run
-from cartier.errors import DomainError, UsageError
+from cartier.errors import DomainError, ResourceError, UsageError
 from cartier.field import (
     DEFAULT_MODULI,
     TABLE_MAX_ORDER,
@@ -162,6 +162,46 @@ def test_reducible_modulus_rejected():
 def test_nonprime_characteristic_rejected():
     with pytest.raises(UsageError):
         FieldSpec(4, 1)
+
+
+def _prime_by_trial_division(n):
+    return n >= 2 and all(n % i for i in range(2, int(n**0.5) + 1))
+
+
+def test_primality_agrees_with_trial_division():
+    assert [n for n in range(20_000) if field.is_prime(n) != _prime_by_trial_division(n)] == []
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        (2047, False),  # strong pseudoprimes to the first 1, 4, 9 and 12 prime bases
+        (3215031751, False),
+        (3825123056546413051, False),
+        (318665857834031151167461, False),
+        (1111111111111111111, True),  # 19 ones
+        (2**61 - 1, True),
+        (2**64 - 59, True),
+        (2**64 - 57, False),
+    ],
+)
+def test_primality_of_large_characteristics(n, prime):
+    assert field.is_prime(n) is prime
+
+
+def test_large_prime_characteristic_is_fast():
+    start = time.perf_counter()
+    spec = FieldSpec(1111111111111111111, 2)
+    assert spec.order == 1111111111111111111**2
+    assert time.perf_counter() - start < 5.0  # trial division took hours
+
+
+def test_undecidable_characteristic_and_huge_twist_are_resource_errors():
+    with pytest.raises(ResourceError):
+        FieldSpec(2**89 - 1, 1)
+    assert FieldSpec(2, 1, None, 99999).q == 2**99999
+    with pytest.raises(ResourceError):
+        FieldSpec(2, 1, None, 10**20)  # q would have 10^20 bits
 
 
 def test_modulus_must_be_monic():
