@@ -6,7 +6,8 @@ paths are both accepted for --expr/--f/--ideal/--module; when a value
 names an existing file, the file wins and a warning goes to stderr.
 
 Exit codes: 0 success, 1 corpus failures, 2 usage errors, 3 resource-cap
-errors, 4 invariant violations.
+errors, 4 invariant violations.  When the reader of stdout goes away
+early, the command stops quietly with exit 0.
 
 `import cartier` is lazy, and each handler imports the layers it uses, so
 `python -m cartier.cli` loads only what its subcommand needs: field-info
@@ -531,7 +532,16 @@ def _report_error(args, exc: CartierError):
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # so that a closed pipe shows up here at the latest
+    except BrokenPipeError:
+        # Whoever read stdout has gone.  Point stdout at devnull so the
+        # flush at exit raises nothing more (the Python docs' recipe), and
+        # exit 0: exit 1 means corpus failures.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -18,12 +18,7 @@ from operator import and_
 from .errors import InvariantViolation, UsageError
 from .field import _Immutable
 from . import linalg
-from .semilinear import (
-    SemilinearModule,
-    Subspace,
-    HomSpace,
-    sigma_inv_mat,
-)
+from .semilinear import SemilinearModule, Subspace, HomSpace
 
 
 def minimal_rep(module: SemilinearModule) -> SemilinearModule:
@@ -49,19 +44,17 @@ def is_nil_isomorphism(
     phi = tuple(tuple(row) for row in phi)
     if len(phi) != target.dim or any(len(r) != source.dim for r in phi):
         raise UsageError("matrix shape does not match the modules")
+    spec, k = source.spec, source.spec.kernel
+    phi = [spec.unwrap(row) for row in phi]
     if source.dim and target.dim:
-        lhs = linalg.mat_mul(phi, source.matrix)
-        rhs = linalg.mat_mul(target.matrix, sigma_inv_mat(phi, source.spec.e))
+        lhs = linalg._mul(phi, source._a, k)
+        rhs = linalg._mul(target._a, [k.frob_row(row, -spec.e) for row in phi], k)
         if lhs != rhs:
             raise UsageError("matrix is not a map of modules")
-    kernel = Subspace.from_vectors(
-        source.spec, source.dim, linalg.kernel_basis(phi, source.dim, source.spec)
-    )
+    kernel = Subspace._span(spec, source.dim, linalg._null_space(phi, source.dim, k))
     if not source.restrict_to(kernel).is_nilpotent:
         return False
-    image = Subspace.from_vectors(
-        target.spec, target.dim, linalg.transpose(phi)
-    )
+    image = Subspace._span(spec, target.dim, zip(*phi))
     cokernel, _ = target.quotient_by(image)
     return cokernel.is_nilpotent
 
@@ -196,9 +189,9 @@ def nil_series(module: SemilinearModule, cap: int = 100_000):
 
 def _unrestrict(sub: Subspace, inside: Subspace) -> Subspace:
     """Map a subspace given in coordinates of `inside` back to the ambient."""
-    spec, n = inside.spec, inside.ambient
-    vectors = [linalg.linear_combination(c, inside.rows, n, spec) for c in sub.rows]
-    return Subspace.from_vectors(spec, n, vectors)
+    spec, n, k = inside.spec, inside.ambient, inside.spec.kernel
+    vectors = [linalg._combine(c, inside._rows, n, k) for c in sub._rows]
+    return Subspace._span(spec, n, vectors)
 
 
 def hom_crys(source: SemilinearModule, target: SemilinearModule) -> HomSpace:
@@ -217,10 +210,8 @@ def invariant_profile(module: SemilinearModule):
     """Cheap isomorphism invariants: dimension, nilpotence order, ranks of
     the power matrices, and fixed-point dimensions after base change to
     GF(p^(dm)) for m = 1, 2, 3."""
-    ranks = tuple(
-        linalg.matrix_rank(b, module.spec)
-        for b in islice(module._powers(), module.dim + 1)
-    )
+    k = module.spec.kernel
+    ranks = tuple(linalg._rank(b, k) for b in islice(module._powers(), module.dim + 1))
     nilord = ranks.index(0) if 0 in ranks else None
     fixed = tuple(islice(module._base_change_fixed_dims(), 3))
     return (module.dim, nilord, ranks, fixed)

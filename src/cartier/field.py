@@ -250,10 +250,16 @@ class _Elements(dict):
 
 
 class _Immutable:
-    """Base of the library's value classes: __init__ sets the attributes
-    once, through object.__setattr__; assigning or deleting one raises."""
+    """Base of the library's value classes: __init__ (or a constructor
+    that skips it) sets the attributes once, through object.__setattr__ or
+    `_set`; assigning or deleting one raises."""
 
     __slots__ = ()
+
+    def _set(self, **slots):
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -388,17 +394,6 @@ class FieldSpec(_Immutable):
     def wrap(self, row) -> tuple:
         """The FieldElements of a row of packed ints."""
         return tuple(map(self._elements.__getitem__, row))
-
-    def flatten_fp(self, vector) -> list:
-        """Packed F_p coordinates of a vector: d per entry, c0 first."""
-        return [c for x in vector for c in x.coeffs]
-
-    def unflatten_fp(self, flat) -> tuple:
-        """The vector whose F_p coordinates are the packed ints `flat`."""
-        d, p, elements = self.d, self.p, self._elements
-        return tuple(
-            elements[_pack(flat[i : i + d], p)] for i in range(0, len(flat), d)
-        )
 
     def to_json(self) -> dict:
         return {"p": self.p, "d": self.d, "modulus": list(self.modulus), "e": self.e}

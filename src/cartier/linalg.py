@@ -1,12 +1,11 @@
-"""Exact row reduction and kernels over a finite field.
+"""Exact row reduction and kernels over a finite field, on packed rows.
 
-Matrices are tuples/lists of rows of FieldElement.  Everything returns
-canonical output: reduced row echelon form with pivot 1, so two equal row
-spaces produce identical matrices.
-
-Each function unwraps its rows to packed ints once (`FieldSpec.unwrap`),
-works on them through the row operations of the field's kernel, and wraps
-the result once.  The packed zero is 0.
+A row is a sequence of packed ints of one field (see `cartier.field`; the
+packed zero is 0).  The private functions take packed rows and the field's
+kernel k, and `semilinear` and `crystal` compute with them directly.  The
+public ones take and return FieldElement rows: each unwraps once, calls its
+packed counterpart and wraps once.  Everything is canonical: reduced row
+echelon form with pivot 1, so equal row spaces give identical matrices.
 """
 
 from __future__ import annotations
@@ -17,24 +16,9 @@ from .errors import ResourceError
 from .field import FieldSpec
 
 
-def spec_of(*matrices):
-    """The field of the first entry of the given matrices, or None."""
-    for rows in matrices:
-        for row in rows:
-            for x in row:
-                return x.spec
-    return None
-
-
-def rref(rows, spec: FieldSpec):
-    """Reduced row echelon form.  Returns (rows_without_zeros, pivot_columns)."""
-    red, pivots = _rref_packed([spec.unwrap(r) for r in rows], spec.kernel)
-    return tuple(spec.wrap(row) for row in red), pivots
-
-
-def _rref_packed(mat, k):
-    """`rref` on a list of packed rows, reduced in place with kernel k;
-    returns (rows_without_zeros, pivot_columns)."""
+def _rref(mat, k):
+    """RREF of a list of packed rows, reordering and replacing (never
+    mutating) them in place; returns (rows_without_zeros, pivot_columns)."""
     if not mat:
         return [], ()
     ncols = len(mat[0])
@@ -63,21 +47,67 @@ def _rref_packed(mat, k):
     return mat[:r], tuple(pivots)
 
 
-def kernel_basis(rows, ncols, spec: FieldSpec):
-    """Canonical basis of {x : M x = 0} for the matrix with the given rows."""
-    red, pivots = rref(rows, spec)
-    red = [spec.unwrap(row) for row in red]
-    k = spec.kernel
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+def _null_space(rows, ncols, k):
+    """Canonical basis of {x : M x = 0}, packed, for the packed rows of M."""
+    red, pivots = _rref(list(rows), k)
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(ncols)).difference(pivots)):
         vec = [0] * ncols
         vec[fc] = k.one
         for row, pc in zip(red, pivots):
             vec[pc] = k.neg(row[fc])
-        basis.append(spec.wrap(vec))
+        basis.append(vec)
     return basis
+
+
+def _f2_null_space(cols):
+    """`_null_space` over F_2, from the columns of M as int bitsets: each
+    column that depends on the columns before it, written over them (by
+    XOR elimination) as the bitset of the combination, in order."""
+    pivots, basis = {}, []  # top bit -> (reduced column, its combination)
+    for i, col in enumerate(cols):
+        combo = 1 << i
+        while col and col.bit_length() in pivots:
+            c, m = pivots[col.bit_length()]
+            col, combo = col ^ c, combo ^ m
+        if col:
+            pivots[col.bit_length()] = col, combo
+        else:
+            basis.append(combo)
+    return basis
+
+
+def _rank(rows, k) -> int:
+    return len(_rref(list(rows), k)[0])
+
+
+def _mul(a, b, k):
+    """The product of two packed matrices."""
+    bt = list(zip(*b))
+    return [[k.dot(row, col) for col in bt] for row in a]
+
+
+def _identity(n, k):
+    return [[k.one if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _invert(rows, k):
+    """Inverse of a packed square matrix, or None when singular."""
+    n = len(rows)
+    aug = [list(row) + unit for row, unit in zip(rows, _identity(n, k))]
+    red, pivots = _rref(aug, k)
+    if pivots[:n] != tuple(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
+def _combine(coeffs, packed_vectors, n: int, k):
+    """sum_i c_i * v_i on packed ints; zero coefficients add nothing."""
+    acc = [0] * n
+    for c, v in zip(coeffs, packed_vectors):
+        if c:
+            acc = k.add_multiple(acc, c, v)
+    return acc
 
 
 class _Points:
@@ -112,65 +142,42 @@ class _Points:
         return sum(1 << i for i in self.of(rows))
 
 
-def _combine(coeffs, packed_vectors, n: int, k):
-    """sum_i c_i * v_i on packed ints."""
-    acc = [0] * n
-    for c, v in zip(coeffs, packed_vectors):
-        if c:
-            acc = k.add_multiple(acc, c, v)
-    return acc
+# -- the FieldElement interface ---------------------------------------------
 
 
-def linear_combination(coeffs, vectors, n: int, spec: FieldSpec):
-    """sum_i c_i * v_i for vectors of length n; zero coefficients add nothing."""
-    vectors = [spec.unwrap(v) for v in vectors]
-    return spec.wrap(_combine(spec.unwrap(coeffs), vectors, n, spec.kernel))
+def _unwrap(rows, spec: FieldSpec):
+    return [spec.unwrap(row) for row in rows]
+
+
+def rref(rows, spec: FieldSpec):
+    """Reduced row echelon form.  Returns (rows_without_zeros, pivot_columns)."""
+    red, pivots = _rref(_unwrap(rows, spec), spec.kernel)
+    return tuple(map(spec.wrap, red)), pivots
+
+
+def kernel_basis(rows, ncols, spec: FieldSpec):
+    """Canonical basis of {x : M x = 0} for the matrix with the given rows."""
+    return [spec.wrap(v) for v in _null_space(_unwrap(rows, spec), ncols, spec.kernel)]
 
 
 def every_combination(scalars, vectors, n: int, spec: FieldSpec):
     """Yield sum_i c_i * v_i for every tuple (c_i) of scalars, in
     itertools.product order."""
     k = spec.kernel
-    vectors = [spec.unwrap(v) for v in vectors]
+    vectors = _unwrap(vectors, spec)
     for coeffs in product(spec.unwrap(scalars), repeat=len(vectors)):
         yield spec.wrap(_combine(coeffs, vectors, n, k))
-
-
-def vec_sub(u, v, spec: FieldSpec):
-    """The entrywise difference u - v."""
-    k = spec.kernel
-    return spec.wrap(k.add_multiple(spec.unwrap(u), k.neg(k.one), spec.unwrap(v)))
-
-
-def mat_vec(rows, v):
-    spec = spec_of(rows)
-    if spec is None:
-        return ()
-    k = spec.kernel
-    v = spec.unwrap(v)
-    return spec.wrap([k.dot(spec.unwrap(row), v) for row in rows])
 
 
 def mat_mul(a, b):
     if not a or not b:
         return ()
-    spec = spec_of(a, b)
-    k = spec.kernel
-    bt = list(zip(*[spec.unwrap(row) for row in b]))
-    return tuple(
-        spec.wrap([k.dot(row, col) for col in bt])
-        for row in (spec.unwrap(row) for row in a)
-    )
+    spec = a[0][0].spec
+    return tuple(map(spec.wrap, _mul(_unwrap(a, spec), _unwrap(b, spec), spec.kernel)))
 
 
 def identity(n, spec: FieldSpec):
-    return tuple(
-        tuple(spec.one if i == j else spec.zero for j in range(n)) for i in range(n)
-    )
-
-
-def transpose(rows):
-    return tuple(zip(*rows)) if rows else ()
+    return tuple(map(spec.wrap, _identity(n, spec.kernel)))
 
 
 def flatten(rows):
@@ -188,22 +195,14 @@ def is_zero_matrix(rows) -> bool:
 
 
 def matrix_rank(rows, spec: FieldSpec) -> int:
-    red, _ = rref(rows, spec)
-    return len(red)
+    return _rank(_unwrap(rows, spec), spec.kernel)
 
 
 def is_invertible(rows, spec: FieldSpec) -> bool:
-    n = len(rows)
-    return n == 0 or matrix_rank(rows, spec) == n
+    return matrix_rank(rows, spec) == len(rows)
 
 
 def invert(rows, spec: FieldSpec):
     """Inverse matrix, or None when singular."""
-    n = len(rows)
-    if n == 0:
-        return ()
-    aug = [list(rows[i]) + list(identity(n, spec)[i]) for i in range(n)]
-    red, pivots = rref(aug, spec)
-    if list(pivots[:n]) != list(range(n)) or len(red) != n:
-        return None
-    return tuple(tuple(row[n:]) for row in red)
+    inv = _invert(_unwrap(rows, spec), spec.kernel)
+    return None if inv is None else tuple(map(spec.wrap, inv))

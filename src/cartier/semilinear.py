@@ -5,15 +5,22 @@ where sigma^(-e) takes coordinatewise p^e-th roots (q = p^e, e | d).  The
 module-level structure theory lives here: nilpotent part, stable image,
 direct-sum decomposition, fixed points, base change, Hom-spaces, duality,
 and the submodule lattice, grown from cyclic submodules.
+
+Modules, subspaces and Hom-spaces store packed rows and compute on them
+with `linalg`'s packed functions; `matrix`, `rows` and `basis` wrap them
+into FieldElements on each access, like `Polynomial.terms`.  The F_p
+systems behind fixed points and Hom-spaces are built one column per
+F_p-basis vector, each read off the structural matrices in O(n) products.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import lru_cache
 from itertools import islice, product
 
 from .errors import InvariantViolation, ResourceError, UsageError
-from .field import FieldElement, FieldSpec, _Immutable, embed
+from .field import FieldElement, FieldSpec, _Immutable, _pack, _unpack, embed
 from . import linalg
 
 
@@ -32,44 +39,11 @@ def count_subspaces(n: int, q: int) -> int:
     return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
-def _sigma(rows, j: int, sign: int):
-    """sigma^(sign * j) on every entry of a matrix; sign -1 takes roots."""
+def sigma_inv_mat(rows, j: int):
+    """sigma^(-j) on every entry of a matrix: coordinatewise p^j-th roots."""
     if j < 0:
         raise UsageError("frobenius iteration count must be >= 0")
-    spec = linalg.spec_of(rows)
-    if spec is None:
-        return tuple(tuple(row) for row in rows)
-    k = spec.kernel
-    return tuple(spec.wrap(k.frob_row(spec.unwrap(row), sign * j)) for row in rows)
-
-
-def sigma_vec(v, j: int):
-    return _sigma((v,), j, 1)[0]
-
-
-def sigma_inv_vec(v, j: int):
-    return _sigma((v,), j, -1)[0]
-
-
-def sigma_mat(rows, j: int):
-    return _sigma(rows, j, 1)
-
-
-def sigma_inv_mat(rows, j: int):
-    return _sigma(rows, j, -1)
-
-
-def _twisted_powers(matrix, spec: FieldSpec, twist):
-    """Yield B_0 = I, B_{i+1} = A . twist(B_i, e), without end.
-
-    The i-th power of v -> A . twist(v, e) is v -> B_i . twist(v, ie).
-    B_{i+1} costs one mat_mul and is computed only when asked for, so a
-    walk that stops at B_i has made i of them.
-    """
-    b = linalg.identity(len(matrix), spec)
-    while True:
-        yield b
-        b = linalg.mat_mul(matrix, twist(b, spec.e))
+    return tuple(tuple(x.inv_frobenius(j) for x in row) for row in rows)
 
 
 class Subspace(_Immutable):
@@ -77,44 +51,55 @@ class Subspace(_Immutable):
 
     The representation is canonical, so equality of subspaces is equality
     of basis matrices and sorting is stable across runs.  Immutable; the
-    basis is also kept as packed rows for reduction.
+    basis is stored as packed rows, and `rows` wraps them on each access.
     """
 
-    __slots__ = ("spec", "ambient", "rows", "pivots", "_packed")
+    __slots__ = ("spec", "ambient", "_rows", "pivots")
 
     def __init__(self, spec: FieldSpec, ambient: int, rows, pivots):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "_packed", tuple(spec.unwrap(r) for r in rows))
+        """From FieldElement rows in reduced row echelon form."""
+        rows = tuple(tuple(spec.unwrap(r)) for r in rows)
+        self._set(spec=spec, ambient=ambient, _rows=rows, pivots=tuple(pivots))
+
+    @classmethod
+    def _of(cls, spec: FieldSpec, ambient: int, rows, pivots) -> "Subspace":
+        """From packed rows in reduced row echelon form."""
+        rows, sub = tuple(map(tuple, rows)), object.__new__(cls)
+        return sub._set(spec=spec, ambient=ambient, _rows=rows, pivots=tuple(pivots))
+
+    @classmethod
+    def _span(cls, spec: FieldSpec, ambient: int, vectors) -> "Subspace":
+        """The span of packed vectors."""
+        return cls._of(spec, ambient, *linalg._rref(list(vectors), spec.kernel))
 
     @classmethod
     def from_vectors(cls, spec: FieldSpec, ambient: int, vectors) -> "Subspace":
-        rows, pivots = linalg.rref(list(vectors), spec)
-        return cls(spec, ambient, rows, pivots)
+        return cls._span(spec, ambient, [spec.unwrap(v) for v in vectors])
 
     @classmethod
     def zero(cls, spec: FieldSpec, ambient: int) -> "Subspace":
-        return cls(spec, ambient, (), ())
+        return cls._of(spec, ambient, (), ())
 
     @classmethod
     def full(cls, spec: FieldSpec, ambient: int) -> "Subspace":
-        return cls(spec, ambient, linalg.identity(ambient, spec), tuple(range(ambient)))
+        return cls._of(spec, ambient, linalg._identity(ambient, spec.kernel), range(ambient))
+
+    @property
+    def rows(self):
+        return tuple(map(self.spec.wrap, self._rows))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     @property
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self._rows
 
     def _residue(self, v):
-        """Packed canonical representative of v modulo this subspace."""
+        """Packed canonical representative of packed v modulo this subspace."""
         k = self.spec.kernel
-        v = self.spec.unwrap(v)
-        for row, pc in zip(self._packed, self.pivots):
+        for row, pc in zip(self._rows, self.pivots):
             c = v[pc]
             if c:
                 v = k.add_multiple(v, k.neg(c), row)
@@ -122,59 +107,47 @@ class Subspace(_Immutable):
 
     def reduce(self, v):
         """Canonical representative of v modulo this subspace."""
-        return self.spec.wrap(self._residue(v))
+        return self.spec.wrap(self._residue(self.spec.unwrap(v)))
 
     def contains_vector(self, v) -> bool:
-        return not any(self._residue(v))
+        return not any(self._residue(self.spec.unwrap(v)))
 
     def coords(self, v):
         """Coordinates of v in the RREF basis, or None if v is outside."""
-        if any(self._residue(v)):
+        if any(self._residue(self.spec.unwrap(v))):
             return None
         return tuple(v[pc] for pc in self.pivots)
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(r) for r in other.rows)
+        return not any(any(self._residue(r)) for r in other._rows)
 
     def add(self, other: "Subspace") -> "Subspace":
-        return Subspace.from_vectors(
-            self.spec, self.ambient, list(self.rows) + list(other.rows)
-        )
+        return Subspace._span(self.spec, self.ambient, self._rows + other._rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         # v = sum a_i u_i lies in W iff the residues of the u_i mod W
         # combine to zero; solve for the coefficient vectors a.
         if self.is_zero or other.is_zero:
             return Subspace.zero(self.spec, self.ambient)
-        residues = [other.reduce(r) for r in self.rows]
-        cols = linalg.transpose(residues)
-        coeffs = linalg.kernel_basis(cols, len(self.rows), self.spec)
-        vectors = [
-            linalg.linear_combination(a, self.rows, self.ambient, self.spec)
-            for a in coeffs
-        ]
-        return Subspace.from_vectors(self.spec, self.ambient, vectors)
-
-    def key(self):
-        flat = tuple(c.coeffs for row in self.rows for c in row)
-        return (self.dim, flat)
-
-    def to_json(self):
-        return {
-            "dim": self.dim,
-            "basis": [[list(c.coeffs) for c in row] for row in self.rows],
-        }
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.spec == other.spec
-            and self.ambient == other.ambient
-            and self._packed == other._packed
+        k, n = self.spec.kernel, self.ambient
+        cols = list(zip(*[other._residue(r) for r in self._rows]))
+        coeffs = linalg._null_space(cols, self.dim, k)
+        return Subspace._span(
+            self.spec, n, [linalg._combine(a, self._rows, n, k) for a in coeffs]
         )
 
+    def key(self):
+        return (self.dim, tuple(c.coeffs for row in self.rows for c in row))
+
+    def to_json(self):
+        return {"dim": self.dim, "basis": [[list(c.coeffs) for c in row] for row in self.rows]}
+
+    def __eq__(self, other):
+        mine = (self.spec, self.ambient, self._rows)
+        return isinstance(other, Subspace) and mine == (other.spec, other.ambient, other._rows)
+
     def __hash__(self):
-        return hash((self.ambient, self.rows))
+        return hash((self.ambient, self._rows))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -187,28 +160,30 @@ class NilDecomposition(_Immutable):
     __slots__ = ("v_nil", "v_underline", "nilord")
 
     def __init__(self, v_nil: Subspace, v_underline: Subspace, nilord: int | None):
-        object.__setattr__(self, "v_nil", v_nil)
-        object.__setattr__(self, "v_underline", v_underline)
-        object.__setattr__(self, "nilord", nilord)
+        self._set(v_nil=v_nil, v_underline=v_underline, nilord=nilord)
 
 
 class HomSpace(_Immutable):
     """F_q-basis of the space of structure-compatible linear maps V -> W;
-    each basis matrix has shape dim(W) x dim(V)."""
+    each basis matrix has shape dim(W) x dim(V).  Built by `hom_space`
+    from packed matrices; `basis` wraps them on each access."""
 
-    __slots__ = ("basis", "q")
+    __slots__ = ("spec", "q", "_basis")
 
-    def __init__(self, basis: tuple, q: int):
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "q", q)
+    def __init__(self, spec: FieldSpec, basis):
+        self._set(spec=spec, q=spec.q, _basis=tuple(basis))
+
+    @property
+    def basis(self) -> tuple:
+        return tuple(tuple(map(self.spec.wrap, phi)) for phi in self._basis)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._basis)
 
     @property
     def size(self) -> int:
-        return self.q**len(self.basis)
+        return self.q**len(self._basis)
 
 
 class SubmoduleInfo(_Immutable):
@@ -217,118 +192,111 @@ class SubmoduleInfo(_Immutable):
     __slots__ = ("subspace", "surjective")
 
     def __init__(self, subspace: Subspace, surjective: bool):
-        object.__setattr__(self, "subspace", subspace)
-        object.__setattr__(self, "surjective", surjective)
+        self._set(subspace=subspace, surjective=surjective)
+
+
+# -- F_p-linear algebra on k^n ------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _prime_spec(p: int) -> FieldSpec:
-    return FieldSpec(p, 1)
+def _prime_kernel(p: int):
+    return FieldSpec(p, 1).kernel
 
 
-class _FpFlattener:
-    """View k^n as an F_p-space of dimension n*d, with canonical bases."""
+def _fp_units(spec: FieldSpec):
+    """The packed F_p-basis 1, t, ..., t^(d-1) of the field."""
+    return [spec.p ** (spec.d - 1 - ell) for ell in range(spec.d)]
 
-    def __init__(self, spec: FieldSpec, n: int):
-        self.spec = spec
-        self.n = n
-        self.fp = _prime_spec(spec.p)
 
-    def flatten(self, v):
-        return self.fp.wrap(self.spec.flatten_fp(v))
+def _fp_coords(v, p: int, d: int):
+    """F_p coordinates of a packed vector: d per entry, c0 first."""
+    return v if d == 1 else [c for x in v for c in _unpack(x, p, d)]
 
-    def unflatten(self, flat):
-        return self.spec.unflatten_fp(self.fp.unwrap(flat))
 
-    def unit(self, i: int, ell: int):
-        coeffs = tuple(1 if k == ell else 0 for k in range(self.spec.d))
-        x = self.spec.element(coeffs)
-        return tuple(
-            x if j == i else self.spec.zero for j in range(self.n)
-        )
-
-    def kernel_of(self, additive_map):
-        """F_p-kernel of an additive F_p-linear map on k^n, as k^n vectors."""
-        nd = self.n * self.spec.d
-        cols = []
-        for i in range(self.n):
-            for ell in range(self.spec.d):
-                cols.append(self.flatten(additive_map(self.unit(i, ell))))
-        rows = tuple(tuple(cols[j][i] for j in range(nd)) for i in range(nd))
-        kern = linalg.kernel_basis(rows, nd, self.fp)
-        return [self.unflatten(vec) for vec in kern]
+def _fp_kernel(spec: FieldSpec, images):
+    """Canonical F_p-basis of the kernel of an additive map on k^m, as
+    packed vectors.  images[i*d + l] is the packed image of t^l e_i."""
+    p, d, n = spec.p, spec.d, len(images)
+    if p == 2:  # each column one int: entry i's d bits at 2^(d*i)
+        cols = [sum(x << d * i for i, x in enumerate(col)) for col in images]
+        kern = [[m >> j & 1 for j in range(n)] for m in linalg._f2_null_space(cols)]
+    else:
+        rows = list(zip(*[_fp_coords(col, p, d) for col in images]))
+        kern = linalg._null_space(rows, n, _prime_kernel(p))
+    return [tuple(_pack(v[i : i + d], p) for i in range(0, n, d)) for v in kern]
 
 
 @lru_cache(maxsize=None)
-def subfield_fp_basis(spec: FieldSpec) -> tuple:
-    """F_p-basis of the subfield F_q = Fix(sigma^e) inside GF(p^d)."""
+def _subfield_fp_basis(spec: FieldSpec) -> tuple:
+    """Packed F_p-basis of the subfield F_q = Fix(sigma^e) inside GF(p^d)."""
     if spec.d % spec.e != 0:
         raise UsageError(f"twist e={spec.e} does not divide d={spec.d}")
-    kern = _FpFlattener(spec, 1).kernel_of(
-        lambda v: linalg.vec_sub(sigma_vec(v, spec.e), v, spec)
-    )
-    out = tuple(x for (x,) in kern)
-    if len(out) != spec.e:
+    k = spec.kernel
+    kern = _fp_kernel(spec, [[k.sub(k.frob(w, spec.e), w)] for w in _fp_units(spec)])
+    if len(kern) != spec.e:
         raise InvariantViolation("fixed field of sigma^e has wrong dimension")
-    return out
+    return tuple(x for (x,) in kern)
 
 
 def subfield_elements(spec: FieldSpec) -> tuple:
     """The q elements of F_q inside GF(p^d), in canonical order."""
-    basis = [(b,) for b in subfield_fp_basis(spec)]
-    fp = [spec.from_int(c) for c in range(spec.p)]
-    elems = {x for (x,) in linalg.every_combination(fp, basis, 1, spec)}
-    return tuple(sorted(elems, key=lambda x: x.key()))
+    k, basis = spec.kernel, [[b] for b in _subfield_fp_basis(spec)]
+    fp = [c * k.one for c in range(spec.p)]
+    combos = product(fp, repeat=len(basis))
+    return spec.wrap(sorted({linalg._combine(cs, basis, 1, k)[0] for cs in combos}))
 
 
 class _FqSpan:
-    """A growing F_q-span inside k^n, kept as an RREF matrix over F_p.
+    """A growing F_q-span inside k^n, kept as one F_p echelon basis of the
+    flattened vectors: rows with pivot 1 and zeros before it, sorted by
+    pivot column and extended one vector at a time."""
 
-    The number of rows is the F_p-rank of the span, so v lies in the span
-    exactly when appending its flattening leaves the rank unchanged.
-    """
+    def __init__(self, spec: FieldSpec):
+        self.spec, self.fp = spec, _prime_kernel(spec.p)
+        self.scalars = _subfield_fp_basis(spec)
+        self.rows = []  # (pivot column, row)
 
-    def __init__(self, spec: FieldSpec, n: int):
-        self.flat = _FpFlattener(spec, n)
-        self.scalars = subfield_fp_basis(spec)
-        self.rows = ()
+    def _residue(self, v):
+        fp, flat = self.fp, _fp_coords(v, self.spec.p, self.spec.d)
+        for pc, row in self.rows:
+            if flat[pc]:
+                flat = fp.add_multiple(flat, fp.neg(flat[pc]), row)
+        return flat
 
     def contains(self, v) -> bool:
-        test, _ = linalg.rref(list(self.rows) + [self.flat.flatten(v)], self.flat.fp)
-        return len(test) == len(self.rows)
+        return not any(self._residue(v))
 
-    def extend(self, vectors):
-        """Add the F_q-multiples of each vector: u*v for u in an F_p-basis of F_q."""
-        spec, n = self.flat.spec, self.flat.n
-        rows = list(self.rows) + [
-            self.flat.flatten(linalg.linear_combination((u,), (v,), n, spec))
-            for v in vectors
-            for u in self.scalars
-        ]
-        self.rows, _ = linalg.rref(rows, self.flat.fp)
+    def add(self, v) -> bool:
+        """Add u*v for u in an F_p-basis of F_q.  False, with nothing
+        added, when v lies in the span already."""
+        k, fp, grew = self.spec.kernel, self.fp, False
+        for u in self.scalars:
+            r = self._residue(k.scale(v, u))
+            pc = next((i for i, x in enumerate(r) if x), None)
+            if pc is not None:
+                insort(self.rows, (pc, fp.scale(r, fp.inv(r[pc]))))
+                grew = True
+        return grew
 
 
-def _fq_greedy_basis(vectors, spec: FieldSpec, n: int):
-    """Maximal F_q-independent subset, greedy in the order given."""
-    span = _FqSpan(spec, n)
-    chosen = []
-    for v in vectors:
-        if not span.contains(v):
-            chosen.append(tuple(v))
-            span.extend([v])
-    return chosen
+def _fq_basis(vectors, spec: FieldSpec):
+    """Maximal F_q-independent subset of F_p-independent packed vectors,
+    greedy in the order given: all of them when q = p."""
+    if spec.e == 1:
+        return list(vectors)
+    span = _FqSpan(spec)
+    return [v for v in vectors if span.add(v)]
 
 
 class _TwistedModule(_Immutable):
-    """A square matrix A over GF(p^d) acting through a power of Frobenius.
+    """A square matrix A over GF(p^d), stored as packed rows, acting
+    through a power of Frobenius.  Subclasses fix the twist: sigma^(-e)
+    for a Cartier module, v -> A . sigma^(-e)(v), and sigma^e for a
+    Frobenius module.  Validation, the action, the twisted powers, the
+    nilpotence order and duality are shared."""
 
-    Subclasses fix the twist: sigma^(-e) for a Cartier module, sigma^e for
-    a Frobenius module.  Validation, the twisted power sequence and the
-    nilpotence order are the same for both.
-    """
-
-    __slots__ = ("spec", "dim", "matrix")
-    _twist = None  # sigma_inv_mat or sigma_mat, as a staticmethod
+    __slots__ = ("spec", "dim", "_a")
+    _sign = 0  # the twist is sigma^(_sign * e)
 
     def __init__(self, spec: FieldSpec, matrix):
         if spec.d % spec.e != 0:
@@ -344,28 +312,60 @@ class _TwistedModule(_Immutable):
             for x in row:
                 if not isinstance(x, FieldElement) or x.spec != spec:
                     raise UsageError("matrix entry outside the coefficient field")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "matrix", matrix)
+        self._set(spec=spec, dim=n, _a=tuple(tuple(x.packed for x in row) for row in matrix))
+
+    @classmethod
+    def _of(cls, spec: FieldSpec, rows):
+        """A module from the packed rows of a square matrix."""
+        rows = tuple(map(tuple, rows))
+        return object.__new__(cls)._set(spec=spec, dim=len(rows), _a=rows)
+
+    @property
+    def matrix(self):
+        return tuple(map(self.spec.wrap, self._a))
+
+    def _apply(self, v):
+        """The structural map on a packed vector."""
+        k = self.spec.kernel
+        w = k.frob_row(v, self._sign * self.spec.e)
+        return [k.dot(row, w) for row in self._a]
+
+    def apply(self, v):
+        if len(v) != self.dim:
+            raise UsageError(f"vector length {len(v)} != module dimension {self.dim}")
+        return self.spec.wrap(self._apply(self.spec.unwrap(v)))
 
     def _powers(self):
-        return _twisted_powers(self.matrix, self.spec, self._twist)
+        """Yield packed B_0 = I, B_{i+1} = A . twist(B_i), without end.
 
-    def power_matrix(self, i: int):
-        """Matrix B_i with (i-th power of the map)(v) = B_i . twist^i(v)."""
+        The i-th power of v -> A . twist(v) is v -> B_i . twist^i(v).
+        B_{i+1} costs one matrix product and is computed only when asked
+        for, so a walk that stops at B_i has made i of them.
+        """
+        k, a, shift = self.spec.kernel, self._a, self._sign * self.spec.e
+        b = linalg._identity(self.dim, k)
+        while True:
+            yield b
+            b = linalg._mul(a, [k.frob_row(row, shift) for row in b], k)
+
+    def _power(self, i: int):
         if i < 0:
             raise UsageError("power index must be >= 0")
         return next(islice(self._powers(), i, None))
+
+    def power_matrix(self, i: int):
+        """Matrix B_i with (i-th power of the map)(v) = B_i . twist^i(v)."""
+        return tuple(map(self.spec.wrap, self._power(i)))
 
     def _nil_walk(self):
         """(nilord, B_n) with n = dim, from one walk of the twisted powers.
 
         nilord is the least i <= n with B_i = 0, or None.  Every power
         after a zero one is zero, so the walk stops at the first zero B_i
-        and returns it as B_n.  It makes at most n mat_mul calls.
+        and returns it as B_n.  It makes at most n matrix products.
         """
         for i, b in zip(range(self.dim + 1), self._powers()):
-            if linalg.is_zero_matrix(b):
+            if not any(map(any, b)):
                 return i, b
         return None, b
 
@@ -373,33 +373,34 @@ class _TwistedModule(_Immutable):
         """Least i with the i-th power zero, or None when not nilpotent."""
         return self._nil_walk()[0]
 
+    def dual(self):
+        """The module of the other twist on the dual space, with matrix
+        sigma^(-+e)(A^T): a Cartier module's dual is a left-Frobenius
+        module and back.  Nilpotence orders agree."""
+        k, shift = self.spec.kernel, -self._sign * self.spec.e
+        cls = FrobeniusModule if self._sign < 0 else SemilinearModule
+        return cls._of(self.spec, [k.frob_row(col, shift) for col in zip(*self._a)])
+
 
 class SemilinearModule(_TwistedModule):
     """A pair (k^n, C) with C(v) = A . sigma^(-e)(v); C^i(v) = B_i . sigma^(-ie)(v)."""
 
     __slots__ = ()
-    _twist = staticmethod(sigma_inv_mat)
-
-    # -- basic action -------------------------------------------------
-
-    def apply(self, v):
-        if len(v) != self.dim:
-            raise UsageError(f"vector length {len(v)} != module dimension {self.dim}")
-        return linalg.mat_vec(self.matrix, sigma_inv_vec(v, self.spec.e))
+    _sign = -1
 
     def apply_power(self, v, i: int):
-        return linalg.mat_vec(self.power_matrix(i), sigma_inv_vec(v, i * self.spec.e))
+        k, b = self.spec.kernel, self._power(i)
+        w = k.frob_row(self.spec.unwrap(v), -i * self.spec.e)
+        return self.spec.wrap([k.dot(row, w) for row in b])
 
     # -- structure ----------------------------------------------------
 
     def image_of(self, sub: Subspace) -> Subspace:
         """C(N): the span of the images of a basis (q-th roots are onto)."""
-        return Subspace.from_vectors(
-            self.spec, self.dim, [self.apply(r) for r in sub.rows]
-        )
+        return Subspace._span(self.spec, self.dim, map(self._apply, sub._rows))
 
     def is_stable(self, sub: Subspace) -> bool:
-        return all(sub.contains_vector(self.apply(r)) for r in sub.rows)
+        return not any(any(sub._residue(self._apply(r))) for r in sub._rows)
 
     def stable_image(self) -> Subspace:
         cur = Subspace.full(self.spec, self.dim)
@@ -415,11 +416,10 @@ class SemilinearModule(_TwistedModule):
         return self._kernel_part(self._nil_walk()[1])
 
     def _kernel_part(self, b_n) -> Subspace:
-        """sigma^(ne)(ker b_n), for b_n = B_n with n = dim."""
-        n = self.dim
-        kern = linalg.kernel_basis(b_n, n, self.spec)
-        vecs = [sigma_vec(v, n * self.spec.e) for v in kern]
-        return Subspace.from_vectors(self.spec, n, vecs)
+        """sigma^(ne)(ker b_n), for packed b_n = B_n with n = dim."""
+        n, k = self.dim, self.spec.kernel
+        kern = linalg._null_space(b_n, n, k)
+        return Subspace._span(self.spec, n, [k.frob_row(v, n * self.spec.e) for v in kern])
 
     @property
     def is_nilpotent(self) -> bool:
@@ -429,7 +429,8 @@ class SemilinearModule(_TwistedModule):
         nilord, b_n = self._nil_walk()
         nil = self._kernel_part(b_n)
         under = self.stable_image()
-        if nil.intersect(under).dim != 0 or nil.dim + under.dim != self.dim:
+        # complementary: the dimensions add up to n, and so does the sum's
+        if nil.dim + under.dim != self.dim or nil.add(under).dim != self.dim:
             raise InvariantViolation("nilpotent part and stable image are not complementary")
         if not self.is_stable(nil) or not self.is_stable(under):
             raise InvariantViolation("decomposition parts are not stable under C")
@@ -438,15 +439,23 @@ class SemilinearModule(_TwistedModule):
     # -- fixed points and base change ----------------------------------
 
     def fixed_points(self):
-        """F_q-basis of {v : C(v) = v}, via one F_p-linear solve."""
-        flat = _FpFlattener(self.spec, self.dim)
-        kern = flat.kernel_of(lambda v: linalg.vec_sub(self.apply(v), v, self.spec))
-        basis = _fq_greedy_basis(kern, self.spec, self.dim)
-        if len(basis) * self.spec.e != len(kern):
+        """F_q-basis of {v : C(v) = v}, via one F_p-linear solve: the unit
+        w e_i contributes the column sigma^(-e)(w) A e_i - w e_i."""
+        spec, k = self.spec, self.spec.kernel
+        cols = []
+        for i in range(self.dim):
+            a_i = [row[i] for row in self._a]
+            for w in _fp_units(spec):
+                col = k.scale(a_i, k.frob(w, -spec.e))
+                col[i] = k.sub(col[i], w)
+                cols.append(col)
+        kern = _fp_kernel(spec, cols)
+        basis = _fq_basis(kern, spec)
+        if len(basis) * spec.e != len(kern):
             raise InvariantViolation("fixed set is not an F_q-subspace")
         if len(basis) > self.stable_image().dim:
             raise InvariantViolation("more fixed points than the stable image allows")
-        return tuple(basis)
+        return tuple(map(spec.wrap, basis))
 
     def base_change(self, m: int) -> "SemilinearModule":
         """The same matrix over GF(p^(dm)), coefficients embedded."""
@@ -467,13 +476,15 @@ class SemilinearModule(_TwistedModule):
         has v^(p^d) = B v, so it lies in GF(p^(dm))^n exactly when B^m v = v.
         The fixed points span the unit part over the closure (Katz, LNM 350,
         4.1), and B is nilpotent on the nilpotent part."""
-        spec, n = self.spec, self.dim
-        b = bm = self.power_matrix(spec.d // spec.e)
-        ident = linalg.identity(n, spec)
+        spec, n, k = self.spec, self.dim, self.spec.kernel
+        b = bm = self._power(spec.d // spec.e)
         while True:
-            shifted = [linalg.vec_sub(r, i, spec) for r, i in zip(bm, ident)]
-            yield n - linalg.matrix_rank(shifted, spec)
-            bm = linalg.mat_mul(bm, b)
+            shifted = [
+                [k.sub(x, k.one) if i == j else x for j, x in enumerate(row)]
+                for i, row in enumerate(bm)
+            ]
+            yield n - linalg._rank(shifted, k)
+            bm = linalg._mul(bm, b, k)
 
     def saturation_degree(self, max_m: int = 6) -> int | None:
         """Least m <= max_m where the fixed-point F_q-dimension reaches
@@ -485,42 +496,42 @@ class SemilinearModule(_TwistedModule):
     # -- Hom, End, enumeration -----------------------------------------
 
     def hom_space(self, other: "SemilinearModule") -> HomSpace:
-        """F_q-basis of maps phi with phi . C_V = C_W . phi."""
+        """F_q-basis of maps phi with phi . A_V = A_W . sigma^(-e)(phi), via
+        one F_p-linear solve.  The unit X = w E_rs contributes the column
+        X A_V - A_W sigma^(-e)(X): w times row s of A_V placed in row r,
+        minus sigma^(-e)(w) times column r of A_W placed in column s."""
         if other.spec != self.spec:
             raise UsageError("modules live over different field specs")
-        spec = self.spec
-        nv, nw = self.dim, other.dim
-
-        def sides(phi):
-            """(phi . A_V, A_W . sigma^(-e)(phi)), equal for a module map."""
-            return (
-                linalg.mat_mul(phi, self.matrix),
-                linalg.mat_mul(other.matrix, sigma_inv_mat(phi, spec.e)),
-            )
-
-        def defect(v):
-            lhs, rhs = sides(linalg.reshape(v, nw, nv))
-            return linalg.vec_sub(linalg.flatten(lhs), linalg.flatten(rhs), spec)
-
-        kern = _FpFlattener(spec, nw * nv).kernel_of(defect)
-        basis = tuple(
-            linalg.reshape(v, nw, nv) for v in _fq_greedy_basis(kern, spec, nw * nv)
-        )
-        if any(lhs != rhs for lhs, rhs in map(sides, basis)):
-            raise InvariantViolation("hom basis element fails the commuting identity")
-        return HomSpace(basis=basis, q=spec.q)
+        spec, k, e = self.spec, self.spec.kernel, self.spec.e
+        av, aw, nv, nw = self._a, other._a, self.dim, other.dim
+        aw_cols = list(zip(*aw))
+        cols = []
+        for r in range(nw):
+            for s in range(nv):
+                for w in _fp_units(spec):
+                    col = [0] * (r * nv) + k.scale(av[s], w) + [0] * ((nw - r - 1) * nv)
+                    for i, x in enumerate(k.scale(aw_cols[r], k.frob(w, -e))):
+                        col[i * nv + s] = k.sub(col[i * nv + s], x)
+                    cols.append(col)
+        basis = [
+            tuple(v[r * nv : (r + 1) * nv] for r in range(nw))
+            for v in _fq_basis(_fp_kernel(spec, cols), spec)
+        ]
+        for phi in basis:
+            if linalg._mul(phi, av, k) != linalg._mul(aw, [k.frob_row(r, -e) for r in phi], k):
+                raise InvariantViolation("hom basis element fails the commuting identity")
+        return HomSpace(spec, basis)
 
     def _cyclic(self, v):
         """Packed RREF rows and pivots of <v, Cv, C^2 v, ...> for a packed
         vector v; the span is C-stable once C^i v adds nothing."""
-        k, a = self.spec.kernel, [self.spec.unwrap(c) for c in zip(*self.matrix)]
-        rows, pivots = [], ()
+        k, rows, pivots = self.spec.kernel, [], ()
         while True:
-            grown, more = linalg._rref_packed(rows + [v], k)
+            grown, more = linalg._rref(rows + [v], k)
             if len(grown) == len(rows):
                 return rows, pivots
             rows, pivots = grown, more
-            v = linalg._combine(k.frob_row(v, -self.spec.e), a, self.dim, k)
+            v = self._apply(v)
 
     def _lattice(self, cap: int):
         """Every C-stable subspace, sorted by (dimension, canonical basis),
@@ -544,7 +555,7 @@ class SemilinearModule(_TwistedModule):
                         f"the cap (the next one found has dimension {len(key)})"
                     )
                 where[key] = len(elems)
-                elems.append(Subspace(spec, n, tuple(map(spec.wrap, key)), pivots))
+                elems.append(Subspace._of(spec, n, key, pivots))
                 masks.append(points.mask(key))
             return where[key]
 
@@ -557,12 +568,13 @@ class SemilinearModule(_TwistedModule):
                     cyclic[j] = member(*self._cyclic(points.vectors[j]))
                 c = cyclic[j]
                 if c not in sums:  # N + <v> is <v> when N lies inside it
-                    sums[c] = member(*linalg._rref_packed(
-                        list(sub._packed + elems[c]._packed), spec.kernel
+                    sums[c] = member(*linalg._rref(
+                        list(sub._rows + elems[c]._rows), spec.kernel
                     )) if mask & ~masks[c] else c
                 m = sums[c]
                 todo &= ~(masks[m] if elems[m].dim == sub.dim + 1 else low)
-        order = sorted(range(len(elems)), key=lambda i: elems[i].key())
+        # packed order is the canonical element order, so this is key() order
+        order = sorted(range(len(elems)), key=lambda i: (elems[i].dim, elems[i]._rows))
         return [elems[i] for i in order], [masks[i] for i in order]
 
     def enumerate_submodules(self, cap: int = 100_000):
@@ -590,56 +602,49 @@ class SemilinearModule(_TwistedModule):
         if not self.is_simple(cap=cap):
             raise UsageError("end_ring requires a simple module")
         hom = self.hom_space(self)
-        order = hom.q**hom.dim
-        if order > cap:
-            raise ResourceError(f"endomorphism ring has {order} elements, above {cap}")
-        spec = self.spec
-        n = self.dim
-        flat_basis = [linalg.flatten(phi) for phi in hom.basis]
-        span = _FqSpan(spec, n * n)
-        span.extend(flat_basis)
+        if hom.size > cap:
+            raise ResourceError(f"endomorphism ring has {hom.size} elements, above {cap}")
+        k, n = self.spec.kernel, self.dim
+        flat = [sum(phi, ()) for phi in hom._basis]
+        span = _FqSpan(self.spec)
+        for v in flat:
+            span.add(v)
 
         def in_end(mat):
-            return span.contains(linalg.flatten(mat))
+            return span.contains([x for row in mat for x in row])
 
-        is_field = True
-        for phi, psi in product(hom.basis, repeat=2):
-            if not in_end(linalg.mat_mul(phi, psi)):
-                is_field = False
-            if linalg.mat_mul(phi, psi) != linalg.mat_mul(psi, phi):
-                is_field = False
-        fq = subfield_elements(spec)
-        for v in linalg.every_combination(fq, flat_basis, n * n, spec):
-            if all(x.is_zero for x in v):
-                continue
-            inv = linalg.invert(linalg.reshape(v, n, n), spec)
-            if inv is None or not in_end(inv):
-                is_field = False
-                break
-        return order, is_field
+        for phi, psi in product(hom._basis, repeat=2):
+            prod = linalg._mul(phi, psi, k)
+            if not in_end(prod) or prod != linalg._mul(psi, phi, k):
+                return hom.size, False
+        for coeffs in product(
+            [x.packed for x in subfield_elements(self.spec)], repeat=len(flat)
+        ):
+            v = linalg._combine(coeffs, flat, n * n, k)
+            if any(v):
+                inv = linalg._invert([v[r * n : (r + 1) * n] for r in range(n)], k)
+                if inv is None or not in_end(inv):
+                    return hom.size, False
+        return hom.size, True
 
-    # -- duality and subquotients ---------------------------------------
-
-    def dual(self) -> "FrobeniusModule":
-        """Left-Frobenius module on the dual space; nilpotence orders agree."""
-        b = sigma_mat(linalg.transpose(self.matrix), self.spec.e)
-        return FrobeniusModule(self.spec, b)
+    # -- subquotients ---------------------------------------------------
 
     def restrict_to(self, sub: Subspace) -> "SemilinearModule":
         if not self.is_stable(sub):
             raise UsageError("cannot restrict to a subspace that is not C-stable")
-        rows = [sub.coords(self.apply(r)) for r in sub.rows]
-        # C(w_i) = sum_j rows[i][j] w_j, so the coordinate action is the transpose
-        return SemilinearModule(self.spec, linalg.transpose(rows))
+        images = [self._apply(r) for r in sub._rows]
+        # C(w_i) = sum_j images[i][pivot j] w_j: the coordinate action is
+        # the transpose
+        return SemilinearModule._of(self.spec, [[v[pc] for v in images] for pc in sub.pivots])
 
     def quotient_by(self, sub: Subspace):
         """Module induced on the non-pivot coordinates, plus the projection."""
         if not self.is_stable(sub):
             raise UsageError("cannot quotient by a subspace that is not C-stable")
         qmap = QuotientMap(sub)
-        columns = linalg.transpose(self.matrix)
-        cols = [qmap.project(columns[j]) for j in qmap.coords_cols]
-        return SemilinearModule(self.spec, linalg.transpose(cols)), qmap
+        columns = list(zip(*self._a))
+        cols = [qmap._project(columns[j]) for j in qmap.coords_cols]
+        return SemilinearModule._of(self.spec, list(zip(*cols))), qmap
 
     # -- serialization ---------------------------------------------------
 
@@ -665,11 +670,11 @@ class SemilinearModule(_TwistedModule):
         return (
             isinstance(other, SemilinearModule)
             and self.spec == other.spec
-            and self.matrix == other.matrix
+            and self._a == other._a
         )
 
     def __hash__(self):
-        return hash((self.spec, self.matrix))
+        return hash((self.spec, self._a))
 
     def __repr__(self):
         return f"SemilinearModule(dim={self.dim}, field=GF({self.spec.p}^{self.spec.d}), e={self.spec.e})"
@@ -681,24 +686,24 @@ class QuotientMap(_Immutable):
     __slots__ = ("sub", "coords_cols")
 
     def __init__(self, sub: Subspace):
-        object.__setattr__(self, "sub", sub)
         cols = tuple(j for j in range(sub.ambient) if j not in set(sub.pivots))
-        object.__setattr__(self, "coords_cols", cols)
+        self._set(sub=sub, coords_cols=cols)
 
-    def project(self, v):
-        r = self.sub.reduce(v)
+    def _project(self, v):
+        r = self.sub._residue(v)
         return tuple(r[j] for j in self.coords_cols)
 
-    def lift(self, coords):
+    def project(self, v):
         spec = self.sub.spec
-        v = [spec.zero] * self.sub.ambient
-        for x, j in zip(coords, self.coords_cols):
-            v[j] = x
-        return tuple(v)
+        return spec.wrap(self._project(spec.unwrap(v)))
 
     def preimage(self, quotient_sub: Subspace) -> Subspace:
-        vectors = [self.lift(r) for r in quotient_sub.rows] + list(self.sub.rows)
-        return Subspace.from_vectors(self.sub.spec, self.sub.ambient, vectors)
+        sub, lifts = self.sub, []
+        for coords in quotient_sub._rows:
+            lifts.append([0] * sub.ambient)
+            for x, j in zip(coords, self.coords_cols):
+                lifts[-1][j] = x
+        return Subspace._span(sub.spec, sub.ambient, lifts + list(sub._rows))
 
 
 class FrobeniusModule(_TwistedModule):
@@ -706,14 +711,7 @@ class FrobeniusModule(_TwistedModule):
     F^i(w) = B_i . sigma^(ie)(w)."""
 
     __slots__ = ()
-    _twist = staticmethod(sigma_mat)
-
-    def apply(self, w):
-        return linalg.mat_vec(self.matrix, sigma_vec(w, self.spec.e))
-
-    def dual(self) -> SemilinearModule:
-        a = sigma_inv_mat(linalg.transpose(self.matrix), self.spec.e)
-        return SemilinearModule(self.spec, a)
+    _sign = 1
 
     def __repr__(self):
         return f"FrobeniusModule(dim={self.dim}, field=GF({self.spec.p}^{self.spec.d}), e={self.spec.e})"

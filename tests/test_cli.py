@@ -288,6 +288,29 @@ def test_a_subcommand_loads_only_its_layers(argv, needed, unused):
     assert "dataclasses" not in modules
 
 
+CORPUS = str(pathlib.Path(__file__).resolve().parent.parent / "corpus" / "acceptance.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["field-info", "--p", "7", "--d", "2", "--json"], ["corpus-run", CORPUS, "--json"]],
+    ids=["field-info", "corpus-run"],
+)
+def test_a_closed_stdout_pipe_exits_quietly(argv):
+    """A reader of stdout that has gone is no error: exit 0, no traceback."""
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cartier.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_corpus_run_detects_failure(tmp_path, capsys):
     bad = [
         {

@@ -179,6 +179,18 @@ def test_intertwiners_match_brute_force(spec):
                 not oracle_determinant(phi, spec).is_zero for phi in maps
             )
             assert oracle_isomorphic(a, b) == invertible
+    # dim V != dim W, where a row/column swap in the Hom system would show
+    found = 0
+    for nv, nw in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3)):
+        for _ in range(3):
+            a, b = random_module(rng, spec, nv), random_module(rng, spec, nw)
+            maps = oracle_intertwiners(a, b)
+            hom = a.hom_space(b)
+            assert hom.size == len(maps)
+            for phi in hom.basis:
+                assert [list(row) for row in phi] in maps  # phi . A = B . sigma^(-e)(phi)
+            found += hom.dim
+    assert found
 
 
 # -- quasi-length -------------------------------------------------------------------

@@ -212,15 +212,15 @@ def test_decompose_walks_the_powers_once(gf8, monkeypatch):
     while m.is_nilpotent:
         m = random_module(rng, gf8, 8)
     calls = []
-    real = linalg.mat_mul
+    real = linalg._mul
 
-    def counting(a, b):
+    def counting(a, b, k):
         calls.append(1)
-        return real(a, b)
+        return real(a, b, k)
 
-    monkeypatch.setattr(linalg, "mat_mul", counting)
+    monkeypatch.setattr(linalg, "_mul", counting)
     m.decompose()
-    assert len(calls) <= m.dim
+    assert 0 < len(calls) <= m.dim
 
 
 def test_hot_loops_stay_on_packed_rows(gf8, gf9, element_op_calls):
@@ -234,6 +234,25 @@ def test_hot_loops_stay_on_packed_rows(gf8, gf9, element_op_calls):
     linalg.rref(a, gf9)
     linalg.mat_mul(a, b)
     assert len(element_op_calls) == 1
+
+
+def test_semilinear_code_stays_on_packed_rows(gf4, gf9, element_op_calls, monkeypatch):
+    rng = random.Random(90)
+    specs = (gf4, gf9, FieldSpec(2, 2, None, 2))
+    modules = [random_module(rng, spec, 3) for spec in specs]
+    modules += [module_with_nilpotent_part(rng, spec, 4) for spec in specs]
+    unwraps = []
+    real = FieldSpec.unwrap
+    monkeypatch.setattr(FieldSpec, "unwrap", lambda self, v: unwraps.append(1) or real(self, v))
+    for m in modules:
+        m.decompose()
+        m.fixed_points()
+        m.hom_space(m)
+        crystal.jordan_holder(m)
+        crystal.nil_series(m)
+    assert element_op_calls == [] and unwraps == []
+    gf4.unwrap([gf4.one * gf4.one])
+    assert len(element_op_calls) == len(unwraps) == 1  # the counters see element work
 
 
 def test_subspace_is_immutable(f2):
@@ -313,16 +332,25 @@ def test_fixed_points_zero(gf4):
 def test_fixed_points_match_oracle_and_bound():
     rng = random.Random(42)
     specs = [FieldSpec(2, 1), FieldSpec(2, 2), FieldSpec(3, 1)]
-    for _ in range(30):
-        spec = rng.choice(specs)
+    # e > 1: the F_p-kernel holds e vectors per F_q-direction, and the
+    # basis must take one of them for each
+    twisted = [FieldSpec(2, 2, None, 2), FieldSpec(3, 2, None, 2), FieldSpec(2, 3, None, 3)]
+    modules = [
+        module_from_ints(spec, rows)
+        for spec in twisted
+        for rows in ([[1, 0], [0, 1]], [[1, 1], [0, 1]])
+    ]
+    for _ in range(60):
+        spec = rng.choice(specs + twisted)
         n = rng.randint(1, 3 if spec.order <= 3 else 2)
-        m = random_module(rng, spec, n)
+        modules.append(random_module(rng, spec, n))
+    for m in modules:
         basis = m.fixed_points()
         assert len(basis) <= m.stable_image().dim
         fixed = oracle_fixed_points(m)
-        assert len(fixed) == spec.q ** len(basis)
-        for v in basis:
-            assert tuple(x.coeffs for x in v) in fixed
+        assert len(fixed) == m.spec.q ** len(basis)
+        span = linalg.every_combination(subfield_elements(m.spec), basis, m.dim, m.spec)
+        assert {tuple(x.coeffs for x in v) for v in span} == fixed
 
 
 def test_fixed_point_bound_on_full_suite():
