@@ -6,50 +6,67 @@ kernel k, and `semilinear` and `crystal` compute with them directly.  The
 public ones take and return FieldElement rows: each unwraps once, calls its
 packed counterpart and wraps once.  Everything is canonical: reduced row
 echelon form with pivot 1, so equal row spaces give identical matrices.
+
+Every echelon form is built one vector at a time.  `_reduce` takes a
+vector's residue modulo RREF rows, and `_extend` adds the vector to the
+rows when that residue is not zero, clearing its pivot column in the rows
+above.  `_rref` is `_extend` folded over a matrix's rows, and subspace
+sums, cyclic submodules and F_q-bases extend the rows they already have.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from itertools import product
 
 from .errors import ResourceError
 from .field import FieldSpec
 
 
-def _rref(mat, k):
-    """RREF of a list of packed rows, reordering and replacing (never
-    mutating) them in place; returns (rows_without_zeros, pivot_columns)."""
-    if not mat:
-        return [], ()
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        row = mat[r]
-        if row[c] != k.one:
-            row = mat[r] = k.scale(row, k.inv(row[c]))
-        for i in range(len(mat)):
-            f = mat[i][c]
-            if i != r and f:
-                mat[i] = k.add_multiple(mat[i], k.neg(f), row)
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
+def _reduce(rows, pivots, v, k):
+    """The residue of packed v modulo packed RREF rows with these pivot
+    columns: v minus the combination of the rows that clears its pivot
+    entries.  v itself when those entries are zero already."""
+    for row, pc in zip(rows, pivots):
+        c = v[pc]
+        if c:
+            v = k.add_multiple(v, k.neg(c), row)
+    return v
+
+
+def _extend(rows, pivots, v, k) -> bool:
+    """Add packed v to RREF rows and their pivot columns, two lists
+    changed in place, keeping the rows reduced and sorted by pivot.
+    False, with nothing changed, when v lies in their span."""
+    r = _reduce(rows, pivots, v, k)
+    for pc, c in enumerate(r):
+        if c:
             break
-    return mat[:r], tuple(pivots)
+    else:
+        return False
+    if c != k.one:
+        r = k.scale(r, k.inv(c))
+    for i, row in enumerate(rows):
+        if row[pc]:
+            rows[i] = k.add_multiple(row, k.neg(row[pc]), r)
+    at = bisect(pivots, pc)
+    rows.insert(at, r)
+    pivots.insert(at, pc)
+    return True
+
+
+def _rref(mat, k):
+    """RREF of packed rows, extended by one row at a time; returns
+    (rows_without_zeros, pivot_columns) and leaves `mat` as it is."""
+    rows, pivots = [], []
+    for v in mat:
+        _extend(rows, pivots, v, k)
+    return rows, tuple(pivots)
 
 
 def _null_space(rows, ncols, k):
     """Canonical basis of {x : M x = 0}, packed, for the packed rows of M."""
-    red, pivots = _rref(list(rows), k)
+    red, pivots = _rref(rows, k)
     basis = []
     for fc in sorted(set(range(ncols)).difference(pivots)):
         vec = [0] * ncols
@@ -78,7 +95,7 @@ def _f2_null_space(cols):
 
 
 def _rank(rows, k) -> int:
-    return len(_rref(list(rows), k)[0])
+    return len(_rref(rows, k)[0])
 
 
 def _mul(a, b, k):

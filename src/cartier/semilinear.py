@@ -15,7 +15,6 @@ F_p-basis vector, each read off the structural matrices in O(n) products.
 
 from __future__ import annotations
 
-from bisect import insort
 from functools import lru_cache
 from itertools import islice, product
 
@@ -57,9 +56,13 @@ class Subspace(_Immutable):
     __slots__ = ("spec", "ambient", "_rows", "pivots")
 
     def __init__(self, spec: FieldSpec, ambient: int, rows, pivots):
-        """From FieldElement rows in reduced row echelon form."""
-        rows = tuple(tuple(spec.unwrap(r)) for r in rows)
-        self._set(spec=spec, ambient=ambient, _rows=rows, pivots=tuple(pivots))
+        """From FieldElement rows in reduced row echelon form, with their
+        pivot columns; UsageError when they are not."""
+        rows, pivots = tuple(tuple(spec.unwrap(r)) for r in rows), tuple(pivots)
+        span = all(len(r) == ambient for r in rows) and Subspace._span(spec, ambient, rows)
+        if not span or (span._rows, span.pivots) != (rows, pivots):
+            raise UsageError("rows and pivots are not the reduced row echelon form of their span")
+        self._set(spec=spec, ambient=ambient, _rows=rows, pivots=pivots)
 
     @classmethod
     def _of(cls, spec: FieldSpec, ambient: int, rows, pivots) -> "Subspace":
@@ -70,7 +73,7 @@ class Subspace(_Immutable):
     @classmethod
     def _span(cls, spec: FieldSpec, ambient: int, vectors) -> "Subspace":
         """The span of packed vectors."""
-        return cls._of(spec, ambient, *linalg._rref(list(vectors), spec.kernel))
+        return cls._of(spec, ambient, *linalg._rref(vectors, spec.kernel))
 
     @classmethod
     def from_vectors(cls, spec: FieldSpec, ambient: int, vectors) -> "Subspace":
@@ -98,12 +101,7 @@ class Subspace(_Immutable):
 
     def _residue(self, v):
         """Packed canonical representative of packed v modulo this subspace."""
-        k = self.spec.kernel
-        for row, pc in zip(self._rows, self.pivots):
-            c = v[pc]
-            if c:
-                v = k.add_multiple(v, k.neg(c), row)
-        return v
+        return linalg._reduce(self._rows, self.pivots, v, self.spec.kernel)
 
     def reduce(self, v):
         """Canonical representative of v modulo this subspace."""
@@ -122,7 +120,10 @@ class Subspace(_Immutable):
         return not any(any(self._residue(r)) for r in other._rows)
 
     def add(self, other: "Subspace") -> "Subspace":
-        return Subspace._span(self.spec, self.ambient, self._rows + other._rows)
+        rows, pivots, k = list(self._rows), list(self.pivots), self.spec.kernel
+        for r in other._rows:
+            linalg._extend(rows, pivots, r, k)
+        return Subspace._of(self.spec, self.ambient, rows, pivots)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         # v = sum a_i u_i lies in W iff the residues of the u_i mod W
@@ -246,46 +247,21 @@ def subfield_elements(spec: FieldSpec) -> tuple:
     return spec.wrap(sorted({linalg._combine(cs, basis, 1, k)[0] for cs in combos}))
 
 
-class _FqSpan:
-    """A growing F_q-span inside k^n, kept as one F_p echelon basis of the
-    flattened vectors: rows with pivot 1 and zeros before it, sorted by
-    pivot column and extended one vector at a time."""
-
-    def __init__(self, spec: FieldSpec):
-        self.spec, self.fp = spec, _prime_kernel(spec.p)
-        self.scalars = _subfield_fp_basis(spec)
-        self.rows = []  # (pivot column, row)
-
-    def _residue(self, v):
-        fp, flat = self.fp, _fp_coords(v, self.spec.p, self.spec.d)
-        for pc, row in self.rows:
-            if flat[pc]:
-                flat = fp.add_multiple(flat, fp.neg(flat[pc]), row)
-        return flat
-
-    def contains(self, v) -> bool:
-        return not any(self._residue(v))
-
-    def add(self, v) -> bool:
-        """Add u*v for u in an F_p-basis of F_q.  False, with nothing
-        added, when v lies in the span already."""
-        k, fp, grew = self.spec.kernel, self.fp, False
-        for u in self.scalars:
-            r = self._residue(k.scale(v, u))
-            pc = next((i for i, x in enumerate(r) if x), None)
-            if pc is not None:
-                insort(self.rows, (pc, fp.scale(r, fp.inv(r[pc]))))
-                grew = True
-        return grew
-
-
 def _fq_basis(vectors, spec: FieldSpec):
     """Maximal F_q-independent subset of F_p-independent packed vectors,
-    greedy in the order given: all of them when q = p."""
+    greedy in the order given: all of them when q = p.  v is kept when
+    u*v, for u in an F_p-basis of F_q, extends the F_p echelon of the
+    F_q-span so far."""
     if spec.e == 1:
         return list(vectors)
-    span = _FqSpan(spec)
-    return [v for v in vectors if span.add(v)]
+    k, fp, p, d = spec.kernel, _prime_kernel(spec.p), spec.p, spec.d
+    rows, pivots, scalars = [], [], _subfield_fp_basis(spec)
+
+    def grows(v):  # extends by every u*v, not just up to the first
+        flats = [_fp_coords(k.scale(v, u), p, d) for u in scalars]
+        return [linalg._extend(rows, pivots, flat, fp) for flat in flats]
+
+    return [v for v in vectors if any(grows(v))]
 
 
 class _TwistedModule(_Immutable):
@@ -522,16 +498,13 @@ class SemilinearModule(_TwistedModule):
                 raise InvariantViolation("hom basis element fails the commuting identity")
         return HomSpace(spec, basis)
 
-    def _cyclic(self, v):
-        """Packed RREF rows and pivots of <v, Cv, C^2 v, ...> for a packed
-        vector v; the span is C-stable once C^i v adds nothing."""
-        k, rows, pivots = self.spec.kernel, [], ()
-        while True:
-            grown, more = linalg._rref(rows + [v], k)
-            if len(grown) == len(rows):
-                return rows, pivots
-            rows, pivots = grown, more
+    def _cyclic(self, v) -> Subspace:
+        """<v, Cv, C^2 v, ...> for a packed vector v; the span is C-stable
+        once C^i v adds nothing."""
+        k, rows, pivots = self.spec.kernel, [], []
+        while linalg._extend(rows, pivots, v, k):
             v = self._apply(v)
+        return Subspace._of(self.spec, self.dim, rows, pivots)
 
     def _lattice(self, cap: int):
         """Every C-stable subspace, sorted by (dimension, canonical basis),
@@ -546,18 +519,17 @@ class SemilinearModule(_TwistedModule):
         points = linalg._Points(spec, n, cap)
         elems, masks, where, cyclic = [Subspace.zero(spec, n)], [0], {(): 0}, {}
 
-        def member(rows, pivots):
-            key = tuple(map(tuple, rows))
-            if key not in where:
+        def member(s: Subspace):
+            if s._rows not in where:
                 if len(elems) == cap:
                     raise ResourceError(
                         f"submodule lattice has more than {cap} members, above "
-                        f"the cap (the next one found has dimension {len(key)})"
+                        f"the cap (the next one found has dimension {s.dim})"
                     )
-                where[key] = len(elems)
-                elems.append(Subspace._of(spec, n, key, pivots))
-                masks.append(points.mask(key))
-            return where[key]
+                where[s._rows] = len(elems)
+                elems.append(s)
+                masks.append(points.mask(s._rows))
+            return where[s._rows]
 
         for sub, mask in zip(elems, masks):  # both grow as members are found
             todo, sums = ~mask & ((1 << len(points.vectors)) - 1), {}
@@ -565,12 +537,10 @@ class SemilinearModule(_TwistedModule):
                 low = todo & -todo
                 j = low.bit_length() - 1
                 if j not in cyclic:
-                    cyclic[j] = member(*self._cyclic(points.vectors[j]))
+                    cyclic[j] = member(self._cyclic(points.vectors[j]))
                 c = cyclic[j]
                 if c not in sums:  # N + <v> is <v> when N lies inside it
-                    sums[c] = member(*linalg._rref(
-                        list(sub._rows + elems[c]._rows), spec.kernel
-                    )) if mask & ~masks[c] else c
+                    sums[c] = member(sub.add(elems[c])) if mask & ~masks[c] else c
                 m = sums[c]
                 todo &= ~(masks[m] if elems[m].dim == sub.dim + 1 else low)
         # packed order is the canonical element order, so this is key() order
@@ -594,38 +564,16 @@ class SemilinearModule(_TwistedModule):
         submodule is V."""
         points = linalg._Points(self.spec, self.dim, cap)
         return self.dim > 0 and all(
-            len(self._cyclic(v)[0]) == self.dim for v in points.vectors
+            self._cyclic(v).dim == self.dim for v in points.vectors
         )
 
     def end_ring(self, cap: int = 100_000):
-        """(order, is_field) for the endomorphism ring of a simple module."""
+        """(order, is_field) for the endomorphism ring of a simple module.
+        By Schur's lemma it is a finite division ring, so a field by
+        Wedderburn's little theorem: is_field is always True."""
         if not self.is_simple(cap=cap):
             raise UsageError("end_ring requires a simple module")
-        hom = self.hom_space(self)
-        if hom.size > cap:
-            raise ResourceError(f"endomorphism ring has {hom.size} elements, above {cap}")
-        k, n = self.spec.kernel, self.dim
-        flat = [sum(phi, ()) for phi in hom._basis]
-        span = _FqSpan(self.spec)
-        for v in flat:
-            span.add(v)
-
-        def in_end(mat):
-            return span.contains([x for row in mat for x in row])
-
-        for phi, psi in product(hom._basis, repeat=2):
-            prod = linalg._mul(phi, psi, k)
-            if not in_end(prod) or prod != linalg._mul(psi, phi, k):
-                return hom.size, False
-        for coeffs in product(
-            [x.packed for x in subfield_elements(self.spec)], repeat=len(flat)
-        ):
-            v = linalg._combine(coeffs, flat, n * n, k)
-            if any(v):
-                inv = linalg._invert([v[r * n : (r + 1) * n] for r in range(n)], k)
-                if inv is None or not in_end(inv):
-                    return hom.size, False
-        return hom.size, True
+        return self.hom_space(self).size, True
 
     # -- subquotients ---------------------------------------------------
 

@@ -6,7 +6,9 @@ they stay independent of the code they check.  Usable whenever |k|^n is a
 few thousand at most.  The submodule oracles scan every subspace of k^n
 and find Hasse covers by a cubic search, so they suit lattices of a few
 hundred subspaces.  `oracle_isomorphic` searches every intertwiner for an
-invertible one.  `oracle_parse` evaluates a polynomial string with the
+invertible one, and `oracle_end_ring` lists End(M) in full to test it
+for a field.  `oracle_rref` is textbook Gauss-Jordan elimination on
+packed rows.  `oracle_parse` evaluates a polynomial string with the
 polynomial operators, one product per `*` and one power per `^`.
 `oracle_compatible_monomial` runs the operator's `is_compatible` test on
 every squarefree monomial ideal of the ring.
@@ -211,6 +213,29 @@ def _matmul(a, b, spec: FieldSpec):
     return out
 
 
+def oracle_rref(mat, k):
+    """Gauss-Jordan RREF of packed rows under kernel k, column by column:
+    (rows_without_zeros, pivot_columns)."""
+    mat = list(mat)
+    if not mat:
+        return [], ()
+    pivots, r = [], 0
+    for c in range(len(mat[0])):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        row = mat[r] = k.scale(mat[r], k.inv(mat[r][c]))
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                mat[i] = k.add_multiple(mat[i], k.neg(mat[i][c]), row)
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], tuple(pivots)
+
+
 def oracle_determinant(m, spec: FieldSpec):
     """Leibniz expansion over all permutations; for tiny matrices only."""
     n = len(m)
@@ -257,6 +282,26 @@ def oracle_isomorphic(
         linalg.is_invertible(linalg.reshape(v, n, n), spec)
         for v in linalg.every_combination(subfield_elements(spec), flat_basis, n * n, spec)
     )
+
+
+def oracle_end_ring(module: SemilinearModule):
+    """(order, is_field) of End(M), with End listed as every F_q-combination
+    of the Hom basis: a field when the basis products lie in End and
+    commute, and every nonzero element has an inverse in End."""
+    spec, n = module.spec, module.dim
+    hom = module.hom_space(module)
+    flat = [linalg.flatten(phi) for phi in hom.basis]
+    ring = set(linalg.every_combination(subfield_elements(spec), flat, n * n, spec))
+    for phi, psi in product(hom.basis, repeat=2):
+        prod = _matmul(phi, psi, spec)
+        if linalg.flatten(prod) not in ring or prod != _matmul(psi, phi, spec):
+            return len(ring), False
+    for v in ring:
+        if any(not x.is_zero for x in v):
+            inv = linalg.invert(linalg.reshape(v, n, n), spec)
+            if inv is None or linalg.flatten(inv) not in ring:
+                return len(ring), False
+    return len(ring), True
 
 
 def block_extension(rng: random.Random, spec: FieldSpec, n1: int, n2: int):

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from cartier import crystal
+from cartier import crystal, linalg
 from cartier.errors import ResourceError
 from cartier.field import FieldSpec
 from cartier.linalg import identity
@@ -148,3 +148,20 @@ def test_cap_error_says_what_hit_it():
     with pytest.raises(ResourceError, match="lattice has more than 7 members"):
         m.enumerate_submodules(cap=7)
     assert len(m.enumerate_submodules(cap=16)) == 16
+
+
+def test_lattice_growth_does_no_full_elimination(monkeypatch):
+    """Cyclic submodules and lattice sums extend RREF rows one vector at
+    a time; none of them runs linalg._rref over all its rows."""
+    f2, gf4, rng = FieldSpec(2, 1), FieldSpec(2, 2), random.Random(150)
+    modules = [SemilinearModule(f2, identity(5, f2))]
+    modules += [random_module(rng, gf4, n) for n in (2, 3, 3, 4)]
+    calls = []
+    real = linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda mat, k: calls.append(1) or real(mat, k))
+    for m in modules:
+        lattice, _ = m._lattice(100_000)
+        m.is_simple()
+    assert calls == [] and len(lattice) > 2
+    Subspace._span(gf4, 1, [[1]])
+    assert calls == [1]  # the counter sees elimination

@@ -26,8 +26,10 @@ from conftest import (
     module_from_ints,
     module_with_nilpotent_part,
     nilpotent_block_extension,
+    oracle_end_ring,
     oracle_fixed_points,
     oracle_nilpotent_part,
+    oracle_rref,
     oracle_stable_image,
     oracle_subspaces,
     random_element,
@@ -253,6 +255,71 @@ def test_semilinear_code_stays_on_packed_rows(gf4, gf9, element_op_calls, monkey
     assert element_op_calls == [] and unwraps == []
     gf4.unwrap([gf4.one * gf4.one])
     assert len(element_op_calls) == len(unwraps) == 1  # the counters see element work
+
+
+# -- row echelon forms --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FieldSpec(2, 2), FieldSpec(3, 2), FieldSpec(1_000_003, 1), FieldSpec(3, 11)],
+    ids=["xor-gf4", "zech-gf9", "prime-f1000003", "poly-gf3^11"],
+)
+def test_rref_matches_gauss_jordan(spec):
+    """Tall, wide and square matrices with zero, duplicate and dependent rows."""
+    rng, k = random.Random(spec.order), spec.kernel
+    for nrows, ncols in [(1, 1), (6, 3), (3, 6), (5, 5), (9, 4), (4, 9), (7, 7)]:
+        for _ in range(8):
+            mat = [spec.unwrap([random_element(rng, spec) for _ in range(ncols)])]
+            for _ in range(nrows - 1):
+                kind = rng.randrange(4)
+                if kind == 0:
+                    row = [0] * ncols
+                elif kind == 1:
+                    row = list(rng.choice(mat))
+                elif kind == 2:
+                    c = spec.unwrap([random_element(rng, spec)])[0]
+                    row = k.add_multiple(rng.choice(mat), c, rng.choice(mat))
+                else:
+                    row = spec.unwrap([random_element(rng, spec) for _ in range(ncols)])
+                mat.append(row)
+            rng.shuffle(mat)
+            before = [list(row) for row in mat]
+            rows, pivots = linalg._rref(mat, k)
+            want_rows, want_pivots = oracle_rref(mat, k)
+            assert (list(map(list, rows)), pivots) == (list(map(list, want_rows)), want_pivots)
+            assert mat == before
+
+
+def test_extend_leaves_the_rows_alone_for_a_vector_in_their_span(gf9):
+    rng, k = random.Random(9), gf9.kernel
+    for _ in range(20):
+        vectors = [gf9.unwrap([random_element(rng, gf9) for _ in range(5)]) for _ in range(3)]
+        rows, pivots = linalg._rref(vectors, k)
+        rows, pivots = list(rows), list(pivots)
+        kept = [list(r) for r in rows], list(pivots)
+        c = gf9.unwrap([random_element(rng, gf9)])[0]
+        inside = k.add_multiple(vectors[0], c, vectors[2])
+        assert not linalg._extend(rows, pivots, inside, k)
+        assert ([list(r) for r in rows], pivots) == kept
+        assert not any(linalg._reduce(rows, pivots, inside, k))
+
+
+def test_subspace_constructor_rejects_rows_that_are_not_rref(f2):
+    def ints(rows):
+        return [[f2.from_int(x) for x in row] for row in rows]
+
+    with pytest.raises(UsageError):  # [0, 1] has its pivot in column 1
+        Subspace(f2, 2, ints([[0, 1]]), (0,))
+    with pytest.raises(UsageError):  # reduced, [1, 1] becomes [1, 0]
+        Subspace(f2, 2, ints([[1, 1], [0, 1]]), (0, 1))
+    with pytest.raises(UsageError):
+        Subspace(f2, 2, ints([[1, 0, 1]]), (0,))
+    line = Subspace(f2, 2, ints([[0, 1]]), (1,))
+    assert line.contains_vector(ints([[0, 1]])[0])
+    assert Subspace(f2, 2, ints([[1, 0], [0, 1]]), (0, 1)) == Subspace.from_vectors(
+        f2, 2, ints([[1, 1], [0, 1]])
+    )
 
 
 def test_subspace_is_immutable(f2):
@@ -649,6 +716,28 @@ def test_simple_zero_structural_map(gf4):
     assert m.is_simple()
     order, is_field = m.end_ring()
     assert order == 4 and is_field  # all of GF(4) commutes with the zero map
+
+
+def test_end_ring_cap_bounds_only_the_simplicity_scan(gf4):
+    m = SemilinearModule(gf4, [[gf4.zero]])
+    assert m.is_simple(cap=3)
+    assert m.end_ring(cap=3) == (4, True)
+
+
+def test_end_ring_matches_oracle_on_simple_modules():
+    """End of a simple module is a field (Schur, then Wedderburn); the
+    oracle lists End and checks commutativity and inverses."""
+    rng = random.Random(641)
+    specs = [FieldSpec(2, 2), FieldSpec(2, 3), FieldSpec(3, 2), FieldSpec(3, 2, None, 2)]
+    for spec, n in product(specs, (1, 2, 3)):
+        found = 0
+        while found < 2:
+            m = random_module(rng, spec, n)
+            if m.is_simple():
+                assert m.end_ring() == oracle_end_ring(m)
+                found += 1
+    f2 = FieldSpec(2, 1)  # the oracle sees a ring that is no field
+    assert oracle_end_ring(module_from_ints(f2, [[1, 0], [0, 1]])) == (16, False)
 
 
 def test_identity_not_simple(f2):
