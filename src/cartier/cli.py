@@ -29,25 +29,6 @@ import sys
 
 from .errors import CartierError, DomainError, InvariantViolation, ResourceError, UsageError
 
-SUBCOMMANDS = (
-    "field-info",
-    "semilinear-analyze",
-    "semilinear-hom",
-    "semilinear-lattice",
-    "crystal-minimal",
-    "crystal-quasilength",
-    "poly-cartier",
-    "poly-image",
-    "poly-stable-image",
-    "poly-smallest",
-    "poly-compatible",
-    "poly-enum-compatible",
-    "poly-split",
-    "poly-supp",
-    "corpus-run",
-)
-
-
 def _resolve(value: str | None) -> str | None:
     """Treat the value as a file path when one exists, else as inline text."""
     if value is None:
@@ -415,6 +396,32 @@ def _cmd_corpus_run(args):
 # wiring
 
 
+_POLY, _CAP = "polynomial-ring operator command", 100_000
+
+# name -> (handler, help, the inputs it reads, --cap default); every
+# subcommand but corpus-run reads a field spec and takes --cap and --json
+_COMMANDS = {
+    "field-info": (_cmd_field_info, "describe a field spec", "field", _CAP),
+    "semilinear-analyze":
+        (_cmd_semilinear_analyze, "decomposition and fixed points", "module", _CAP),
+    "semilinear-hom": (_cmd_semilinear_hom, "Hom-space between two modules", "module", _CAP),
+    "semilinear-lattice": (_cmd_semilinear_lattice, "all stable subspaces", "module", _CAP),
+    "crystal-minimal": (_cmd_crystal_minimal, "minimal representative", "module", _CAP),
+    "crystal-quasilength":
+        (_cmd_crystal_quasilength, "quasi-length and lattice", "module", _CAP),
+    "poly-cartier": (_cmd_poly_cartier, _POLY, "ring", _CAP),
+    "poly-image": (_cmd_poly_image, _POLY, "ring", 64),
+    "poly-stable-image": (_cmd_poly_stable_image, _POLY, "ring", 64),
+    "poly-smallest": (_cmd_poly_smallest, _POLY, "ring", 64),
+    "poly-compatible": (_cmd_poly_compatible, _POLY, "ring", _CAP),
+    "poly-enum-compatible": (_cmd_poly_enum_compatible, _POLY, "ring", _CAP),
+    "poly-split": (_cmd_poly_split, _POLY, "ring", _CAP),
+    "poly-supp": (_cmd_poly_supp, _POLY, "ring", 64),
+    "corpus-run": (_cmd_corpus_run, "run a corpus of named cases", "corpus", None),
+}
+SUBCOMMANDS = tuple(_COMMANDS)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cartier",
@@ -422,14 +429,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "over finite fields and polynomial rings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, ring=False, module=False, cap_default=100_000):
+    for name, (_, text, inputs, cap) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if inputs == "corpus":
+            p.add_argument("corpus", help="path to a JSON array of cases")
+            p.add_argument("--json", action="store_true")
+            continue
         p.add_argument("--p", type=int, default=2, help="prime characteristic")
         p.add_argument("--d", type=int, default=1, help="field degree over F_p")
         p.add_argument("--modulus", type=str, default=None,
                        help="comma-separated modulus coefficients, low degree first")
         p.add_argument("--e", type=int, default=1, help="twist exponent (q = p^e)")
-        if ring:
+        if inputs == "ring":
             p.add_argument("--vars", type=str, default=None,
                            help="comma-separated variable names")
             p.add_argument("--f", type=str, default=None,
@@ -438,62 +449,14 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="semicolon-separated generators, JSON list, or file")
             p.add_argument("--expr", type=str, default=None,
                            help="polynomial expression (inline or file)")
-        if module:
+        if inputs == "module":
             p.add_argument("--module", type=str, action="append", default=[],
                            help="module JSON (inline or file); repeatable")
-        p.add_argument("--cap", type=int, default=cap_default,
+        p.add_argument("--cap", type=int, default=cap,
                        help="resource cap: points of k^n scanned and submodules "
                        "found by lattice commands, steps of chains, members of "
                        "other enumerations")
         p.add_argument("--json", action="store_true", help="canonical JSON output")
-
-    handlers = {}
-
-    p = sub.add_parser("field-info", help="describe a field spec")
-    common(p)
-    handlers["field-info"] = _cmd_field_info
-
-    p = sub.add_parser("semilinear-analyze", help="decomposition and fixed points")
-    common(p, module=True)
-    handlers["semilinear-analyze"] = _cmd_semilinear_analyze
-
-    p = sub.add_parser("semilinear-hom", help="Hom-space between two modules")
-    common(p, module=True)
-    handlers["semilinear-hom"] = _cmd_semilinear_hom
-
-    p = sub.add_parser("semilinear-lattice", help="all stable subspaces")
-    common(p, module=True)
-    handlers["semilinear-lattice"] = _cmd_semilinear_lattice
-
-    p = sub.add_parser("crystal-minimal", help="minimal representative")
-    common(p, module=True)
-    handlers["crystal-minimal"] = _cmd_crystal_minimal
-
-    p = sub.add_parser("crystal-quasilength", help="quasi-length and lattice")
-    common(p, module=True)
-    handlers["crystal-quasilength"] = _cmd_crystal_quasilength
-
-    for name, handler in (
-        ("poly-cartier", _cmd_poly_cartier),
-        ("poly-image", _cmd_poly_image),
-        ("poly-stable-image", _cmd_poly_stable_image),
-        ("poly-smallest", _cmd_poly_smallest),
-        ("poly-compatible", _cmd_poly_compatible),
-        ("poly-enum-compatible", _cmd_poly_enum_compatible),
-        ("poly-split", _cmd_poly_split),
-        ("poly-supp", _cmd_poly_supp),
-    ):
-        p = sub.add_parser(name, help="polynomial-ring operator command")
-        common(p, ring=True, cap_default=64 if "image" in name or "supp" in name
-               or "smallest" in name else 100_000)
-        handlers[name] = handler
-
-    p = sub.add_parser("corpus-run", help="run a corpus of named cases")
-    p.add_argument("corpus", help="path to a JSON array of cases")
-    p.add_argument("--json", action="store_true")
-    handlers["corpus-run"] = _cmd_corpus_run
-
-    parser.set_defaults(_handlers=handlers)
     return parser
 
 
@@ -505,9 +468,8 @@ def run(argv=None) -> int:
     if _parser is None:
         _parser = _build_parser()
     args = _parser.parse_args(argv)
-    handler = args._handlers[args.command]
     try:
-        code = handler(args)
+        code = _COMMANDS[args.command][0](args)
         return 0 if code is None else code
     except (UsageError, DomainError) as exc:
         _report_error(args, exc)

@@ -2,18 +2,18 @@
 nil-decomposition series, and Hom-spaces modulo nilpotent kernels.
 
 Two modules with a nil-isomorphism between them (nilpotent kernel and
-cokernel) share a unique minimal representative: restrict to the stable
-image, then quotient by the nilpotent part of the restriction.  The
-lattice of submodules N with C(N) = N of the minimal representative is
-finite, all its maximal chains have equal length, and that common length
-is the quasi-length.
+cokernel) share a unique minimal representative: the restriction to the
+stable image, where C is bijective.  The lattice of submodules N with
+C(N) = N of the minimal representative is finite, all its maximal chains
+have equal length, and that common length is the quasi-length.
+
+`jordan_holder` grows that lattice once, with `SemilinearModule._lattice`,
+which also finds its Hasse covers, and `nil_series` walks down its covers.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import islice
-from operator import and_
 
 from .errors import InvariantViolation, UsageError
 from .field import _Immutable
@@ -23,16 +23,14 @@ from .semilinear import SemilinearModule, Subspace, HomSpace
 
 def minimal_rep(module: SemilinearModule) -> SemilinearModule:
     """The unique (up to isomorphism) representative with surjective
-    structural map and no nilpotent submodules."""
-    under = module.stable_image()
-    restricted = module.restrict_to(under)
-    nil = restricted.nilpotent_part()
-    quotient, _ = restricted.quotient_by(nil)
-    if quotient.dim and quotient.nilpotent_part().dim:
+    structural map and no nilpotent submodules: the restriction to the
+    stable image, on which C is bijective."""
+    rep = module.restrict_to(module.stable_image())
+    if rep.dim and rep.nilpotent_part().dim:
         raise InvariantViolation("minimal representative kept a nilpotent part")
-    if quotient.stable_image().dim != quotient.dim:
+    if rep.stable_image().dim != rep.dim:
         raise InvariantViolation("minimal representative is not surjective")
-    return quotient
+    return rep
 
 
 def is_nil_isomorphism(
@@ -68,32 +66,6 @@ def fixed_submodule_lattice(module: SemilinearModule, cap: int = 100_000):
     ]
 
 
-def _cover_edges(masks):
-    """Hasse diagram cover pairs (i, j) meaning member i < member j,
-    sorted, for members sorted by dimension and given by the bitsets of
-    their points.
-
-    above[p] is the bitset of members containing the point p, so the
-    members containing N are the AND over N's points.  The first of them
-    after N is a cover; dropping everything above it leaves the next.
-    """
-    points = [[p for p, bit in enumerate(bin(m)[:1:-1]) if bit == "1"] for m in masks]
-    above = [0] * masks[-1].bit_length()  # the last member is V
-    for i, ps in enumerate(points):
-        for p in ps:
-            above[p] |= 1 << i
-    full = (1 << len(masks)) - 1
-    up = [reduce(and_, (above[p] for p in ps), full) for ps in points]
-    edges = []
-    for i, members in enumerate(up):
-        rest = members & ~(1 << i)
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            edges.append((i, j))
-            rest &= ~up[j]
-    return edges
-
-
 def quasi_length(module: SemilinearModule, cap: int = 100_000) -> int:
     return jordan_holder(module, cap=cap).quasi_length
 
@@ -114,11 +86,13 @@ class CrystalReport(_Immutable):
         factor_dims: tuple,
         edges: tuple,
     ):
-        object.__setattr__(self, "minimal_rep", minimal_rep)
-        object.__setattr__(self, "quasi_length", quasi_length)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "factor_dims", factor_dims)
-        object.__setattr__(self, "edges", edges)
+        self._set(
+            minimal_rep=minimal_rep,
+            quasi_length=quasi_length,
+            lattice=lattice,
+            factor_dims=factor_dims,
+            edges=edges,
+        )
 
     def to_json(self) -> dict:
         return {
@@ -136,8 +110,7 @@ def jordan_holder(module: SemilinearModule, cap: int = 100_000) -> CrystalReport
     above the bottom by exactly one."""
     rep = minimal_rep(module)
     # C is bijective on rep, so every C-stable subspace is fixed
-    lattice, masks = rep._lattice(cap)
-    edges = _cover_edges(masks)
+    lattice, _, edges = rep._lattice(cap)
     height = [0] + [None] * (len(lattice) - 1)
     succ = [[] for _ in lattice]
     for i, j in edges:  # a lower cover has a lower index
@@ -167,24 +140,37 @@ def nil_series(module: SemilinearModule, cap: int = 100_000):
     """Alternating series V = M_0 >= U_0 >= M_1 >= U_1 >= ... >= U_t = 0
     with each M_i/U_i nilpotent and each U_i/M_{i+1} simple non-nilpotent.
 
+    U_0 is the stable image.  C is bijective on it, so M_{i+1} = U_i, and
+    U_{i+1} is the largest proper submodule of U_i by (dimension, RREF
+    rows in the coordinates of U_i's basis).  Two vectors of U_i first
+    differ at one of its pivot columns, so that is the lattice order, and
+    U_{i+1} is the last lower cover of U_i in the one lattice
+    `jordan_holder` grows for U_0.  `cap` bounds that lattice.
+
     Returns the subspaces of the ambient space in order.
     """
-    current = module.stable_image()  # invariant: C(current) = current
-    series = [Subspace.full(module.spec, module.dim), current]
-    while current.dim > 0:
-        restricted = module.restrict_to(current)
-        # the largest proper fixed submodule: the lattice is sorted by
-        # dimension and ends with the whole of `current`
-        best = fixed_submodule_lattice(restricted, cap=cap)[-2]
-        quotient, qmap = restricted.quotient_by(best)
-        nil = quotient.nilpotent_part()
-        simple_part, _ = quotient.quotient_by(nil)
-        if simple_part.is_nilpotent or not simple_part.is_simple(cap=cap):
+    top = module.stable_image()
+    report = jordan_holder(module, cap=cap)
+    lattice, rep = report.lattice, report.minimal_rep
+    last = [0] * len(lattice)  # each member's last lower cover
+    for i, j in report.edges:  # sorted, so the last i for j is the largest
+        last[j] = i
+    series, cur = [Subspace.full(module.spec, module.dim), top], len(lattice) - 1
+    while lattice[cur].dim > 0:
+        inside, cur = lattice[cur], last[cur]
+        quotient, _ = rep.restrict_to(inside).quotient_by(_coords(lattice[cur], inside))
+        if quotient.is_nilpotent or not quotient.is_simple(cap=cap):
             raise InvariantViolation("series factor is not simple non-nilpotent")
-        # back to ambient coordinates
-        series += [_unrestrict(qmap.preimage(nil), current), _unrestrict(best, current)]
-        current = series[-1]
+        series += [_unrestrict(lattice[cur], top)] * 2
     return series
+
+
+def _coords(sub: Subspace, inside: Subspace) -> Subspace:
+    """A subspace of `inside` in the coordinates of inside's RREF basis.
+    Each vector of `inside` leads at one of its pivot columns, so the
+    entries there are the coordinates, and RREF rows stay RREF."""
+    rows = [[r[pc] for pc in inside.pivots] for r in sub._rows]
+    return Subspace._of(sub.spec, inside.dim, rows, map(inside.pivots.index, sub.pivots))
 
 
 def _unrestrict(sub: Subspace, inside: Subspace) -> Subspace:

@@ -251,8 +251,9 @@ class _Elements(dict):
 
 class _Immutable:
     """Base of the library's value classes: __init__ (or a constructor
-    that skips it) sets the attributes once, through object.__setattr__ or
-    `_set`; assigning or deleting one raises."""
+    that skips it, or a lazy slot's first read) sets the attributes once,
+    through `_set`, the one place that writes a slot; assigning or
+    deleting one raises."""
 
     __slots__ = ()
 
@@ -300,12 +301,10 @@ class FieldSpec(_Immutable):
             raise UsageError("modulus must be monic of degree d")
         if not _is_irreducible(modulus, p, d):
             raise UsageError(f"modulus {list(modulus)} is reducible over F_{p}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "_one", p ** (d - 1))
-        object.__setattr__(self, "_hash", hash((p, d, modulus, e)))
+        self._set(
+            p=p, d=d, modulus=modulus, e=e,
+            _one=p ** (d - 1), _hash=hash((p, d, modulus, e)),
+        )
 
     def __getattr__(self, name):
         # Reached only while a lazy slot is still empty.
@@ -318,7 +317,7 @@ class FieldSpec(_Immutable):
             value.spec = self
         else:
             raise AttributeError(name)
-        object.__setattr__(self, name, value)
+        self._set(**{name: value})
         return value
 
     def __eq__(self, other):
@@ -415,9 +414,7 @@ class FieldElement(_Immutable):
     __slots__ = ("spec", "coeffs", "packed")
 
     def __init__(self, spec: FieldSpec, coeffs: tuple):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "packed", _pack(coeffs, spec.p))
+        self._set(spec=spec, coeffs=coeffs, packed=_pack(coeffs, spec.p))
 
     def _check(self, other):
         if not isinstance(other, FieldElement):

@@ -113,9 +113,7 @@ class CartierOperator(_Immutable):
         if multiplier.ring != ring:
             raise UsageError("multiplier outside the ring")
         _require_twist(ring.field, e)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "multiplier", multiplier)
-        object.__setattr__(self, "e", e)
+        self._set(ring=ring, multiplier=multiplier, e=e)
 
     @property
     def q(self) -> int:
@@ -314,8 +312,7 @@ class SupportReport(_Immutable):
     __slots__ = ("ann", "iterations")
 
     def __init__(self, ann: Ideal, iterations: int):
-        object.__setattr__(self, "ann", ann)
-        object.__setattr__(self, "iterations", iterations)
+        self._set(ann=ann, iterations=iterations)
 
 
 class IdealModule(_Immutable):
@@ -332,8 +329,7 @@ class IdealModule(_Immutable):
             raise UsageError("ideal outside the operator's ring")
         if not op.is_compatible(ideal):
             raise UsageError("operator does not preserve the ideal; no quotient action")
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "ideal", ideal)
+        self._set(op=op, ideal=ideal)
 
     def _image_chain(self, cap: int):
         """Stable value of K_0 = R, K_{i+1} = op(K_i) + J, with step count."""

@@ -57,9 +57,7 @@ class MonomialOrder(_Immutable):
 
         else:
             raise UsageError(f"unknown monomial order {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "rank", rank)
+        self._set(kind=kind, block=block, rank=rank)
 
     def key(self, exps):
         """Sort key: ascending in the monomial order."""
@@ -119,10 +117,9 @@ class PolyRing(_Immutable):
                 raise UsageError(f"variable name {name!r} is not a name the parser reads")
         if len(set(variables)) != len(variables):
             raise UsageError("duplicate variable names")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "vars", variables)
-        object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "_hash", hash((field, variables)))
+        self._set(
+            field=field, vars=variables, max_degree=max_degree, _hash=hash((field, variables))
+        )
 
     @property
     def nvars(self) -> int:
@@ -190,8 +187,7 @@ class Polynomial(_Immutable):
     def __init__(self, ring: PolyRing, terms):
         terms = dict(terms)
         packed = zip(terms, ring.field.unwrap(terms.values()))
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_packed", {a: c for a, c in packed if c})
+        self._set(ring=ring, _packed={a: c for a, c in packed if c})
 
     @property
     def terms(self):
@@ -308,10 +304,7 @@ class Polynomial(_Immutable):
 
 def _new(ring: PolyRing, packed: dict) -> Polynomial:
     """The polynomial with these packed terms, which it takes over."""
-    f = object.__new__(Polynomial)
-    object.__setattr__(f, "ring", ring)
-    object.__setattr__(f, "_packed", packed)
-    return f
+    return object.__new__(Polynomial)._set(ring=ring, _packed=packed)
 
 
 # ----------------------------------------------------------------------
@@ -837,9 +830,7 @@ class Ideal(_Immutable):
         for g in gens:
             if not isinstance(g, Polynomial) or g.ring != ring:
                 raise UsageError("generator outside the ring")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "_gb", {})
+        self._set(ring=ring, gens=gens, _gb={})
 
     def _basis(self, order: MonomialOrder):
         """(reduced basis, its prepared divisors), computed once per order."""

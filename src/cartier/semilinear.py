@@ -4,7 +4,8 @@ A module is a matrix A over GF(p^d) acting by C(v) = A . sigma^(-e)(v),
 where sigma^(-e) takes coordinatewise p^e-th roots (q = p^e, e | d).  The
 module-level structure theory lives here: nilpotent part, stable image,
 direct-sum decomposition, fixed points, base change, Hom-spaces, duality,
-and the submodule lattice, grown from cyclic submodules.
+and the submodule lattice with its Hasse covers, grown from cyclic
+submodules.
 
 Modules, subspaces and Hom-spaces store packed rows and compute on them
 with `linalg`'s packed functions; `matrix`, `rows` and `basis` wrap them
@@ -498,38 +499,49 @@ class SemilinearModule(_TwistedModule):
                 raise InvariantViolation("hom basis element fails the commuting identity")
         return HomSpace(spec, basis)
 
-    def _cyclic(self, v) -> Subspace:
-        """<v, Cv, C^2 v, ...> for a packed vector v; the span is C-stable
-        once C^i v adds nothing."""
+    def _cyclic(self, v):
+        """RREF rows and pivots of <v, Cv, C^2 v, ...> for a packed vector
+        v; the span is C-stable once C^i v adds nothing."""
         k, rows, pivots = self.spec.kernel, [], []
         while linalg._extend(rows, pivots, v, k):
             v = self._apply(v)
-        return Subspace._of(self.spec, self.dim, rows, pivots)
+        return rows, pivots
 
     def _lattice(self, cap: int):
-        """Every C-stable subspace, sorted by (dimension, canonical basis),
-        and the point bitset of each.
+        """Every C-stable subspace, sorted by (dimension, canonical basis);
+        the point bitset of each; and the Hasse cover pairs (i, j), meaning
+        member i < member j, sorted.
 
         A stable subspace is the sum of the cyclic submodules of its
         points, so the lattice is the closure of 0 under N -> N + <v>.
-        When N + <v> has dimension dim N + 1 it is a cover of N, the sum
-        for every point in it, so those points are skipped for N.
+        Every member above N contains such a sum, so the covers of N are
+        the minimal sums.  A sum of dimension dim N + 1 is a cover, and
+        the sum for every point in it, so those points are skipped for N.
+        A sum becomes a Subspace only when it is a new member.
         """
-        spec, n = self.spec, self.dim
+        spec, n, k = self.spec, self.dim, self.spec.kernel
         points = linalg._Points(spec, n, cap)
         elems, masks, where, cyclic = [Subspace.zero(spec, n)], [0], {(): 0}, {}
+        covers = []
 
-        def member(s: Subspace):
-            if s._rows not in where:
+        def member(rows, pivots):
+            key = tuple(map(tuple, rows))
+            if key not in where:
                 if len(elems) == cap:
                     raise ResourceError(
                         f"submodule lattice has more than {cap} members, above "
-                        f"the cap (the next one found has dimension {s.dim})"
+                        f"the cap (the next one found has dimension {len(key)})"
                     )
-                where[s._rows] = len(elems)
-                elems.append(s)
-                masks.append(points.mask(s._rows))
-            return where[s._rows]
+                where[key] = len(elems)
+                elems.append(Subspace._of(spec, n, key, pivots))
+                masks.append(points.mask(key))
+            return where[key]
+
+        def add(sub, cyc):  # the member N + <v>
+            rows, pivots = list(sub._rows), list(sub.pivots)
+            for r in cyc._rows:
+                linalg._extend(rows, pivots, r, k)
+            return member(rows, pivots)
 
         for sub, mask in zip(elems, masks):  # both grow as members are found
             todo, sums = ~mask & ((1 << len(points.vectors)) - 1), {}
@@ -537,22 +549,30 @@ class SemilinearModule(_TwistedModule):
                 low = todo & -todo
                 j = low.bit_length() - 1
                 if j not in cyclic:
-                    cyclic[j] = member(self._cyclic(points.vectors[j]))
+                    cyclic[j] = member(*self._cyclic(points.vectors[j]))
                 c = cyclic[j]
                 if c not in sums:  # N + <v> is <v> when N lies inside it
-                    sums[c] = member(sub.add(elems[c])) if mask & ~masks[c] else c
+                    sums[c] = add(sub, elems[c]) if mask & ~masks[c] else c
                 m = sums[c]
                 todo &= ~(masks[m] if elems[m].dim == sub.dim + 1 else low)
+            up = set(sums.values())
+            covers.append([
+                m for m in up
+                if elems[m].dim == sub.dim + 1
+                or not any(o != m and not masks[o] & ~masks[m] for o in up)
+            ])
         # packed order is the canonical element order, so this is key() order
         order = sorted(range(len(elems)), key=lambda i: (elems[i].dim, elems[i]._rows))
-        return [elems[i] for i in order], [masks[i] for i in order]
+        rank = {i: r for r, i in enumerate(order)}
+        edges = sorted((rank[i], rank[j]) for i, up in enumerate(covers) for j in up)
+        return [elems[i] for i in order], [masks[i] for i in order], edges
 
     def enumerate_submodules(self, cap: int = 100_000):
         """All C-stable subspaces, flagged with whether C maps them onto
         themselves (exactly when they lie in the stable image, where C is
         bijective); sorted by (dimension, canonical basis).  `cap` bounds
         the points of k^n scanned and the submodules found."""
-        lattice, masks = self._lattice(cap)
+        lattice, masks, _ = self._lattice(cap)
         under = masks[lattice.index(self.stable_image())]
         return [
             SubmoduleInfo(subspace=sub, surjective=not mask & ~under)
@@ -564,7 +584,7 @@ class SemilinearModule(_TwistedModule):
         submodule is V."""
         points = linalg._Points(self.spec, self.dim, cap)
         return self.dim > 0 and all(
-            self._cyclic(v).dim == self.dim for v in points.vectors
+            len(self._cyclic(v)[0]) == self.dim for v in points.vectors
         )
 
     def end_ring(self, cap: int = 100_000):
@@ -644,14 +664,6 @@ class QuotientMap(_Immutable):
     def project(self, v):
         spec = self.sub.spec
         return spec.wrap(self._project(spec.unwrap(v)))
-
-    def preimage(self, quotient_sub: Subspace) -> Subspace:
-        sub, lifts = self.sub, []
-        for coords in quotient_sub._rows:
-            lifts.append([0] * sub.ambient)
-            for x, j in zip(coords, self.coords_cols):
-                lifts[-1][j] = x
-        return Subspace._span(sub.spec, sub.ambient, lifts + list(sub._rows))
 
 
 class FrobeniusModule(_TwistedModule):

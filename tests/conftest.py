@@ -427,6 +427,45 @@ def oracle_cover_edges(lattice):
     return edges
 
 
+def oracle_nil_series(module: SemilinearModule):
+    """The alternating series of `crystal.nil_series`, one step at a time:
+    restrict to U_i, take the largest proper fixed submodule by the
+    exhaustive scan, quotient by it and by the quotient's nilpotent part,
+    test the factor with the exhaustive simplicity scan, and lift the
+    nilpotent part and the submodule back to the ambient space."""
+    spec = module.spec
+    current = module.stable_image()
+    series = [Subspace.full(spec, module.dim), current]
+    while current.dim > 0:
+        restricted = module.restrict_to(current)
+        best = oracle_fixed_lattice(restricted)[-2]
+        quotient, qmap = restricted.quotient_by(best)
+        nil = quotient.nilpotent_part()
+        simple_part, _ = quotient.quotient_by(nil)
+        assert not simple_part.is_nilpotent and oracle_is_simple(simple_part)
+        lifts = []  # the preimage of nil: its rows on the quotient's coordinates
+        for row in nil.rows:
+            lift = [spec.zero] * current.dim
+            for x, j in zip(row, qmap.coords_cols):
+                lift[j] = x
+            lifts.append(lift)
+        preimage = Subspace.from_vectors(spec, current.dim, lifts + list(best.rows))
+        series += [_in_ambient(preimage, current), _in_ambient(best, current)]
+        current = series[-1]
+    return series
+
+
+def _in_ambient(sub: Subspace, inside: Subspace) -> Subspace:
+    """A subspace given in the coordinates of inside's basis, in k^n."""
+    spec, vectors = inside.spec, []
+    for coords in sub.rows:
+        acc = [spec.zero] * inside.ambient
+        for c, row in zip(coords, inside.rows):
+            acc = [a + c * b for a, b in zip(acc, row)]
+        vectors.append(acc)
+    return Subspace.from_vectors(spec, inside.ambient, vectors)
+
+
 def oracle_chain(lattice, edges):
     """(longest chain length, sorted factor dimensions along the chain that
     always steps to the cover with least key), from bottom to top."""

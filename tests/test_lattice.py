@@ -18,6 +18,7 @@ from conftest import (
     oracle_cover_edges,
     oracle_fixed_lattice,
     oracle_is_simple,
+    oracle_nil_series,
     oracle_submodules,
     random_element,
     random_module,
@@ -78,6 +79,17 @@ def test_enumeration_matches_exhaustive_scan(field):
 
 
 @pytest.mark.parametrize("field", list(FIELDS), ids=FIELD_IDS)
+def test_lattice_covers_match_oracle(field):
+    """The covers `_lattice` finds among its sums are the Hasse diagram,
+    on lattices of C-stable subspaces with nilpotent parts too (which
+    `jordan_holder` never grows, since it works on the minimal
+    representative)."""
+    for m in oracle_suite(*field):
+        lattice, _, edges = m._lattice(100_000)
+        assert edges == sorted(oracle_cover_edges(lattice))
+
+
+@pytest.mark.parametrize("field", list(FIELDS), ids=FIELD_IDS)
 def test_jordan_holder_matches_oracle(field):
     for m in oracle_suite(*field):
         report = crystal.jordan_holder(m)
@@ -89,12 +101,25 @@ def test_jordan_holder_matches_oracle(field):
 
 
 @pytest.mark.parametrize("field", list(FIELDS), ids=FIELD_IDS)
-def test_nil_series_matches_oracle(field, monkeypatch):
-    suite = oracle_suite(*field)
-    found = [crystal.nil_series(m) for m in suite]
-    monkeypatch.setattr(crystal, "fixed_submodule_lattice", oracle_fixed_lattice)
-    monkeypatch.setattr(SemilinearModule, "is_simple", oracle_is_simple)
-    assert found == [crystal.nil_series(m) for m in suite]
+def test_nil_series_matches_oracle(field):
+    for m in oracle_suite(*field):
+        assert crystal.nil_series(m) == oracle_nil_series(m)
+
+
+def test_nil_series_grows_one_lattice(monkeypatch):
+    """The series walks down the covers of one lattice, the one grown for
+    the stable image, rather than growing a lattice for each U_i."""
+    f2, gf4, rng = FieldSpec(2, 1), FieldSpec(2, 2), random.Random(14)
+    modules = [SemilinearModule(f2, identity(5, f2)), random_module(rng, f2, 6)]
+    modules += [block_extension(rng, gf4, 1, 2)[0] for _ in range(5)]
+    calls, real = [], SemilinearModule._lattice
+    monkeypatch.setattr(
+        SemilinearModule, "_lattice", lambda self, cap: calls.append(1) or real(self, cap)
+    )
+    for m in modules:
+        calls.clear()
+        crystal.nil_series(m)
+        assert len(calls) == 1
 
 
 # -- scale and caps --------------------------------------------------------------
@@ -160,7 +185,7 @@ def test_lattice_growth_does_no_full_elimination(monkeypatch):
     real = linalg._rref
     monkeypatch.setattr(linalg, "_rref", lambda mat, k: calls.append(1) or real(mat, k))
     for m in modules:
-        lattice, _ = m._lattice(100_000)
+        lattice, _, _ = m._lattice(100_000)
         m.is_simple()
     assert calls == [] and len(lattice) > 2
     Subspace._span(gf4, 1, [[1]])
