@@ -78,22 +78,6 @@ class CrystalReport(_Immutable):
 
     __slots__ = ("minimal_rep", "quasi_length", "lattice", "factor_dims", "edges")
 
-    def __init__(
-        self,
-        minimal_rep: SemilinearModule,
-        quasi_length: int,
-        lattice: tuple,
-        factor_dims: tuple,
-        edges: tuple,
-    ):
-        self._set(
-            minimal_rep=minimal_rep,
-            quasi_length=quasi_length,
-            lattice=lattice,
-            factor_dims=factor_dims,
-            edges=edges,
-        )
-
     def to_json(self) -> dict:
         return {
             "minimal": self.minimal_rep.to_json(),

@@ -26,6 +26,7 @@ row-level code; on tabled fields wrapping looks up an interned element.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import InvariantViolation, ResourceError, UsageError
 
@@ -250,12 +251,35 @@ class _Elements(dict):
 
 
 class _Immutable:
-    """Base of the library's value classes: __init__ (or a constructor
-    that skips it, or a lazy slot's first read) sets the attributes once,
-    through `_set`, the one place that writes a slot; assigning or
-    deleting one raises."""
+    """Base of the library's value classes.
+
+    `_fields` names the slots that make up a value.  It defaults to the
+    class's own `__slots__`; a subclass with no slots of its own inherits
+    its parent's.  A class declares it to leave out caches and slots that
+    follow from the others or are not part of the value.  From it come
+    `==` (same type, equal fields), `hash`, a `Name(field=...)` repr, and
+    an `__init__` taking the fields by position or name for plain records;
+    a class that validates its input defines its own.
+
+    `__init__` (or a constructor that skips it, or a lazy slot's first
+    read) sets the attributes once, through `_set`, the one place that
+    writes a slot; assigning or deleting one raises.
+    """
 
     __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        if "_fields" not in vars(cls):
+            cls._fields = tuple(vars(cls).get("__slots__", ())) or cls._fields
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        given = dict(zip(fields, values), **named)
+        if len(values) + len(named) != len(fields) or given.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        self._set(**given)
 
     def _set(self, **slots):
         for name, value in slots.items():
@@ -267,6 +291,18 @@ class _Immutable:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is type(self) and self._values(self) == self._values(other)
+        )
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 class FieldSpec(_Immutable):
@@ -281,7 +317,8 @@ class FieldSpec(_Immutable):
     FieldElement) are filled in on first use, never at construction.
     """
 
-    __slots__ = ("p", "d", "modulus", "e", "_hash", "_one", "kernel", "_elements")
+    __slots__ = ("p", "d", "modulus", "e", "_one", "kernel", "_elements")
+    _fields = ("p", "d", "modulus", "e")
 
     def __init__(self, p: int, d: int, modulus=None, e: int = 1):
         if not is_prime(p):
@@ -301,10 +338,7 @@ class FieldSpec(_Immutable):
             raise UsageError("modulus must be monic of degree d")
         if not _is_irreducible(modulus, p, d):
             raise UsageError(f"modulus {list(modulus)} is reducible over F_{p}")
-        self._set(
-            p=p, d=d, modulus=modulus, e=e,
-            _one=p ** (d - 1), _hash=hash((p, d, modulus, e)),
-        )
+        self._set(p=p, d=d, modulus=modulus, e=e, _one=p ** (d - 1))
 
     def __getattr__(self, name):
         # Reached only while a lazy slot is still empty.
@@ -319,18 +353,6 @@ class FieldSpec(_Immutable):
             raise AttributeError(name)
         self._set(**{name: value})
         return value
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, FieldSpec)
-            and self.p == other.p
-            and self.d == other.d
-            and self.modulus == other.modulus
-            and self.e == other.e
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, d={self.d}, e={self.e})"
@@ -412,6 +434,7 @@ class FieldElement(_Immutable):
     immutable."""
 
     __slots__ = ("spec", "coeffs", "packed")
+    _fields = ("spec", "packed")
 
     def __init__(self, spec: FieldSpec, coeffs: tuple):
         self._set(spec=spec, coeffs=coeffs, packed=_pack(coeffs, spec.p))
@@ -421,16 +444,6 @@ class FieldElement(_Immutable):
             raise UsageError(f"cannot combine field element with {type(other).__name__}")
         if other.spec is not self.spec and other.spec != self.spec:
             raise UsageError("operands belong to different fields")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and (self.spec is other.spec or self.spec == other.spec)
-            and self.packed == other.packed
-        )
-
-    def __hash__(self):
-        return hash((self.coeffs, self.spec._hash))
 
     def __bool__(self):
         return self.packed != 0

@@ -311,9 +311,6 @@ class SupportReport(_Immutable):
 
     __slots__ = ("ann", "iterations")
 
-    def __init__(self, ann: Ideal, iterations: int):
-        self._set(ann=ann, iterations=iterations)
-
 
 class IdealModule(_Immutable):
     """The cyclic quotient R/J with the operator descending to it.

@@ -43,6 +43,7 @@ class MonomialOrder(_Immutable):
     """
 
     __slots__ = ("kind", "block", "rank")
+    _fields = ("kind", "block")
 
     def __init__(self, kind: str, block: int = 0):
         if kind == "lex":
@@ -62,9 +63,6 @@ class MonomialOrder(_Immutable):
     def key(self, exps):
         """Sort key: ascending in the monomial order."""
         return tuple(map(neg, self.rank(exps)))
-
-    def signature(self):
-        return (self.kind, self.block)
 
     def __repr__(self):
         if self.kind == "block":
@@ -108,7 +106,8 @@ class PolyRing(_Immutable):
     """GF(p^d)[x_1, ..., x_n] with a total-degree guard on products.
     Immutable."""
 
-    __slots__ = ("field", "vars", "max_degree", "_hash")
+    __slots__ = ("field", "vars", "max_degree")
+    _fields = ("field", "vars")
 
     def __init__(self, field: FieldSpec, variables, max_degree: int = 200):
         variables = tuple(variables)
@@ -117,23 +116,11 @@ class PolyRing(_Immutable):
                 raise UsageError(f"variable name {name!r} is not a name the parser reads")
         if len(set(variables)) != len(variables):
             raise UsageError("duplicate variable names")
-        self._set(
-            field=field, vars=variables, max_degree=max_degree, _hash=hash((field, variables))
-        )
+        self._set(field=field, vars=variables, max_degree=max_degree)
 
     @property
     def nvars(self) -> int:
         return len(self.vars)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyRing)
-            and self.field == other.field
-            and self.vars == other.vars
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"PolyRing(GF({self.field.p}^{self.field.d})[{', '.join(self.vars)}])"
@@ -207,14 +194,7 @@ class Polynomial(_Immutable):
     def __bool__(self):
         return bool(self._packed)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.ring == other.ring
-            and self._packed == other._packed
-        )
-
-    def __hash__(self):
+    def __hash__(self):  # _packed is a dict
         return hash((self.ring, frozenset(self._packed.items())))
 
     def total_degree(self) -> int:
@@ -821,9 +801,14 @@ def _reduce_basis(prepared, cofs, rank, k, bound):
 class Ideal(_Immutable):
     """A finitely generated ideal with a cached reduced Gröbner basis per
     order, kept next to its basis prepared as divisors.  Immutable: the
-    caches stay valid because the generators cannot change."""
+    caches stay valid because the generators cannot change.
+
+    `==` and `hash` are identity: different generator lists can give the
+    same ideal, so comparing them would disagree with `equals`, which
+    compares reduced Gröbner bases."""
 
     __slots__ = ("ring", "gens", "_gb")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, ring: PolyRing, gens):
         gens = tuple(g for g in gens)
@@ -834,13 +819,12 @@ class Ideal(_Immutable):
 
     def _basis(self, order: MonomialOrder):
         """(reduced basis, its prepared divisors), computed once per order."""
-        sig = order.signature()
-        if sig not in self._gb:
+        if order not in self._gb:
             basis = groebner_basis(self.gens, order)
             k = self.ring.field.kernel
             prepared = [_prepare(g._packed, order.rank, k) for g in basis]
-            self._gb[sig] = (basis, prepared)
-        return self._gb[sig]
+            self._gb[order] = (basis, prepared)
+        return self._gb[order]
 
     def groebner(self, order: MonomialOrder = GREVLEX):
         return self._basis(order)[0]

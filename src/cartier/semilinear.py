@@ -46,6 +46,13 @@ def sigma_inv_mat(rows, j: int):
     return tuple(tuple(x.inv_frobenius(j) for x in row) for row in rows)
 
 
+def _unwrap(spec: FieldSpec, n: int, v) -> list:
+    """The packed entries of a vector of k^n; UsageError on another length."""
+    if len(v) != n:
+        raise UsageError(f"vector length {len(v)} != dimension {n}")
+    return spec.unwrap(v)
+
+
 class Subspace(_Immutable):
     """A subspace of k^n in reduced row echelon form.
 
@@ -78,7 +85,7 @@ class Subspace(_Immutable):
 
     @classmethod
     def from_vectors(cls, spec: FieldSpec, ambient: int, vectors) -> "Subspace":
-        return cls._span(spec, ambient, [spec.unwrap(v) for v in vectors])
+        return cls._span(spec, ambient, [_unwrap(spec, ambient, v) for v in vectors])
 
     @classmethod
     def zero(cls, spec: FieldSpec, ambient: int) -> "Subspace":
@@ -104,23 +111,30 @@ class Subspace(_Immutable):
         """Packed canonical representative of packed v modulo this subspace."""
         return linalg._reduce(self._rows, self.pivots, v, self.spec.kernel)
 
+    def _require(self, spec: FieldSpec, ambient: int):
+        """UsageError unless this is a subspace of spec's k^ambient."""
+        if self.ambient != ambient or self.spec != spec:
+            raise UsageError(f"subspace of {self.spec!r}^{self.ambient}, not of {spec!r}^{ambient}")
+
     def reduce(self, v):
         """Canonical representative of v modulo this subspace."""
-        return self.spec.wrap(self._residue(self.spec.unwrap(v)))
+        return self.spec.wrap(self._residue(_unwrap(self.spec, self.ambient, v)))
 
     def contains_vector(self, v) -> bool:
-        return not any(self._residue(self.spec.unwrap(v)))
+        return not any(self._residue(_unwrap(self.spec, self.ambient, v)))
 
     def coords(self, v):
         """Coordinates of v in the RREF basis, or None if v is outside."""
-        if any(self._residue(self.spec.unwrap(v))):
+        if not self.contains_vector(v):
             return None
         return tuple(v[pc] for pc in self.pivots)
 
     def contains(self, other: "Subspace") -> bool:
+        other._require(self.spec, self.ambient)
         return not any(any(self._residue(r)) for r in other._rows)
 
     def add(self, other: "Subspace") -> "Subspace":
+        other._require(self.spec, self.ambient)
         rows, pivots, k = list(self._rows), list(self.pivots), self.spec.kernel
         for r in other._rows:
             linalg._extend(rows, pivots, r, k)
@@ -129,6 +143,7 @@ class Subspace(_Immutable):
     def intersect(self, other: "Subspace") -> "Subspace":
         # v = sum a_i u_i lies in W iff the residues of the u_i mod W
         # combine to zero; solve for the coefficient vectors a.
+        other._require(self.spec, self.ambient)
         if self.is_zero or other.is_zero:
             return Subspace.zero(self.spec, self.ambient)
         k, n = self.spec.kernel, self.ambient
@@ -144,13 +159,6 @@ class Subspace(_Immutable):
     def to_json(self):
         return {"dim": self.dim, "basis": [[list(c.coeffs) for c in row] for row in self.rows]}
 
-    def __eq__(self, other):
-        mine = (self.spec, self.ambient, self._rows)
-        return isinstance(other, Subspace) and mine == (other.spec, other.ambient, other._rows)
-
-    def __hash__(self):
-        return hash((self.ambient, self._rows))
-
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
@@ -161,9 +169,6 @@ class NilDecomposition(_Immutable):
 
     __slots__ = ("v_nil", "v_underline", "nilord")
 
-    def __init__(self, v_nil: Subspace, v_underline: Subspace, nilord: int | None):
-        self._set(v_nil=v_nil, v_underline=v_underline, nilord=nilord)
-
 
 class HomSpace(_Immutable):
     """F_q-basis of the space of structure-compatible linear maps V -> W;
@@ -171,6 +176,7 @@ class HomSpace(_Immutable):
     from packed matrices; `basis` wraps them on each access."""
 
     __slots__ = ("spec", "q", "_basis")
+    _fields = ("spec", "_basis")
 
     def __init__(self, spec: FieldSpec, basis):
         self._set(spec=spec, q=spec.q, _basis=tuple(basis))
@@ -192,9 +198,6 @@ class SubmoduleInfo(_Immutable):
     """A stable subspace N, and whether the structural map carries N onto N."""
 
     __slots__ = ("subspace", "surjective")
-
-    def __init__(self, subspace: Subspace, surjective: bool):
-        self._set(subspace=subspace, surjective=surjective)
 
 
 # -- F_p-linear algebra on k^n ------------------------------------------------
@@ -308,9 +311,7 @@ class _TwistedModule(_Immutable):
         return [k.dot(row, w) for row in self._a]
 
     def apply(self, v):
-        if len(v) != self.dim:
-            raise UsageError(f"vector length {len(v)} != module dimension {self.dim}")
-        return self.spec.wrap(self._apply(self.spec.unwrap(v)))
+        return self.spec.wrap(self._apply(_unwrap(self.spec, self.dim, v)))
 
     def _powers(self):
         """Yield packed B_0 = I, B_{i+1} = A . twist(B_i), without end.
@@ -358,6 +359,10 @@ class _TwistedModule(_Immutable):
         cls = FrobeniusModule if self._sign < 0 else SemilinearModule
         return cls._of(self.spec, [k.frob_row(col, shift) for col in zip(*self._a)])
 
+    def __repr__(self):
+        spec = self.spec
+        return f"{type(self).__name__}(dim={self.dim}, field=GF({spec.p}^{spec.d}), e={spec.e})"
+
 
 class SemilinearModule(_TwistedModule):
     """A pair (k^n, C) with C(v) = A . sigma^(-e)(v); C^i(v) = B_i . sigma^(-ie)(v)."""
@@ -367,7 +372,7 @@ class SemilinearModule(_TwistedModule):
 
     def apply_power(self, v, i: int):
         k, b = self.spec.kernel, self._power(i)
-        w = k.frob_row(self.spec.unwrap(v), -i * self.spec.e)
+        w = k.frob_row(_unwrap(self.spec, self.dim, v), -i * self.spec.e)
         return self.spec.wrap([k.dot(row, w) for row in b])
 
     # -- structure ----------------------------------------------------
@@ -377,6 +382,7 @@ class SemilinearModule(_TwistedModule):
         return Subspace._span(self.spec, self.dim, map(self._apply, sub._rows))
 
     def is_stable(self, sub: Subspace) -> bool:
+        sub._require(self.spec, self.dim)
         return not any(any(sub._residue(self._apply(r))) for r in sub._rows)
 
     def stable_image(self) -> Subspace:
@@ -634,18 +640,6 @@ class SemilinearModule(_TwistedModule):
             raise UsageError("matrix size disagrees with declared dimension")
         return cls(spec, matrix)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SemilinearModule)
-            and self.spec == other.spec
-            and self._a == other._a
-        )
-
-    def __hash__(self):
-        return hash((self.spec, self._a))
-
-    def __repr__(self):
-        return f"SemilinearModule(dim={self.dim}, field=GF({self.spec.p}^{self.spec.d}), e={self.spec.e})"
 
 
 class QuotientMap(_Immutable):
@@ -663,7 +657,7 @@ class QuotientMap(_Immutable):
 
     def project(self, v):
         spec = self.sub.spec
-        return spec.wrap(self._project(spec.unwrap(v)))
+        return spec.wrap(self._project(_unwrap(spec, self.sub.ambient, v)))
 
 
 class FrobeniusModule(_TwistedModule):
@@ -672,6 +666,3 @@ class FrobeniusModule(_TwistedModule):
 
     __slots__ = ()
     _sign = 1
-
-    def __repr__(self):
-        return f"FrobeniusModule(dim={self.dim}, field=GF({self.spec.p}^{self.spec.d}), e={self.spec.e})"

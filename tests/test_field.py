@@ -285,6 +285,32 @@ def _check_single(a):
         assert spec.element(image).inv_frobenius(j) == a
 
 
+@pytest.mark.parametrize(
+    "p,d,kind",
+    [(2, 3, "_XorKernel"), (3, 2, "_ZechKernel"), (1_000_003, 1, "_PrimeKernel"), (3, 11, "_PolyKernel")],
+)
+def test_pow_matches_repeated_products_and_inverses(p, d, kind):
+    spec = FieldSpec(p, d)
+    assert type(spec.kernel).__name__ == kind
+    rng = random.Random(p + d)
+    samples = [spec.one, spec.gen, spec.from_int(-1)]
+    samples += [spec.element([rng.randrange(p) for _ in range(d)]) for _ in range(5)]
+    for a in samples:
+        if a.is_zero:
+            continue
+        acc = spec.one
+        for n in range(8):
+            assert a**n == acc
+            assert a ** -n == acc.inverse()
+            acc = acc * a
+        assert a ** (spec.order - 1) == spec.one
+        assert a ** (spec.order + 2) == a * a * a
+    zero = spec.zero
+    assert zero**0 == spec.one and zero**1 == zero and zero**5 == zero
+    with pytest.raises(DomainError):
+        zero**-1
+
+
 SMALL_BUNDLED = sorted(
     (p, d) for (p, d) in DEFAULT_MODULI if p**d <= 81
 )

@@ -311,6 +311,39 @@ def test_polynomial_drops_zero_coefficients():
     assert g == R.parse("x^2 + 2")
 
 
+def test_leading_monic_and_sorted_terms_follow_the_order(f3):
+    R = PolyRing(f3, ("x", "y"))
+    f = R.parse("2*x*y^3 + x^3 + y")
+    one, two = f3.one, f3.from_int(2)
+    assert f.leading(GREVLEX) == ((1, 3), two)
+    assert f.leading(LEX) == ((3, 0), one)
+    assert f.leading(elimination_order(1)) == ((3, 0), one)
+    assert f.sorted_terms() == [((1, 3), two), ((3, 0), one), ((0, 1), one)]
+    assert f.sorted_terms(LEX) == [((3, 0), one), ((1, 3), two), ((0, 1), one)]
+    assert f.monic(GREVLEX) == R.parse("x*y^3 + 2*x^3 + 2*y")
+    assert f.monic(LEX) == f
+    with pytest.raises(DomainError):
+        R.zero.leading(GREVLEX)
+    with pytest.raises(DomainError):
+        R.zero.monic(GREVLEX)
+    assert R.zero.sorted_terms() == []
+
+
+def test_leading_and_monic_agree_with_sorted_terms(R3):
+    rng = random.Random(5)
+    for _ in range(40):
+        f = random_poly(rng, R3)
+        if f.is_zero:
+            continue
+        for order in (GREVLEX, LEX, elimination_order(2)):
+            terms = f.sorted_terms(order)
+            assert sorted(terms, key=lambda t: order.key(t[0]), reverse=True) == terms
+            lead, c = f.leading(order)
+            assert terms[0] == (lead, c)
+            assert f.monic(order).leading(order) == (lead, R3.field.one)
+            assert f.monic(order) * c == f
+
+
 def test_polynomial_values_are_immutable(R2):
     one = R2.field.one
     terms = {(1, 0): one}

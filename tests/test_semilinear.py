@@ -114,6 +114,80 @@ def test_semilinearity_of_apply(gf8):
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("p,d,e", [(2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1), (2, 3, 1)])
+def test_apply_power_matches_iterated_apply(p, d, e):
+    spec = FieldSpec(p, d, None, e)
+    rng = random.Random(100 * p + 10 * d + e)
+    for n in (1, 3):
+        m = random_module(rng, spec, n)
+        for _ in range(5):
+            v = w = tuple(random_element(rng, spec) for _ in range(n))
+            for i in range(6):
+                assert m.apply_power(v, i) == w
+                w = m.apply(w)
+    with pytest.raises(UsageError):
+        m.apply_power(v, -1)
+
+
+def test_vectors_of_the_wrong_length_raise(f2):
+    m = module_from_ints(f2, [[1, 1], [0, 1]])
+    line = Subspace.from_vectors(f2, 2, [(f2.one, f2.zero)])
+    _, qmap = m.quotient_by(line)
+    calls = [
+        m.apply,
+        lambda v: m.apply_power(v, 1),
+        line.contains_vector,
+        line.reduce,
+        line.coords,
+        qmap.project,
+        lambda v: Subspace.from_vectors(f2, 2, [v]),
+    ]
+    for v in [(f2.one,), (f2.one,) * 3]:
+        for call in calls:
+            with pytest.raises(UsageError, match=f"vector length {len(v)} != dimension 2"):
+                call(v)
+
+
+def test_subspaces_of_another_field_or_ambient_raise(f2, f3):
+    m = module_from_ints(f2, [[1, 1], [0, 1]])
+    line = Subspace.from_vectors(f2, 2, [(f2.one, f2.zero)])
+    calls = [line.add, line.intersect, line.contains, m.is_stable, m.restrict_to, m.quotient_by]
+    for other in [
+        Subspace.from_vectors(f3, 2, [(f3.one, f3.zero)]),
+        Subspace.full(f3, 2),
+        Subspace.full(f2, 3),
+        Subspace.zero(f2, 1),
+    ]:
+        for call in calls:
+            with pytest.raises(UsageError, match="subspace of FieldSpec"):
+                call(other)
+    assert line.add(line) == line.intersect(line) == line and m.restrict_to(line).dim == 1
+
+
+def test_subspace_reduce_is_the_coset_member_vanishing_at_the_pivots(f3, gf4):
+    rng = random.Random(11)
+    for spec in (f3, gf4):
+        for _ in range(8):
+            vectors = [[random_element(rng, spec) for _ in range(3)] for _ in range(rng.randint(0, 2))]
+            sub = Subspace.from_vectors(spec, 3, vectors)
+            members = [tuple(map(spec.element, w)) for w in span_set(sub)]
+            for _ in range(6):
+                v = tuple(random_element(rng, spec) for _ in range(3))
+                coset = [tuple(a + b for a, b in zip(v, w)) for w in members]
+                (expected,) = [r for r in coset if all(r[pc].is_zero for pc in sub.pivots)]
+                assert sub.reduce(v) == expected
+                assert sub.reduce(expected) == expected
+                assert sub.contains_vector(v) == (v in members) == all(x.is_zero for x in expected)
+                coords = sub.coords(v)
+                if coords is None:
+                    assert v not in members
+                else:
+                    combo = [spec.zero] * 3
+                    for c, row in zip(coords, sub.rows):
+                        combo = [a + c * b for a, b in zip(combo, row)]
+                    assert tuple(combo) == v
+
+
 # -- stable image and nilpotent part ------------------------------------
 
 
