@@ -5,6 +5,12 @@ JSON (sorted keys, sorted lists) with --json.  Inline values and file
 paths are both accepted for --expr/--f/--ideal/--module; when a value
 names an existing file, the file wins and a warning goes to stderr.
 
+Each subcommand accepts only the options its handler reads (`_COMMANDS`
+lists them; `_OPTIONS` defines each once), so any other option is an
+argparse error, exit 2.  A module command given more --module values than
+it reads (one; two for semilinear-hom) is a usage error too.  A value that
+starts with "-" is written `--flag=value`.
+
 Exit codes: 0 success, 1 corpus failures, 2 usage errors, 3 resource-cap
 errors, 4 invariant violations.  When the reader of stdout goes away
 early, the command stops quietly with exit 0.
@@ -331,12 +337,16 @@ def _cmd_poly_supp(args):
 
 
 def _corpus_case(case):
-    argv = case["argv"]
+    name, argv, exit_code = case["name"], case["argv"], case.get("exit", 0)
+    if not isinstance(name, str):
+        raise ValueError(f"name {name!r} is not a string")
     if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
         raise ValueError(f"argv {argv!r} is not a list of strings")
     if "corpus-run" in argv:
         raise ValueError("a case cannot run corpus-run")
-    return case["name"], argv, case.get("exit", 0), case["expect"]
+    if type(exit_code) is not int:  # bool is an int subclass
+        raise ValueError(f"exit {exit_code!r} is not an integer")
+    return name, argv, exit_code, case["expect"]
 
 
 def _cmd_corpus_run(args):
@@ -396,28 +406,54 @@ def _cmd_corpus_run(args):
 # wiring
 
 
-_POLY, _CAP = "polynomial-ring operator command", 100_000
+_POLY, _CAP, _STEPS = "polynomial-ring operator command", 100_000, 64
+_FIELD = ("--p", "--d", "--modulus", "--e")
 
-# name -> (handler, help, the inputs it reads, --cap default); every
-# subcommand but corpus-run reads a field spec and takes --cap and --json
+# Every option a subcommand can take, in the order --help lists them.
+_OPTIONS = {
+    "corpus": dict(help="path to a JSON array of cases"),
+    "--p": dict(type=int, default=2, help="prime characteristic"),
+    "--d": dict(type=int, default=1, help="field degree over F_p"),
+    "--modulus": dict(help="comma-separated modulus coefficients, low degree first"),
+    "--e": dict(type=int, default=1, help="twist exponent (q = p^e)"),
+    "--vars": dict(help="comma-separated variable names"),
+    "--f": dict(help="operator multiplier (inline or file)"),
+    "--ideal": dict(help="semicolon-separated generators, JSON list, or file"),
+    "--expr": dict(help="polynomial expression (inline or file)"),
+    "--module": dict(action="append", default=[], help="module JSON (inline or file); repeatable"),
+    "--cap": dict(type=int, help="resource cap: points of k^n scanned and submodules "
+                  "found by lattice commands, steps of chains, members of other "
+                  "enumerations"),
+    "--json": dict(action="store_true", help="canonical JSON output"),
+}
+
+# name -> (handler, help, the options its handler reads, --cap default).  A
+# module command lists --module once for each module it reads; every
+# subcommand takes --json.
 _COMMANDS = {
-    "field-info": (_cmd_field_info, "describe a field spec", "field", _CAP),
+    "field-info": (_cmd_field_info, "describe a field spec", _FIELD, None),
     "semilinear-analyze":
-        (_cmd_semilinear_analyze, "decomposition and fixed points", "module", _CAP),
-    "semilinear-hom": (_cmd_semilinear_hom, "Hom-space between two modules", "module", _CAP),
-    "semilinear-lattice": (_cmd_semilinear_lattice, "all stable subspaces", "module", _CAP),
-    "crystal-minimal": (_cmd_crystal_minimal, "minimal representative", "module", _CAP),
-    "crystal-quasilength":
-        (_cmd_crystal_quasilength, "quasi-length and lattice", "module", _CAP),
-    "poly-cartier": (_cmd_poly_cartier, _POLY, "ring", _CAP),
-    "poly-image": (_cmd_poly_image, _POLY, "ring", 64),
-    "poly-stable-image": (_cmd_poly_stable_image, _POLY, "ring", 64),
-    "poly-smallest": (_cmd_poly_smallest, _POLY, "ring", 64),
-    "poly-compatible": (_cmd_poly_compatible, _POLY, "ring", _CAP),
-    "poly-enum-compatible": (_cmd_poly_enum_compatible, _POLY, "ring", _CAP),
-    "poly-split": (_cmd_poly_split, _POLY, "ring", _CAP),
-    "poly-supp": (_cmd_poly_supp, _POLY, "ring", 64),
-    "corpus-run": (_cmd_corpus_run, "run a corpus of named cases", "corpus", None),
+        (_cmd_semilinear_analyze, "decomposition and fixed points", ("--module",), None),
+    "semilinear-hom": (_cmd_semilinear_hom, "Hom-space between two modules",
+                       ("--module", "--module"), None),
+    "semilinear-lattice":
+        (_cmd_semilinear_lattice, "all stable subspaces", ("--module", "--cap"), _CAP),
+    "crystal-minimal": (_cmd_crystal_minimal, "minimal representative", ("--module",), None),
+    "crystal-quasilength": (_cmd_crystal_quasilength, "quasi-length and lattice",
+                            ("--module", "--cap"), _CAP),
+    "poly-cartier": (_cmd_poly_cartier, _POLY, _FIELD + ("--vars", "--expr"), None),
+    "poly-image": (_cmd_poly_image, _POLY, _FIELD + ("--vars", "--f", "--ideal"), None),
+    "poly-stable-image":
+        (_cmd_poly_stable_image, _POLY, _FIELD + ("--vars", "--f", "--ideal", "--cap"), _STEPS),
+    "poly-smallest":
+        (_cmd_poly_smallest, _POLY, _FIELD + ("--vars", "--f", "--ideal", "--cap"), _STEPS),
+    "poly-compatible":
+        (_cmd_poly_compatible, _POLY, _FIELD + ("--vars", "--f", "--ideal"), None),
+    "poly-enum-compatible":
+        (_cmd_poly_enum_compatible, _POLY, _FIELD + ("--vars", "--f", "--cap"), _CAP),
+    "poly-split": (_cmd_poly_split, _POLY, _FIELD + ("--vars", "--f"), None),
+    "poly-supp": (_cmd_poly_supp, _POLY, _FIELD + ("--vars", "--f", "--ideal", "--cap"), _STEPS),
+    "corpus-run": (_cmd_corpus_run, "run a corpus of named cases", ("corpus",), None),
 }
 SUBCOMMANDS = tuple(_COMMANDS)
 
@@ -429,38 +465,31 @@ def _build_parser() -> argparse.ArgumentParser:
         "over finite fields and polynomial rings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text, inputs, cap) in _COMMANDS.items():
+    for name, (_, text, options, cap) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        if inputs == "corpus":
-            p.add_argument("corpus", help="path to a JSON array of cases")
-            p.add_argument("--json", action="store_true")
-            continue
-        p.add_argument("--p", type=int, default=2, help="prime characteristic")
-        p.add_argument("--d", type=int, default=1, help="field degree over F_p")
-        p.add_argument("--modulus", type=str, default=None,
-                       help="comma-separated modulus coefficients, low degree first")
-        p.add_argument("--e", type=int, default=1, help="twist exponent (q = p^e)")
-        if inputs == "ring":
-            p.add_argument("--vars", type=str, default=None,
-                           help="comma-separated variable names")
-            p.add_argument("--f", type=str, default=None,
-                           help="operator multiplier (inline or file)")
-            p.add_argument("--ideal", type=str, default=None,
-                           help="semicolon-separated generators, JSON list, or file")
-            p.add_argument("--expr", type=str, default=None,
-                           help="polynomial expression (inline or file)")
-        if inputs == "module":
-            p.add_argument("--module", type=str, action="append", default=[],
-                           help="module JSON (inline or file); repeatable")
-        p.add_argument("--cap", type=int, default=cap,
-                       help="resource cap: points of k^n scanned and submodules "
-                       "found by lattice commands, steps of chains, members of "
-                       "other enumerations")
-        p.add_argument("--json", action="store_true", help="canonical JSON output")
+        for option, settings in _OPTIONS.items():
+            if option in options or option == "--json":
+                p.add_argument(option, **settings)
+        if cap is not None:
+            p.set_defaults(cap=cap)
     return parser
 
 
 _parser = None  # built on the first run() and reused, e.g. by corpus-run
+
+
+def _check_values(args, options):
+    """Reject what the parser lets through and no handler reads: more
+    --module values than the command lists, and the [] that argparse makes
+    of `--flag=--` (Python 3.11 does) without calling the option's type."""
+    modules = getattr(args, "module", [])
+    reads = options.count("--module")
+    if len(modules) > reads:
+        raise UsageError(f"{args.command} takes {reads} --module value"
+                         f"{'s' * (reads > 1)}, not {len(modules)}")
+    values = [v for name, v in vars(args).items() if name != "module"] + modules
+    if any(isinstance(v, list) for v in values):
+        raise UsageError("an option was given `--` as its value")
 
 
 def run(argv=None) -> int:
@@ -468,8 +497,10 @@ def run(argv=None) -> int:
     if _parser is None:
         _parser = _build_parser()
     args = _parser.parse_args(argv)
+    handler, _, options, _ = _COMMANDS[args.command]
     try:
-        code = _COMMANDS[args.command][0](args)
+        _check_values(args, options)
+        code = handler(args)
         return 0 if code is None else code
     except (UsageError, DomainError) as exc:
         _report_error(args, exc)

@@ -263,11 +263,14 @@ class _Immutable:
 
     `__init__` (or a constructor that skips it, or a lazy slot's first
     read) sets the attributes once, through `_set`, the one place that
-    writes a slot; assigning or deleting one raises.
+    writes a slot; assigning or deleting one raises.  `copy`, `deepcopy`
+    and pickle carry every slot but the `_lazy` ones, which are rebuilt on
+    first use, and restore them through `_set` too.
     """
 
     __slots__ = ()
     _fields = ()
+    _lazy = ()
 
     def __init_subclass__(cls):
         if "_fields" not in vars(cls):
@@ -285,6 +288,13 @@ class _Immutable:
         for name, value in slots.items():
             object.__setattr__(self, name, value)
         return self
+
+    def __getstate__(self):
+        slots = (name for cls in type(self).__mro__ for name in vars(cls).get("__slots__", ()))
+        return {name: getattr(self, name) for name in slots if name not in self._lazy}
+
+    def __setstate__(self, state):
+        self._set(**state)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -319,6 +329,7 @@ class FieldSpec(_Immutable):
 
     __slots__ = ("p", "d", "modulus", "e", "_one", "kernel", "_elements")
     _fields = ("p", "d", "modulus", "e")
+    _lazy = ("kernel", "_elements")
 
     def __init__(self, p: int, d: int, modulus=None, e: int = 1):
         if not is_prime(p):

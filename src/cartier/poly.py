@@ -26,6 +26,7 @@ next to its cached basis.
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heapify, heappop, heappush
 from operator import add, le, mul, neg, sub
 from types import MappingProxyType
@@ -51,11 +52,7 @@ class MonomialOrder(_Immutable):
         elif kind == "grevlex":
             rank = _grevlex_rank
         elif kind == "block":
-
-            def rank(exps, k=block):
-                head, tail = exps[:k], exps[k:]
-                return (-sum(head),) + head[::-1] + (-sum(tail),) + tail[::-1]
-
+            rank = partial(_block_rank, block)
         else:
             raise UsageError(f"unknown monomial order {kind!r}")
         self._set(kind=kind, block=block, rank=rank)
@@ -76,6 +73,11 @@ def _lex_rank(exps):
 
 def _grevlex_rank(exps):
     return (-sum(exps),) + exps[::-1]
+
+
+def _block_rank(k, exps):
+    head, tail = exps[:k], exps[k:]
+    return (-sum(head),) + head[::-1] + (-sum(tail),) + tail[::-1]
 
 
 GREVLEX = MonomialOrder("grevlex")

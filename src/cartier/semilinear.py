@@ -483,6 +483,8 @@ class SemilinearModule(_TwistedModule):
         one F_p-linear solve.  The unit X = w E_rs contributes the column
         X A_V - A_W sigma^(-e)(X): w times row s of A_V placed in row r,
         minus sigma^(-e)(w) times column r of A_W placed in column s."""
+        if not isinstance(other, SemilinearModule):
+            raise UsageError(f"Hom-space target {other!r} is not a Cartier module")
         if other.spec != self.spec:
             raise UsageError("modules live over different field specs")
         spec, k, e = self.spec, self.spec.kernel, self.spec.e

@@ -1,5 +1,6 @@
 """Command-line behaviour: dispatch, determinism, exit codes, corpus."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -97,6 +98,101 @@ def test_resource_error_exit_code(capsys):
     assert json.loads(out)["error"]["kind"] == "resource"
 
 
+CAPPED = {
+    "semilinear-lattice": ["--module", ID_MODULE],
+    "crystal-quasilength": ["--module", ID_MODULE],
+    "poly-enum-compatible": ["--vars", "x,y", "--f", "x*y"],
+    "poly-stable-image": ["--vars", "x", "--f", "x^2"],
+    "poly-smallest": ["--vars", "x", "--f", "x^2", "--ideal", "x^3"],
+    "poly-supp": ["--vars", "x", "--f", "x^3", "--ideal", "x^2"],
+}
+
+
+@pytest.mark.parametrize("cap", ["0", "1"])
+@pytest.mark.parametrize("command", [c for c, entry in cli._COMMANDS.items() if "--cap" in entry[2]])
+def test_every_cap_takes_effect(capsys, command, cap):
+    code, out = capture(capsys, [command, *CAPPED[command], "--cap", cap, "--json"])
+    assert code == 3
+    assert json.loads(out)["error"]["kind"] == "resource"
+
+
+# A value for every option that lets every handler run to its end.
+EVERY_OPTION = {
+    "--p": "3", "--d": "2", "--modulus": "1,0,1", "--e": "1",
+    "--vars": "x,y", "--f": "x^2*y^2", "--ideal": "x", "--expr": "x^4*y",
+    "--cap": "100",
+    "--module": '{"field":{"p":3,"d":2,"modulus":[1,0,1],"e":1},"dim":2,'
+                '"matrix":[[[1],[0]],[[1],[1]]]}',
+}
+
+
+@pytest.mark.parametrize("command", [c for c in cli.SUBCOMMANDS if c != "corpus-run"])
+def test_every_accepted_option_is_read(command):
+    """Run the handler with every option it accepts set, on a namespace that
+    records the attributes read: an option parsed and then ignored fails."""
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    top = cli._build_parser()
+    (sub,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = [a for a in sub.choices[command]._actions if a.option_strings != ["-h", "--help"]]
+    argv = [command]
+    for action in actions:
+        flag = action.option_strings[0]
+        if flag == "--json":
+            argv.append(flag)
+        else:
+            argv += [flag, EVERY_OPTION[flag]] * (2 if command == "semilinear-hom" and
+                                                   flag == "--module" else 1)
+    args = top.parse_args(argv, namespace=Recording())
+    reads.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli._COMMANDS[command][0](args) in (None, 0)
+    unread = sorted(a.option_strings[0] for a in actions if a.dest not in reads)
+    assert unread == [], f"{command} accepts {unread} and never reads them"
+
+
+@pytest.mark.parametrize("command", [c for c in cli.SUBCOMMANDS if c != "corpus-run"])
+def test_an_option_a_command_does_not_read_is_rejected(capsys, command):
+    """Each option a subcommand does not list exits 2, as an unknown one
+    does, before any handler runs."""
+    options = cli._COMMANDS[command][2]
+    for flag in set(EVERY_OPTION) - set(options):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--json", flag, "1"])
+        assert exc.value.code == 2, (command, flag)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: {flag} 1\n")
+
+
+@pytest.mark.parametrize(
+    "command, reads",
+    [("semilinear-analyze", 1), ("semilinear-hom", 2), ("semilinear-lattice", 1),
+     ("crystal-minimal", 1), ("crystal-quasilength", 1)],
+)
+def test_more_modules_than_a_command_reads_is_a_usage_error(capsys, command, reads):
+    code, out = capture(capsys, [command, *["--module", ID_MODULE] * (reads + 1), "--json"])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "usage",
+        "detail": f"{command} takes {reads} --module value{'s' * (reads > 1)}, not {reads + 1}",
+    }
+
+
+@pytest.mark.parametrize("command", [None, *cli.SUBCOMMANDS])
+def test_every_help_text_prints(capsys, command):
+    """argparse formats help strings only when it prints them."""
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"] if command is None else [command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cartier")
+
+
 def test_stable_image_q49_four_variables(capsys):
     code, out = capture(
         capsys,
@@ -138,11 +234,15 @@ def test_split_witness_past_degree_bound(capsys):
         ["semilinear-analyze", "--module", '{"field":{"p":2},"e":1e400,"matrix":[[[1]]]}'],
         ["crystal-minimal", "--module", '{"field":{"p":2},"dim":1e400,"matrix":[[[1]]]}'],
         ["semilinear-lattice", "--module", '{"field":{"p":2},"matrix":[[[1e400]]]}'],
+        # argparse passes `--flag=--` on as [], without the option's type
+        ["poly-cartier", "--vars", "x", "--expr=--"],
+        ["poly-cartier", "--p=--", "--vars", "x", "--expr", "x"],
+        ["semilinear-analyze", "--module=--"],
     ],
     ids=["empty-module", "module-list", "module-entry", "module-deep",
          "modulus", "expr-deep", "ideal-entry", "corpus-missing",
          "vars-digit-first", "vars-space", "inf-p", "inf-d", "inf-e", "inf-modulus",
-         "inf-module-e", "inf-dim", "inf-entry"],
+         "inf-module-e", "inf-dim", "inf-entry", "expr-dashes", "p-dashes", "module-dashes"],
 )
 def test_malformed_input_is_a_usage_error(capsys, argv):
     code, out = capture(capsys, argv + ["--json"])
@@ -166,9 +266,12 @@ def test_huge_splitting_level_is_a_resource_error(capsys, e):
      '[{"name": "x", "argv": ["field-info", "--json"]}]',
      '[{"name": "self", "argv": ["corpus-run", "CORPUS", "--json"], "expect": null}]',
      '[{"name": "ints", "argv": [1, 2], "expect": null}]',
-     '[{"name": "text", "argv": "field-info", "expect": null}]'],
+     '[{"name": "text", "argv": "field-info", "expect": null}]',
+     '[{"name": 5, "argv": ["field-info"], "expect": null}]',
+     '[{"name": "x", "argv": ["field-info"], "exit": "0", "expect": null}]',
+     '[{"name": "x", "argv": ["field-info"], "exit": false, "expect": null}]'],
     ids=["unnamed-case", "not-a-list", "not-a-case", "bad-json", "no-expect",
-         "runs-itself", "int-argv", "string-argv"],
+         "runs-itself", "int-argv", "string-argv", "int-name", "string-exit", "bool-exit"],
 )
 def test_malformed_corpus_is_a_usage_error(tmp_path, capsys, text):
     path = tmp_path / "corpus.json"
@@ -178,6 +281,15 @@ def test_malformed_corpus_is_a_usage_error(tmp_path, capsys, text):
     error = json.loads(out)["error"]
     assert error["kind"] == "usage"
     assert error["detail"].startswith("corpus is malformed")
+
+
+def test_malformed_corpus_is_a_usage_error_in_text_mode(tmp_path, capsys):
+    path = tmp_path / "corpus.json"
+    path.write_text('[{"name": 5, "argv": ["field-info"], "expect": null}]')
+    code = run(["corpus-run", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error[usage]: corpus is malformed: name 5 is not a string\n"
 
 
 def test_malformed_corpus_runs_no_case(tmp_path, capsys, monkeypatch):
@@ -354,8 +466,7 @@ def test_corpus_run_records_rejected_argv(tmp_path, capsys):
 # ----------------------------------------------------------------------
 # the error contract on generated argv
 
-FIELD_FLAGS = ("--p", "--d", "--modulus", "--e", "--cap")
-RING_FLAGS = ("--vars", "--f", "--ideal", "--expr")
+REQUIRED = ("--module", "--vars", "--f", "--ideal", "--expr")
 GF4_MODULE = (
     '{"field":{"p":2,"d":2,"modulus":[1,1,1],"e":1},"dim":2,'
     '"matrix":[[[0,1],[1]],[[0],[1,1]]]}'
@@ -424,21 +535,16 @@ VALUES = {flag: _values(flag) for flag in PLAUSIBLE}
 
 @st.composite
 def argvs(draw):
-    """A subcommand with its required flags, then a few more flags; every
-    value is plausible or odd."""
+    """A subcommand with its required options, then a few more of the options
+    its `_COMMANDS` entry lists; every value is plausible or odd."""
     command = draw(st.sampled_from(cli.SUBCOMMANDS))
     if command == "corpus-run":
         argv = [command, draw(st.sampled_from(CORPORA + ["no-such-corpus.json"]))]
     else:
-        flags, required = FIELD_FLAGS, ()
-        if command.startswith("poly-"):
-            flags = required = RING_FLAGS
-            flags += FIELD_FLAGS
-        elif command != "field-info":
-            required = ("--module", "--module") if command == "semilinear-hom" else ("--module",)
-            flags += ("--module",)
+        options = cli._COMMANDS[command][2]
+        required = tuple(o for o in options if o in REQUIRED)
         argv = [command]
-        for flag in required + tuple(draw(st.lists(st.sampled_from(flags), max_size=3))):
+        for flag in required + tuple(draw(st.lists(st.sampled_from(options), max_size=3))):
             argv += [flag, draw(VALUES[flag])]
     if draw(st.booleans()):
         argv.append("--json")
@@ -461,9 +567,12 @@ def check_contract(argv):
             assert exc.code in (0, 2), (argv, exc.code)
             return exc.code
     assert code in (0, 2, 3, 4) or (code == 1 and argv[0] == "corpus-run"), (argv, code)
-    if "--json" in argv and code in (2, 3, 4):
-        error = json.loads(out.getvalue())
-        assert list(error) == ["error"] and sorted(error["error"]) == ["detail", "kind"], error
+    if "--json" in argv and code in (1, 2, 3, 4):
+        report = json.loads(out.getvalue())
+        if code == 1:  # corpus failures, and only those
+            assert report["failed"] > 0, report
+        else:
+            assert list(report) == ["error"] and sorted(report["error"]) == ["detail", "kind"]
     return code
 
 
@@ -471,3 +580,114 @@ def check_contract(argv):
 @given(argvs())
 def test_every_argv_keeps_the_exit_code_contract(argv):
     check_contract(argv)
+
+
+@settings(max_examples=100, deadline=2000)
+@given(argvs(), st.data())
+def test_an_option_its_command_does_not_read_exits_2(argv, data):
+    foreign = sorted(set(VALUES) - set(cli._COMMANDS[argv[0]][2]))
+    flag = data.draw(st.sampled_from(foreign))
+    position = data.draw(st.integers(1, len(argv)))
+    assert check_contract(argv[:position] + [flag, data.draw(VALUES[flag])] + argv[position:]) == 2
+
+
+# Polynomials in x and y written in the parser's syntax, and strings of the
+# parser's characters (the ideal list forms' included).
+POLY_SYNTAX = st.recursive(
+    st.sampled_from(["x", "y", "0", "1", "2", "12", "[1]", "[0,1]"]),
+    lambda inner: st.tuples(inner, st.sampled_from(["+", "-", "*", " * "]), inner).map("".join)
+    | st.tuples(inner, st.sampled_from(["^0", "^1", "^2", "^3", "^7", "^40"])).map("".join)
+    | inner.map("({})".format) | inner.map("-{}".format),
+    max_leaves=6,
+)
+POLY_TOKENS = ["x", "y", "z", "_", "0", "1", "2", "3", "7", "+", "-", "*", "^", "(", ")",
+               "[", "]", ",", " ", ";", '"']
+POLY_TEXTS = POLY_SYNTAX | st.lists(st.sampled_from(POLY_TOKENS), max_size=12).map("".join)
+
+
+@st.composite
+def poly_argvs(draw):
+    """A poly-* command with the options its `_COMMANDS` entry lists: the
+    field options now and then, always the others.  --expr, --f and --ideal
+    get polynomials or random strings of the parser's characters.
+    `--flag=value` keeps a value that starts with "-" a value."""
+    command = draw(st.sampled_from([c for c in cli.SUBCOMMANDS if c.startswith("poly-")]))
+    argv = [command]
+    for flag in cli._COMMANDS[command][2]:
+        if flag in ("--expr", "--f"):
+            value = draw(POLY_TEXTS)
+        elif flag == "--ideal":
+            gens = st.lists(POLY_TEXTS, max_size=3)
+            value = draw(POLY_TEXTS | gens.map(";".join) | gens.map(json.dumps))
+        elif flag == "--vars":
+            value = "x,y"
+        elif flag == "--cap" or draw(st.integers(0, 2)) == 0:
+            value = draw(st.sampled_from(PLAUSIBLE[flag]))
+        else:
+            continue
+        argv.append(f"{flag}={value}")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_argvs())
+def test_every_polynomial_string_keeps_the_exit_code_contract(argv):
+    assert check_contract(argv) in (0, 2, 3, 4)
+
+
+def test_a_value_that_starts_with_a_dash_needs_the_equals_form(capsys):
+    argv = ["poly-cartier", "--vars", "x", "--json"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--expr", "-x^3"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    assert capture(capsys, argv + ["--expr=-x^3"]) == (0, '{\n  "result": "x"\n}\n')
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+CASE_ARGVS = st.sampled_from([
+    [], ["bogus"], ["-h"], ["field-info", "--help"], ["field-info", "--bogus"],
+    ["field-info", "--p", "3", "--json"], ["field-info", "--p", "4"],
+    ["semilinear-analyze", "--module", "{}", "--json"], ["corpus-run", "c.json"],
+    ["poly-cartier", "--vars", "x", "--expr", "x^3"],
+]) | st.lists(st.text(max_size=4), max_size=3)
+EXPECTS = st.sampled_from([None, "", "x", {"p": 3, "d": 1, "e": 1, "q": 3, "order": 3,
+                                           "modulus": [1, 1]}])
+
+
+def _mostly(good, odd=JSON_VALUES):
+    """Draws from good seven times in eight, else from odd."""
+    return st.integers(0, 7).flatmap(lambda i: odd if i == 0 else good)
+
+
+# Cases with every key, each value mostly of the right type, and objects
+# with any of the keys holding anything.
+WELL_FORMED = st.fixed_dictionaries(
+    {"name": _mostly(st.text(max_size=4)), "argv": _mostly(CASE_ARGVS),
+     "expect": EXPECTS | JSON_VALUES},
+    optional={"exit": _mostly(st.integers(0, 4))},
+)
+CASES = _mostly(WELL_FORMED, st.fixed_dictionaries({}, optional={
+    "name": st.text(max_size=4) | JSON_VALUES,
+    "argv": CASE_ARGVS | JSON_VALUES,
+    "exit": st.integers(0, 4) | JSON_VALUES,
+    "expect": EXPECTS | JSON_VALUES,
+}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mostly(st.lists(CASES, max_size=4).map(json.dumps),
+               JSON_VALUES.map(json.dumps) | st.text(max_size=12)), st.booleans())
+def test_every_corpus_file_keeps_the_exit_code_contract(text, as_json):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "corpus.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert check_contract(["corpus-run", path] + ["--json"] * as_json) in (0, 1, 2)

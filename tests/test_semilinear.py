@@ -705,6 +705,13 @@ def test_hom_mismatched_fields(gf4, gf8):
         )
 
 
+def test_hom_target_must_be_a_cartier_module(gf4):
+    m = SemilinearModule(gf4, [[gf4.gen]])
+    for target in (m.dual(), FrobeniusModule(gf4, [[gf4.gen]]), [[gf4.gen]]):
+        with pytest.raises(UsageError, match="is not a Cartier module"):
+            m.hom_space(target)
+
+
 def test_end_basis_closed_under_composition():
     rng = random.Random(13)
     for _ in range(20):

@@ -1,11 +1,15 @@
 """Value semantics of the library's immutable classes: `==`, `hash` and
 `repr` come from each class's `_fields`, and the plain records take their
-fields as constructor arguments."""
+fields as constructor arguments.  Every value class survives `copy`,
+`deepcopy` and a pickle round trip."""
+
+import copy
+import pickle
 
 import pytest
 
 from cartier.crystal import CrystalReport, jordan_holder
-from cartier.field import FieldSpec
+from cartier.field import FieldSpec, _Immutable
 from cartier.operators import CartierOperator, IdealModule, SupportReport
 from cartier.poly import GREVLEX, Ideal, MonomialOrder, PolyRing, elimination_order
 from cartier.semilinear import (
@@ -15,6 +19,7 @@ from cartier.semilinear import (
     SemilinearModule,
     SubmoduleInfo,
     Subspace,
+    _TwistedModule,
 )
 
 from conftest import module_from_ints
@@ -143,3 +148,64 @@ def test_groebner_cache_is_keyed_by_the_order_value():
     first = ideal.groebner(elimination_order(1))
     assert ideal.groebner(MonomialOrder("block", 1)) is first
     assert len(ideal._gb) == 1
+
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+def _one_of_each_value_class():
+    """(values compared with ==, values holding ideals) covering every class."""
+    gf4 = FieldSpec(2, 2)
+    gf4.gen * gf4.gen  # the lazy kernel and element table are built
+    jordan = SemilinearModule(gf4, [[gf4.gen, gf4.one], [gf4.zero, gf4.gen]])
+    nilpotent = module_from_ints(gf4, [[0, 1], [0, 0]])
+    ring = PolyRing(FieldSpec(3, 1), ("x", "y"))
+    op = CartierOperator(ring, ring.parse("x^2*y^2"))
+    ideal = Ideal(ring, (ring.parse("x^2 + y"), ring.parse("x*y - 1")))
+    ideal.groebner(elimination_order(1))  # a block order in the basis cache
+    module = IdealModule(op, Ideal(ring, (ring.var("x"),)))
+    values = [
+        gf4, gf4.gen, GREVLEX, MonomialOrder("lex"), elimination_order(1), ring,
+        ring.parse("x^2*y + 2"), op, jordan, jordan.dual(), nilpotent.stable_image(),
+        nilpotent.decompose(), jordan.hom_space(jordan), nilpotent.enumerate_submodules()[1],
+        nilpotent.quotient_by(nilpotent.stable_image())[1], jordan_holder(nilpotent),
+    ]
+    return values, [ideal, module, module.supp_crys()]
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
+def test_every_value_class_can_be_copied_and_pickled(round_trip):
+    values, with_ideals = _one_of_each_value_class()
+    classes, todo = set(), [_Immutable]
+    while todo:
+        cls = todo.pop()
+        classes.add(cls)
+        todo += cls.__subclasses__()
+    assert {type(v) for v in values + with_ideals} == classes - {_Immutable, _TwistedModule}
+    for value in values:
+        again = round_trip(value)
+        assert type(again) is type(value) and again == value, value
+        assert hash(again) == hash(value) and repr(again) == repr(value)
+    ideal, module, report = map(round_trip, with_ideals)
+    assert ideal.equals(with_ideals[0])
+    assert ideal.groebner(elimination_order(1)) == with_ideals[0].groebner(elimination_order(1))
+    assert module.op == with_ideals[1].op and module.ideal.equals(with_ideals[1].ideal)
+    assert report.ann.equals(with_ideals[2].ann)
+    assert report.iterations == with_ideals[2].iterations
+
+
+def test_copies_leave_out_the_lazy_slots_and_still_compute():
+    spec = FieldSpec(2, 3)
+    assert spec.gen * spec.gen == spec.element((0, 0, 1))
+    assert set(spec.__getstate__()) == {"p", "d", "modulus", "e", "_one"}
+    for round_trip in ROUND_TRIPS.values():
+        again = round_trip(spec)
+        assert again.gen * again.gen == again.element((0, 0, 1))
+        with pytest.raises(AttributeError, match="immutable"):
+            again.p = 3
+    order = pickle.loads(pickle.dumps(elimination_order(2)))
+    assert order.rank((1, 2, 3)) == elimination_order(2).rank((1, 2, 3))
