@@ -420,10 +420,10 @@ _OPTIONS = {
     "--f": dict(help="operator multiplier (inline or file)"),
     "--ideal": dict(help="semicolon-separated generators, JSON list, or file"),
     "--expr": dict(help="polynomial expression (inline or file)"),
-    "--module": dict(action="append", default=[], help="module JSON (inline or file); repeatable"),
+    "--module": dict(action="append", default=[], help="module JSON (inline or file)"),
     "--cap": dict(type=int, help="resource cap: points of k^n scanned and submodules "
-                  "found by lattice commands, steps of chains, members of other "
-                  "enumerations"),
+                  "found by lattice commands, steps of chains (a chain that needs "
+                  "exactly cap steps answers), members of other enumerations"),
     "--json": dict(action="store_true", help="canonical JSON output"),
 }
 
@@ -434,8 +434,8 @@ _COMMANDS = {
     "field-info": (_cmd_field_info, "describe a field spec", _FIELD, None),
     "semilinear-analyze":
         (_cmd_semilinear_analyze, "decomposition and fixed points", ("--module",), None),
-    "semilinear-hom": (_cmd_semilinear_hom, "Hom-space between two modules",
-                       ("--module", "--module"), None),
+    "semilinear-hom": (_cmd_semilinear_hom, "Hom-space from a source module to a target "
+                       "(--module source --module target)", ("--module", "--module"), None),
     "semilinear-lattice":
         (_cmd_semilinear_lattice, "all stable subspaces", ("--module", "--cap"), _CAP),
     "crystal-minimal": (_cmd_crystal_minimal, "minimal representative", ("--module",), None),
@@ -466,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, text, options, cap) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, description=text)
         for option, settings in _OPTIONS.items():
             if option in options or option == "--json":
                 p.add_argument(option, **settings)

@@ -26,9 +26,10 @@ def minimal_rep(module: SemilinearModule) -> SemilinearModule:
     structural map and no nilpotent submodules: the restriction to the
     stable image, on which C is bijective."""
     rep = module.restrict_to(module.stable_image())
-    if rep.dim and rep.nilpotent_part().dim:
+    ranks, b_m, _ = rep._fitting()
+    if rep._kernel_part(ranks, b_m).dim:
         raise InvariantViolation("minimal representative kept a nilpotent part")
-    if rep.stable_image().dim != rep.dim:
+    if ranks[-1] != rep.dim:
         raise InvariantViolation("minimal representative is not surjective")
     return rep
 
@@ -178,10 +179,10 @@ def anti_nilpotent(module: SemilinearModule) -> bool:
 
 def invariant_profile(module: SemilinearModule):
     """Cheap isomorphism invariants: dimension, nilpotence order, ranks of
-    the power matrices, and fixed-point dimensions after base change to
-    GF(p^(dm)) for m = 1, 2, 3."""
-    k = module.spec.kernel
-    ranks = tuple(linalg._rank(b, k) for b in islice(module._powers(), module.dim + 1))
+    B_0, ..., B_n (walked to the Fitting index m, then rank B_m), and
+    fixed-point dimensions after base change to GF(p^(dm)), m = 1, 2, 3."""
+    ranks = module._fitting()[0]
+    ranks = tuple(ranks) + (ranks[-1],) * (module.dim + 1 - len(ranks))
     nilord = ranks.index(0) if 0 in ranks else None
     fixed = tuple(islice(module._base_change_fixed_dims(), 3))
     return (module.dim, nilord, ranks, fixed)

@@ -104,6 +104,19 @@ def _minimal_transversals(family, width: int):
     return [h for h in hit if all(h & ~b not in hit for b in bits if h & b)]
 
 
+def _stabilise(step, start: Ideal, cap: int, what: str):
+    """(ideal, steps): the first of start, step(start), ... that step gives
+    back, and the number of steps that changed the ideal; ResourceError,
+    naming the last two ideals, when more than `cap` of them do."""
+    cur, nxt, steps = start, step(start), 0
+    while not nxt.equals(cur):
+        if steps >= cap:
+            last = f"last two ideals {cur.canonical_strings()} and {nxt.canonical_strings()}"
+            raise ResourceError(f"{what} did not stabilise within {cap} steps; {last}")
+        cur, nxt, steps = nxt, step(nxt), steps + 1
+    return cur, steps
+
+
 class CartierOperator(_Immutable):
     """The operator g -> cartier_std(f * g, e) on a polynomial ring."""
 
@@ -168,31 +181,17 @@ class CartierOperator(_Immutable):
 
     def stable_image(self, ideal: Ideal | None = None, cap: int = DEFAULT_CHAIN_CAP):
         """Stable value of the descending image chain, plus the number of
-        applications it took.  Starts from the whole ring by default."""
-        cur = ideal if ideal is not None else Ideal(self.ring, (self.ring.one,))
-        for i in range(cap):
-            nxt = self.image_ideal(cur)
-            if nxt.equals(cur):
-                return cur, i
-            cur = nxt
-        raise ResourceError(
-            "image chain did not stabilise within "
-            f"{cap} steps; last two ideals {cur.canonical_strings()} and "
-            f"{self.image_ideal(cur).canonical_strings()}"
-        )
+        steps that changed it.  Starts from the whole ring by default."""
+        start = ideal if ideal is not None else Ideal(self.ring, (self.ring.one,))
+        return _stabilise(self.image_ideal, start, cap, "image chain")
 
     def smallest_stable_containing(
         self, seed: Ideal, cap: int = DEFAULT_CHAIN_CAP
     ) -> Ideal:
         """Least ideal containing the seed that the operator maps into itself,
         computed as the union of the seed with all iterated images."""
-        cur = seed
-        for _ in range(cap):
-            nxt = cur.sum(self.image_ideal(cur))
-            if nxt.equals(cur):
-                return cur
-            cur = nxt
-        raise ResourceError(f"ascending chain did not stabilise within {cap} steps")
+        step = lambda cur: cur.sum(self.image_ideal(cur))
+        return _stabilise(step, seed, cap, "ascending chain")[0]
 
     def is_compatible(self, ideal: Ideal) -> bool:
         """Whether the operator maps the ideal into itself."""
@@ -330,14 +329,8 @@ class IdealModule(_Immutable):
 
     def _image_chain(self, cap: int):
         """Stable value of K_0 = R, K_{i+1} = op(K_i) + J, with step count."""
-        ring = self.op.ring
-        cur = Ideal(ring, (ring.one,))
-        for i in range(cap):
-            nxt = self.op.image_ideal(cur).sum(self.ideal)
-            if nxt.equals(cur):
-                return cur, i
-            cur = nxt
-        raise ResourceError(f"quotient image chain did not stabilise within {cap} steps")
+        ring, step = self.op.ring, lambda cur: self.op.image_ideal(cur).sum(self.ideal)
+        return _stabilise(step, Ideal(ring, (ring.one,)), cap, "quotient image chain")
 
     def nilpotence(self, cap: int = DEFAULT_CHAIN_CAP):
         """(is_nilpotent, order-or-None) for the quotient module.

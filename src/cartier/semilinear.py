@@ -5,7 +5,8 @@ where sigma^(-e) takes coordinatewise p^e-th roots (q = p^e, e | d).  The
 module-level structure theory lives here: nilpotent part, stable image,
 direct-sum decomposition, fixed points, base change, Hom-spaces, duality,
 and the submodule lattice with its Hasse covers, grown from cyclic
-submodules.
+submodules.  The first three, and the nilpotence order, come from one
+walk of the twisted powers to the Fitting index.
 
 Modules, subspaces and Hom-spaces store packed rows and compute on them
 with `linalg`'s packed functions; `matrix`, `rows` and `basis` wrap them
@@ -273,7 +274,7 @@ class _TwistedModule(_Immutable):
     through a power of Frobenius.  Subclasses fix the twist: sigma^(-e)
     for a Cartier module, v -> A . sigma^(-e)(v), and sigma^e for a
     Frobenius module.  Validation, the action, the twisted powers, the
-    nilpotence order and duality are shared."""
+    Fitting walk with the nilpotence order, and duality are shared."""
 
     __slots__ = ("spec", "dim", "_a")
     _sign = 0  # the twist is sigma^(_sign * e)
@@ -335,21 +336,30 @@ class _TwistedModule(_Immutable):
         """Matrix B_i with (i-th power of the map)(v) = B_i . twist^i(v)."""
         return tuple(map(self.spec.wrap, self._power(i)))
 
-    def _nil_walk(self):
-        """(nilord, B_n) with n = dim, from one walk of the twisted powers.
-
-        nilord is the least i <= n with B_i = 0, or None.  Every power
-        after a zero one is zero, so the walk stops at the first zero B_i
-        and returns it as B_n.  It makes at most n matrix products.
-        """
-        for i, b in zip(range(self.dim + 1), self._powers()):
-            if not any(map(any, b)):
-                return i, b
-        return None, b
+    def _fitting(self):
+        """(ranks, B_m, image): rank B_0, ..., rank B_m, and the RREF rows
+        and pivots of B_m's column span, the image of the m-th power.  The
+        images fall until the Fitting index m, the least i with rank
+        B_(i+1) = rank B_i, and stay from then on (Hartshorne-Speiser);
+        V = ker + image of the m-th power.  The walk stops at B_m when it
+        is zero and at B_(m+1) otherwise: at most m + 1 matrix products."""
+        k, ranks = self.spec.kernel, []
+        for b in self._powers():
+            rows, pivots = linalg._rref(zip(*b), k)
+            if ranks and len(rows) >= ranks[-1]:
+                if len(rows) > ranks[-1]:
+                    raise InvariantViolation("the rank of a twisted power rose")
+                break
+            ranks.append(len(rows))
+            b_m, image = b, (rows, pivots)
+            if not rows:
+                break
+        return ranks, b_m, image
 
     def nilord(self) -> int | None:
         """Least i with the i-th power zero, or None when not nilpotent."""
-        return self._nil_walk()[0]
+        ranks = self._fitting()[0]
+        return None if ranks[-1] else len(ranks) - 1
 
     def dual(self):
         """The module of the other twist on the dual space, with matrix
@@ -386,38 +396,34 @@ class SemilinearModule(_TwistedModule):
         return not any(any(sub._residue(self._apply(r))) for r in sub._rows)
 
     def stable_image(self) -> Subspace:
-        cur = Subspace.full(self.spec, self.dim)
-        for _ in range(self.dim + 1):
-            nxt = self.image_of(cur)
-            if nxt == cur:
-                return cur
-            cur = nxt
-        raise InvariantViolation("image chain failed to stabilise within dim steps")
+        """C^m(V), m the Fitting index: the column span of B_m."""
+        return Subspace._of(self.spec, self.dim, *self._fitting()[2])
 
     def nilpotent_part(self) -> Subspace:
-        """Largest submodule killed by a power of C: sigma^(ne)(ker B_n)."""
-        return self._kernel_part(self._nil_walk()[1])
+        """Largest submodule killed by a power of C: sigma^(me)(ker B_m)."""
+        return self._kernel_part(*self._fitting()[:2])
 
-    def _kernel_part(self, b_n) -> Subspace:
-        """sigma^(ne)(ker b_n), for packed b_n = B_n with n = dim."""
-        n, k = self.dim, self.spec.kernel
-        kern = linalg._null_space(b_n, n, k)
-        return Subspace._span(self.spec, n, [k.frob_row(v, n * self.spec.e) for v in kern])
+    def _kernel_part(self, ranks, b_m) -> Subspace:
+        """ker C^m = sigma^(me)(ker B_m), from the ranks and B_m of a walk
+        to the Fitting index m."""
+        n, k, shift = self.dim, self.spec.kernel, (len(ranks) - 1) * self.spec.e
+        kern = linalg._null_space(b_m, n, k)
+        return Subspace._span(self.spec, n, [k.frob_row(v, shift) for v in kern])
 
     @property
     def is_nilpotent(self) -> bool:
         return self.nilord() is not None
 
     def decompose(self) -> NilDecomposition:
-        nilord, b_n = self._nil_walk()
-        nil = self._kernel_part(b_n)
-        under = self.stable_image()
+        ranks, b_m, image = self._fitting()
+        m, under = len(ranks) - 1, Subspace._of(self.spec, self.dim, *image)
+        nil = self._kernel_part(ranks, b_m)
         # complementary: the dimensions add up to n, and so does the sum's
         if nil.dim + under.dim != self.dim or nil.add(under).dim != self.dim:
             raise InvariantViolation("nilpotent part and stable image are not complementary")
         if not self.is_stable(nil) or not self.is_stable(under):
             raise InvariantViolation("decomposition parts are not stable under C")
-        return NilDecomposition(v_nil=nil, v_underline=under, nilord=nilord)
+        return NilDecomposition(v_nil=nil, v_underline=under, nilord=None if ranks[-1] else m)
 
     # -- fixed points and base change ----------------------------------
 

@@ -102,8 +102,8 @@ CAPPED = {
     "semilinear-lattice": ["--module", ID_MODULE],
     "crystal-quasilength": ["--module", ID_MODULE],
     "poly-enum-compatible": ["--vars", "x,y", "--f", "x*y"],
-    "poly-stable-image": ["--vars", "x", "--f", "x^2"],
-    "poly-smallest": ["--vars", "x", "--f", "x^2", "--ideal", "x^3"],
+    "poly-stable-image": ["--vars", "x", "--f", "x^4"],
+    "poly-smallest": ["--vars", "x", "--f", "x", "--ideal", "x^4"],
     "poly-supp": ["--vars", "x", "--f", "x^3", "--ideal", "x^2"],
 }
 
@@ -114,6 +114,14 @@ def test_every_cap_takes_effect(capsys, command, cap):
     code, out = capture(capsys, [command, *CAPPED[command], "--cap", cap, "--json"])
     assert code == 3
     assert json.loads(out)["error"]["kind"] == "resource"
+
+
+@pytest.mark.parametrize("command", ["poly-stable-image", "poly-smallest", "poly-supp"])
+def test_a_chain_of_exactly_cap_steps_answers(capsys, command):
+    # each chain in CAPPED takes two steps
+    code, out = capture(capsys, [command, *CAPPED[command], "--cap", "2", "--json"])
+    assert code == 0
+    assert json.loads(out).get("iterations", 2) == 2
 
 
 # A value for every option that lets every handler run to its end.

@@ -2,6 +2,7 @@
 compatibility, and quotient-module analysis."""
 
 import random
+from functools import partial
 from itertools import product
 
 import pytest
@@ -285,6 +286,51 @@ def test_stable_image_cap(Rx):
     op = CartierOperator(Rx, Rx.parse("x^4"), 1)
     with pytest.raises(ResourceError):
         op.stable_image(cap=1)
+
+
+def oracle_chain(step, start):
+    """(last ideal, steps that changed the ideal) of start, step(start), ...
+    up to the first ideal that step gives back."""
+    cur, steps = start, 0
+    while not step(cur).equals(cur):
+        cur, steps = step(cur), steps + 1
+    return cur, steps
+
+
+def counted_chains(chain):
+    """(run(cap), step, start) of one counted chain, on every corpus
+    operator and a few starting ideals; run gives (ideal, steps) with
+    None for what the method does not return."""
+    for op in operator_corpus():
+        ring = op.ring
+        x = ring.var(ring.vars[0])
+        for gens in [(ring.one,), (x**4,), (x**5 + ring.one,)]:
+            seed = Ideal(ring, gens)
+            if chain == "stable_image":
+                yield partial(op.stable_image, seed), op.image_ideal, seed
+            elif chain == "smallest_stable_containing":
+                run = lambda cap, op=op, seed=seed: (op.smallest_stable_containing(seed, cap), None)
+                yield run, lambda cur, op=op: cur.sum(op.image_ideal(cur)), seed
+            else:
+                module = IdealModule(op, op.smallest_stable_containing(seed))
+                run = lambda cap, m=module: (None, m.supp_crys(cap).iterations)
+                step = lambda cur, op=op, m=module: op.image_ideal(cur).sum(m.ideal)
+                yield run, step, Ideal(ring, (ring.one,))
+
+
+@pytest.mark.parametrize("chain", ["stable_image", "smallest_stable_containing", "supp_crys"])
+def test_a_cap_equal_to_the_step_count_answers(chain):
+    longest = 0
+    for run, step, start in counted_chains(chain):
+        stable, steps = oracle_chain(step, start)
+        ideal, count = run(steps)
+        assert ideal is None or ideal.equals(stable)
+        assert count is None or count == steps
+        if steps:
+            with pytest.raises(ResourceError, match=f"within {steps - 1} steps; last two"):
+                run(steps - 1)
+        longest = max(longest, steps)
+    assert longest >= 2
 
 
 def test_corpus_chains_stabilize_and_are_fixed():

@@ -10,7 +10,7 @@ import pytest
 from cartier import crystal, field, semilinear
 from cartier.errors import ResourceError, UsageError
 from cartier.field import FieldSpec
-from cartier.linalg import is_zero_matrix, mat_mul, identity
+from cartier.linalg import identity, is_zero_matrix, mat_mul, matrix_rank
 from cartier import linalg
 from cartier.semilinear import (
     FrobeniusModule,
@@ -282,21 +282,102 @@ def test_oracle_agreement_on_small_random_modules():
 # -- nilpotence orders ---------------------------------------------------
 
 
+def fitting_products(m):
+    """The matrix products of a walk to the Fitting index: m + 1, or m
+    when B_m = 0, with m the first index whose rank the next one repeats.
+    The ranks come from the public power matrices."""
+    ranks = [matrix_rank(m.power_matrix(i), m.spec) for i in range(m.dim + 2)]
+    fit = next(i for i in range(m.dim + 1) if ranks[i + 1] == ranks[i])
+    return fit + (ranks[fit] > 0)
+
+
+def count_products(monkeypatch):
+    calls, real = [], linalg._mul
+    monkeypatch.setattr(linalg, "_mul", lambda a, b, k: calls.append(1) or real(a, b, k))
+    return calls
+
+
+def nilpotent_jordan(spec, sizes):
+    """Direct sum of nilpotent Jordan blocks J_s(0)."""
+    n, starts = sum(sizes), {sum(sizes[:i]) for i in range(len(sizes))}
+    return module_from_ints(
+        spec, [[int(j == i + 1 and j not in starts) for j in range(n)] for i in range(n)]
+    )
+
+
+def low_rank(rng, spec, n, r):
+    """A random module whose matrix is a product n x r times r x n."""
+    left = [[random_element(rng, spec) for _ in range(r)] for _ in range(n)]
+    right = [[random_element(rng, spec) for _ in range(n)] for _ in range(r)]
+    return SemilinearModule(spec, mat_mul(left, right) if r else [[spec.zero] * n] * n)
+
+
 def test_decompose_walks_the_powers_once(gf8, monkeypatch):
     rng = random.Random(88)
     m = random_module(rng, gf8, 8)
     while m.is_nilpotent:
         m = random_module(rng, gf8, 8)
-    calls = []
-    real = linalg._mul
-
-    def counting(a, b, k):
-        calls.append(1)
-        return real(a, b, k)
-
-    monkeypatch.setattr(linalg, "_mul", counting)
+    expected = fitting_products(m)
+    calls = count_products(monkeypatch)
     m.decompose()
-    assert 0 < len(calls) <= m.dim
+    assert len(calls) == expected
+
+
+FITTING_QUESTIONS = {
+    "stable_image": SemilinearModule.stable_image,
+    "nilpotent_part": SemilinearModule.nilpotent_part,
+    "nilord": SemilinearModule.nilord,
+    "dual_nilord": lambda m: m.dual().nilord(),
+    "invariant_profile": crystal.invariant_profile,
+    "minimal_rep": crystal.minimal_rep,
+}
+
+
+@pytest.mark.parametrize("question", FITTING_QUESTIONS)
+def test_every_fitting_question_walks_the_powers_once(question, gf4, gf8, monkeypatch):
+    rng = random.Random(87)
+    modules = [random_module(rng, gf8, 8), low_rank(rng, gf4, 6, 3), strictly_upper(rng, gf4, 5)]
+    modules += [module_with_nilpotent_part(rng, gf4, 6) for _ in range(6)]
+    modules += [nilpotent_jordan(gf4, (3, 2, 1))]
+    if question == "minimal_rep":  # one walk of the module and one of its restriction
+        expected = [fitting_products(m) + fitting_products(crystal.minimal_rep(m)) for m in modules]
+    elif question == "dual_nilord":
+        expected = [fitting_products(m.dual()) for m in modules]
+    else:
+        expected = list(map(fitting_products, modules))
+    assert max(expected) > 2
+    # the profile's base-change dimensions make products of their own
+    monkeypatch.setattr(SemilinearModule, "_base_change_fixed_dims", lambda m: iter((0,) * 3))
+    calls = count_products(monkeypatch)
+    for m, want in zip(modules, expected):
+        calls.clear()
+        FITTING_QUESTIONS[question](m)
+        assert len(calls) == want
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_a_nilpotent_jordan_block_makes_at_most_n_products(n, f2, gf9, monkeypatch):
+    for spec in (f2, gf9):
+        m = nilpotent_jordan(spec, (n,))
+        calls = count_products(monkeypatch)
+        dec = m.decompose()
+        assert dec.nilord == n and dec.v_nil.dim == n and len(calls) == n
+
+
+def test_profile_ranks_are_the_ranks_of_the_power_matrices():
+    rng = random.Random(18)
+    padded = 0
+    for spec in (FieldSpec(2, 1), FieldSpec(2, 2), FieldSpec(3, 2), FieldSpec(2, 2, None, 2)):
+        modules = [nilpotent_jordan(spec, sizes) for sizes in ((4,), (3, 1), (2, 2, 1))]
+        modules += [low_rank(rng, spec, 5, r) for r in range(4)]
+        modules += [module_with_nilpotent_part(rng, spec, rng.randint(0, 5)) for _ in range(12)]
+        for m in modules:
+            ranks = [matrix_rank(m.power_matrix(i), spec) for i in range(m.dim + 1)]
+            dim, nilord, got, _ = crystal.invariant_profile(m)
+            assert (dim, got) == (m.dim, tuple(ranks))
+            assert nilord == (ranks.index(0) if 0 in ranks else None) == m.nilord()
+            padded += 0 < ranks[-1] < m.dim and ranks[1] == ranks[-1]
+    assert padded  # some walks stop well before n, above rank 0
 
 
 def test_hot_loops_stay_on_packed_rows(gf8, gf9, element_op_calls):
