@@ -13,7 +13,7 @@ which also finds its Hasse covers, and `nil_series` walks down its covers.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, tee
 
 from .errors import InvariantViolation, UsageError
 from .field import _Immutable
@@ -25,7 +25,12 @@ def minimal_rep(module: SemilinearModule) -> SemilinearModule:
     """The unique (up to isomorphism) representative with surjective
     structural map and no nilpotent submodules: the restriction to the
     stable image, on which C is bijective."""
-    rep = module.restrict_to(module.stable_image())
+    return _minimal_rep(module, module.stable_image())
+
+
+def _minimal_rep(module: SemilinearModule, top: Subspace) -> SemilinearModule:
+    """`minimal_rep` given the module's stable image."""
+    rep = module.restrict_to(top)
     ranks, b_m, _ = rep._fitting()
     if rep._kernel_part(ranks, b_m).dim:
         raise InvariantViolation("minimal representative kept a nilpotent part")
@@ -93,7 +98,11 @@ def jordan_holder(module: SemilinearModule, cap: int = 100_000) -> CrystalReport
     """Enumerate the crystal's submodule lattice and certify that every
     maximal chain has the same length: each cover raises the height
     above the bottom by exactly one."""
-    rep = minimal_rep(module)
+    return _jordan_holder(minimal_rep(module), cap)
+
+
+def _jordan_holder(rep: SemilinearModule, cap: int) -> CrystalReport:
+    """`jordan_holder` given the minimal representative."""
     # C is bijective on rep, so every C-stable subspace is fixed
     lattice, _, edges = rep._lattice(cap)
     height = [0] + [None] * (len(lattice) - 1)
@@ -135,7 +144,7 @@ def nil_series(module: SemilinearModule, cap: int = 100_000):
     Returns the subspaces of the ambient space in order.
     """
     top = module.stable_image()
-    report = jordan_holder(module, cap=cap)
+    report = _jordan_holder(_minimal_rep(module, top), cap)
     lattice, rep = report.lattice, report.minimal_rep
     last = [0] * len(lattice)  # each member's last lower cover
     for i, j in report.edges:  # sorted, so the last i for j is the largest
@@ -181,11 +190,18 @@ def invariant_profile(module: SemilinearModule):
     """Cheap isomorphism invariants: dimension, nilpotence order, ranks of
     B_0, ..., B_n (walked to the Fitting index m, then rank B_m), and
     fixed-point dimensions after base change to GF(p^(dm)), m = 1, 2, 3."""
-    ranks = module._fitting()[0]
+    return _profile(module)[0]
+
+
+def _profile(module: SemilinearModule):
+    """(invariant profile, stable image) from one walk of the twisted
+    powers, which the base change takes up where the walk stopped."""
+    walk, again = tee(module._powers())
+    ranks, _, image = module._fitting(walk)
     ranks = tuple(ranks) + (ranks[-1],) * (module.dim + 1 - len(ranks))
     nilord = ranks.index(0) if 0 in ranks else None
-    fixed = tuple(islice(module._base_change_fixed_dims(), 3))
-    return (module.dim, nilord, ranks, fixed)
+    fixed = tuple(islice(module._base_change_fixed_dims(again), 3))
+    return (module.dim, nilord, ranks, fixed), Subspace._of(module.spec, module.dim, *image)
 
 
 def isomorphism_verdict(source: SemilinearModule, target: SemilinearModule) -> str:
@@ -198,8 +214,11 @@ def isomorphism_verdict(source: SemilinearModule, target: SemilinearModule) -> s
     such modules U, W are isomorphic exactly when dim Hom(U, U) =
     dim Hom(U, W) = dim Hom(W, W) (Byrnes and Gauger, 1977).
     """
-    if source.spec != target.spec or invariant_profile(source) != invariant_profile(target):
+    if source.spec != target.spec:
         return "distinct"
-    u, w = (m.restrict_to(m.stable_image()) for m in (source, target))
+    (profile, top), (other, other_top) = _profile(source), _profile(target)
+    if profile != other:
+        return "distinct"
+    u, w = source.restrict_to(top), target.restrict_to(other_top)
     dims = {u.hom_space(u).dim, u.hom_space(w).dim, w.hom_space(w).dim}
     return "isomorphic" if len(dims) == 1 else "distinct"

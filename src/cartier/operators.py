@@ -21,8 +21,11 @@ from .poly import (
     Ideal,
     Polynomial,
     PolyRing,
+    _add_multiple,
     _add_product,
     _buchberger,
+    _check_bound,
+    _degree,
     _new,
 )
 
@@ -53,10 +56,12 @@ def frobenius_descent(g: Polynomial, e: int):
     ring = g.ring
     _require_twist(ring.field, e)
     q = ring.field.p**e
-    t = g._packed
+    t, offsets, mask = g._packed, ring._offsets, ring._mask
     parts: dict = {}
     for a, root in zip(t, ring.field.kernel.frob_row(t.values(), -e)):
-        parts.setdefault(tuple(x % q for x in a), {})[tuple(x // q for x in a)] = root
+        b = tuple([(a >> s & mask) % q for s in offsets])
+        # a - x^b is q times the packed x^(a // q)
+        parts.setdefault(b, {})[(a - ring._pack(b)) // q] = root
     return {b: _new(ring, part) for b, part in parts.items()}
 
 
@@ -66,10 +71,11 @@ def cartier_std(g: Polynomial, e: int) -> Polynomial:
     ring = g.ring
     _require_twist(ring.field, e)
     q = ring.field.p**e
-    t = g._packed
-    kept = [a for a in t if not any((x + 1) % q for x in a)]
+    t, offsets, mask = g._packed, ring._offsets, ring._mask
+    kept = [a for a in t if all((a >> s & mask) % q == q - 1 for s in offsets)]
     roots = ring.field.kernel.frob_row([t[a] for a in kept], -e)
-    return _new(ring, {tuple((x + 1) // q - 1 for x in a): r for a, r in zip(kept, roots)})
+    top = ring._pack([q - 1] * ring.nvars)  # a - top is q times the packed answer
+    return _new(ring, {(a - top) // q: r for a, r in zip(kept, roots)})
 
 
 def _require_twist(field: FieldSpec, e: int):
@@ -217,27 +223,29 @@ class CartierOperator(_Immutable):
         shifted = self._shifted_values(ring.one)
         if not shifted:
             return None
-        k, bound, one = ring.field.kernel, ring.max_degree, ring.one._packed
+        k, one = ring.field.kernel, ring.one._packed
         basis, cofs = _buchberger([g for _, g in shifted], GREVLEX, True)
         if basis != [one]:  # the reduced basis of the unit ideal is (1)
             return None
         coeffs = cofs[0]  # 1 = sum_b coeffs[b] * f_{q-1-b}
         check = {}
         for c, (_, g) in zip(coeffs, shifted):
-            _add_product(check, c, g._packed, k, bound)
+            _add_product(check, c, g._packed, ring)
         if check != one:
             raise InvariantViolation("cofactor bookkeeping lost the unit")
-        h = {}
+        h, shift = {}, ring._shift
         for c, (b, _) in zip(coeffs, shifted):
             c = _new(ring, c).frobenius_power(self.e)._packed
-            _add_product(h, c, {b: k.one}, k, bound)
+            if c:  # the degree guard first: b < q may not fit a field
+                _check_bound(_degree(c, shift) + sum(b), ring.max_degree)
+                _add_multiple(h, c, c.values(), ring._pack(b), k.one, k)
         h = _new(ring, h)
         # The ring's degree bound guards user input.  f * h is one product
         # of two known polynomials, so check it in a copy of the ring whose
         # bound fits it.
         degree = self.multiplier.total_degree() + h.total_degree()
         wide = PolyRing(ring.field, ring.vars, max(degree, ring.max_degree))
-        fh = _new(wide, self.multiplier._packed) * _new(wide, h._packed)
+        fh = _new(wide, self.multiplier._terms_for(wide)) * _new(wide, h._terms_for(wide))
         if cartier_std(fh, self.e) != wide.one:
             raise InvariantViolation("splitting witness failed verification")
         return h
@@ -264,7 +272,7 @@ class CartierOperator(_Immutable):
             raise UsageError("enumeration requires a monomial multiplier")
         if not self.is_split():
             raise UsageError("enumeration requires a split operator")
-        a = next(iter(self.multiplier._packed))
+        a = self.ring._unpack(next(iter(self.multiplier._packed)))
         support = [i for i, x in enumerate(a) if x == self.q - 1]
         total = _ANTICHAIN_COUNTS.get(len(support))
         if total is None or total > cap:

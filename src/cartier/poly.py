@@ -1,34 +1,38 @@
 """Sparse multivariate polynomials over GF(p^d).
 
-A polynomial stores its terms once, as a dict {exponent tuple: packed
-int} holding no zero coefficient, the way a `FieldElement` wraps one
-packed int (see `cartier.field`).  All arithmetic runs on these packed
-terms through the field's kernel, with one set of helpers shared by the
-polynomial operators, the parser, division and Buchberger: `_add_multiple`
-(acc += c * x^u * f), `_add_product` (acc += m * f) and `_power`, under the
-one degree guard `_check_product`.  The public `terms` is a read-only
-mapping {exponent tuple: FieldElement}, built on each access.
+A polynomial stores its terms once, as a dict {packed monomial: packed
+coefficient} with no zero coefficient, the way a `FieldElement` wraps one
+packed int (see `cartier.field`).  The `PolyRing` packs a monomial into one
+int (Monagan and Pearce, CASC 2007): x_i in field i from the bottom, each
+`max_degree.bit_length()` bits (at least 1) and a guard bit wide, and minus
+the total degree above them.  So a product is `a + b`, b divides a when
+`(a - b) & guards` is 0, 1 is 0, and the ints ascend in grevlex order from
+the leading monomial; lex and block orders rank them with shifts and
+masks.  Constructors refuse exponents above the bound, products keep to
+it, and division, which has no degree guard, raises when an exponent would
+leave its field; the public API speaks exponent tuples.
 
-The serialized form sorts terms descending under the ring's default order
-(grevlex), so printing is canonical and parse/print round-trips.
-Polynomials and monomial orders are immutable.
+All arithmetic runs on packed terms through the field's kernel, with one
+set of helpers shared by the polynomial operators, the parser, division
+and Buchberger: `_add_multiple` (acc += c * x^u * f), `_add_product`
+(acc += m * f) and `_power`, under the one degree guard `_check_bound`.
+Printing sorts terms descending in grevlex, so it is canonical and
+parse/print round-trips.  Polynomials and monomial orders are immutable.
 
 Gröbner bases come from one Buchberger loop with one pair queue, the
 Gebauer–Möller criteria and the sugar strategy, reduced to the unique
-reduced basis for the order.  On request the loop also tracks cofactors,
-used where an explicit representation 1 = sum h_i g_i is required; it
-forms the same S-polynomials either way.  Division pops the
-leading pending monomial from a heap keyed by `MonomialOrder.rank`, and
-each divisor's leading term, inverse leading coefficient and tail are
-prepared once: per Buchberger run as the basis grows, and per `Ideal`
-next to its cached basis.
+reduced basis for the order; it can also track cofactors, for an explicit
+1 = sum h_i g_i, forming the same S-polynomials.  Division pops the
+leading pending monomial from a heap, and each divisor's leading term,
+inverse leading coefficient and tail are prepared once: per Buchberger run
+as the basis grows, and per `Ideal` next to its cached basis.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from heapq import heapify, heappop, heappush
-from operator import add, le, mul, neg, sub
+from operator import neg
 from types import MappingProxyType
 
 from .errors import DomainError, InvariantViolation, ResourceError, UsageError
@@ -61,6 +65,25 @@ class MonomialOrder(_Immutable):
         """Sort key: ascending in the monomial order."""
         return tuple(map(neg, self.rank(exps)))
 
+    def _packed_rank(self, ring: "PolyRing"):
+        """`rank` on the packed monomials of `ring`, as an int; None under
+        grevlex, where a packed monomial is its own rank."""
+        w, mask, offsets, shift = ring._width, ring._mask, ring._offsets, ring._shift
+        if self.kind == "lex":  # minus the fields laid out with x_1 highest
+            return lambda m: -sum((m >> s & mask) << shift - w - s for s in offsets)
+        k = min(self.block, ring.nvars) * w  # the head's bits
+        if not k:
+            return None
+        # the head's grevlex rank, shifted above m >> k: once the heads
+        # agree, m >> k ranks the tail like grevlex, and it stays below
+        # 2^(z-1) in size
+        z, head, hoffsets = shift - k + w + ring.nvars.bit_length(), (1 << k) - 1, offsets[: k // w]
+        if k == w:  # block 1, as in `Ideal.intersect`: x_1 is the head's degree
+            degree = lambda m: m & head
+        else:
+            degree = lambda m: sum(m >> s & mask for s in hoffsets)
+        return lambda m: ((m & head) - (degree(m) << k) << z) + (m >> k)
+
     def __repr__(self):
         if self.kind == "block":
             return f"MonomialOrder('block', {self.block})"
@@ -88,27 +111,11 @@ def elimination_order(k: int) -> MonomialOrder:
     return MonomialOrder("block", k)
 
 
-def mono_divides(a, b) -> bool:
-    return all(map(le, a, b))
-
-
-def mono_div(a, b):
-    return tuple(map(sub, a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(map(max, a, b))
-
-
-def mono_coprime(a, b) -> bool:
-    return not any(map(mul, a, b))
-
-
 class PolyRing(_Immutable):
-    """GF(p^d)[x_1, ..., x_n] with a total-degree guard on products.
-    Immutable."""
+    """GF(p^d)[x_1, ..., x_n] with a total-degree guard on products, which
+    sets the layout but is not part of the ring's value.  Immutable."""
 
-    __slots__ = ("field", "vars", "max_degree")
+    __slots__ = ("field", "vars", "max_degree", "_width", "_shift", "_offsets", "_mask", "_guards")
     _fields = ("field", "vars")
 
     def __init__(self, field: FieldSpec, variables, max_degree: int = 200):
@@ -118,7 +125,14 @@ class PolyRing(_Immutable):
                 raise UsageError(f"variable name {name!r} is not a name the parser reads")
         if len(set(variables)) != len(variables):
             raise UsageError("duplicate variable names")
-        self._set(field=field, vars=variables, max_degree=max_degree)
+        if not isinstance(max_degree, int) or max_degree < 0:
+            raise UsageError(f"degree bound {max_degree!r} is not a nonnegative integer")
+        # the top bit of a field is its guard; a variable fits even in bound 0
+        w = max(max_degree, 1).bit_length() + 1
+        offsets = tuple(range(0, w * len(variables), w))
+        guards = sum(1 << s + w - 1 for s in offsets)
+        self._set(field=field, vars=variables, max_degree=max_degree, _width=w, _offsets=offsets)
+        self._set(_shift=w * len(variables), _mask=(1 << w - 1) - 1, _guards=guards)
 
     @property
     def nvars(self) -> int:
@@ -127,28 +141,42 @@ class PolyRing(_Immutable):
     def __repr__(self):
         return f"PolyRing(GF({self.field.p}^{self.field.d})[{', '.join(self.vars)}])"
 
+    def _pack(self, exps) -> int:  # exponents within the bound
+        m = 0
+        for x, s in zip(exps, self._offsets):
+            m |= x << s
+        return m - (sum(exps) << self._shift)
+
+    def _unpack(self, m: int) -> tuple:
+        mask = self._mask
+        return tuple(m >> s & mask for s in self._offsets)
+
+    def _monomial(self, exps) -> int:
+        """`_pack` for exponents from outside, which may not fit."""
+        exps = tuple(map(int, exps))
+        if len(exps) != self.nvars or min(exps, default=0) < 0:
+            raise UsageError("bad exponent vector")
+        _check_bound(max(exps, default=0), self.max_degree, "exponent")
+        return self._pack(exps)
+
     @property
     def zero(self) -> "Polynomial":
         return _new(self, {})
 
     @property
     def one(self) -> "Polynomial":
-        return self.monomial((0,) * self.nvars)
+        return _new(self, {0: self.field.kernel.one})
 
     def var(self, name: str) -> "Polynomial":
         if name not in self.vars:
             raise UsageError(f"unknown variable {name!r}")
-        i = self.vars.index(name)
-        return self.monomial(1 if j == i else 0 for j in range(self.nvars))
+        m = (1 << self._offsets[self.vars.index(name)]) - (1 << self._shift)
+        return _new(self, {m: self.field.kernel.one})
 
     def monomial(self, exps, coeff=None) -> "Polynomial":
-        exps = tuple(int(x) for x in exps)
-        if len(exps) != self.nvars or any(x < 0 for x in exps):
-            raise UsageError("bad exponent vector")
-        c = self.field.one if coeff is None else coeff
-        if c.is_zero:
-            return self.zero
-        return _new(self, {exps: self.field.unwrap((c,))[0]})
+        m = self._monomial(exps)
+        c = self.field.unwrap((self.field.one if coeff is None else coeff,))[0]
+        return _new(self, {m: c} if c else {})
 
     def constant(self, c) -> "Polynomial":
         if isinstance(c, int):
@@ -175,19 +203,32 @@ class Polynomial(_Immutable):
 
     def __init__(self, ring: PolyRing, terms):
         terms = dict(terms)
-        packed = zip(terms, ring.field.unwrap(terms.values()))
+        packed = zip(map(ring._monomial, terms), ring.field.unwrap(terms.values()))
         self._set(ring=ring, _packed={a: c for a, c in packed if c})
 
     @property
     def terms(self):
-        t = self._packed
+        t = self._unpacked()
         return MappingProxyType(dict(zip(t, self.ring.field.wrap(t.values()))))
 
-    def _check(self, other):
+    def _unpacked(self) -> dict:
+        """{exponent tuple: packed coefficient}, the same in every layout."""
+        t = self._packed
+        return dict(zip(map(self.ring._unpack, t), t.values()))
+
+    def _terms_for(self, ring: PolyRing) -> dict:
+        """The packed terms in the layout of `ring`, equal to this one's."""
+        if ring._width == self.ring._width:
+            return self._packed
+        return {ring._monomial(e): c for e, c in self._unpacked().items()}
+
+    def _check(self, other) -> dict:
+        """`other`'s packed terms, laid out like this polynomial's."""
         if not isinstance(other, Polynomial):
             raise UsageError(f"cannot combine polynomial with {type(other).__name__}")
         if other.ring != self.ring:
             raise UsageError("polynomials belong to different rings")
+        return other._terms_for(self.ring)
 
     @property
     def is_zero(self) -> bool:
@@ -196,12 +237,19 @@ class Polynomial(_Immutable):
     def __bool__(self):
         return bool(self._packed)
 
-    def __hash__(self):  # _packed is a dict
-        return hash((self.ring, frozenset(self._packed.items())))
+    def __eq__(self, other):
+        if type(other) is not Polynomial or other.ring != self.ring:
+            return False
+        if other.ring._width == self.ring._width:
+            return other._packed == self._packed
+        return other._unpacked() == self._unpacked()
+
+    def __hash__(self):  # _packed is a dict, laid out by the degree bound
+        return hash((self.ring, frozenset(self._unpacked().items())))
 
     def total_degree(self) -> int:
         """Degree of the polynomial, -1 for the zero polynomial."""
-        return max(map(sum, self._packed), default=-1)
+        return _degree(self._packed, self.ring._shift) if self._packed else -1
 
     def _scaled(self, c):
         """self * c for a nonzero packed c."""
@@ -209,9 +257,9 @@ class Polynomial(_Immutable):
         return _new(self.ring, dict(zip(t, self.ring.field.kernel.scale(t.values(), c))))
 
     def __add__(self, other):
-        self._check(other)
-        k, acc, o = self.ring.field.kernel, dict(self._packed), other._packed
-        _add_multiple(acc, o, o.values(), (0,) * self.ring.nvars, k.one, k)
+        o = self._check(other)
+        k, acc = self.ring.field.kernel, dict(self._packed)
+        _add_multiple(acc, o, o.values(), 0, k.one, k)
         return _new(self.ring, acc)
 
     def __neg__(self):
@@ -228,8 +276,7 @@ class Polynomial(_Immutable):
             if other.is_zero or self.is_zero:
                 return self.ring.zero
             return self._scaled(self.ring.field.unwrap((other,))[0])
-        self._check(other)
-        return _new(self.ring, _mul(self._packed, other._packed, self.ring))
+        return _new(self.ring, _mul(self._packed, self._check(other), self.ring))
 
     __rmul__ = __mul__
 
@@ -246,23 +293,26 @@ class Polynomial(_Immutable):
         pj = ring.field.p**j
         if self.total_degree() * pj > ring.max_degree:
             raise ResourceError("Frobenius power exceeds the degree bound")
-        exps = [tuple(x * pj for x in e) for e in t]
+        exps = [m * pj for m in t]  # the bound keeps every field in place
         return _new(ring, dict(zip(exps, ring.field.kernel.frob_row(t.values(), j))))
+
+    def _lead(self, order: MonomialOrder) -> int:
+        if self.is_zero:
+            raise DomainError("zero polynomial has no leading term")
+        return min(self._packed, key=order._packed_rank(self.ring))
 
     def leading(self, order: MonomialOrder):
         """(exponents, coefficient) of the leading term under the order."""
-        if self.is_zero:
-            raise DomainError("zero polynomial has no leading term")
-        e = min(self._packed, key=order.rank)
-        return e, self.ring.field.wrap((self._packed[e],))[0]
+        m = self._lead(order)
+        return self.ring._unpack(m), self.ring.field.wrap((self._packed[m],))[0]
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
-        e, _ = self.leading(order)
-        return self._scaled(self.ring.field.kernel.inv(self._packed[e]))
+        return self._scaled(self.ring.field.kernel.inv(self._packed[self._lead(order)]))
 
     def sorted_terms(self, order: MonomialOrder = GREVLEX):
-        rank = order.rank
-        return sorted(self.terms.items(), key=lambda t: rank(t[0]))
+        ring, t = self.ring, self._packed
+        ms = sorted(t, key=order._packed_rank(ring))
+        return list(zip(map(ring._unpack, ms), ring.field.wrap([t[m] for m in ms])))
 
     def __str__(self):
         if self.is_zero:
@@ -270,9 +320,9 @@ class Polynomial(_Immutable):
         ring = self.ring
         one = ring.field.one.packed
         parts = []
-        for exps, c in sorted(self._packed.items(), key=lambda t: GREVLEX.rank(t[0])):
-            factors = [] if c == one and any(exps) else [str(ring.field.wrap((c,))[0])]
-            for name, k in zip(ring.vars, exps):
+        for m, c in sorted(self._packed.items()):  # ascending = grevlex from the top
+            factors = [] if c == one and m else [str(ring.field.wrap((c,))[0])]
+            for name, k in zip(ring.vars, ring._unpack(m)):
                 if k == 1:
                     factors.append(name)
                 elif k > 1:
@@ -287,6 +337,10 @@ class Polynomial(_Immutable):
 def _new(ring: PolyRing, packed: dict) -> Polynomial:
     """The polynomial with these packed terms, which it takes over."""
     return object.__new__(Polynomial)._set(ring=ring, _packed=packed)
+
+
+def _degree(terms, shift: int) -> int:  # the least monomial has the top degree
+    return -(min(terms) >> shift)
 
 
 # ----------------------------------------------------------------------
@@ -358,7 +412,7 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
     tk = _Tokenizer(text)
     field = ring.field
     k = field.kernel
-    origin, one, minus = (0,) * ring.nvars, k.one, k.neg(k.one)
+    one, minus = k.one, k.neg(k.one)
     depth = 0
 
     def parse_expr():
@@ -369,7 +423,7 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
             sign = minus if ch == "-" else one
         while True:
             term = parse_term()
-            _add_multiple(acc, term, term.values(), origin, sign, k)
+            _add_multiple(acc, term, term.values(), 0, sign, k)
             ch = tk.peek()
             if ch not in ("+", "-"):
                 return acc
@@ -397,7 +451,7 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
         return base
 
     def constant(c):
-        return {origin: c.packed} if c else {}
+        return {0: c.packed} if c else {}
 
     def parse_atom():
         nonlocal depth
@@ -450,7 +504,7 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
                 tk.pos = start
                 tk.error(f"unknown variable {name!r}")
             i = ring.vars.index(name)
-            return {origin[:i] + (1,) + origin[i + 1 :]: one}
+            return {ring._pack([0] * i + [1]): one}
         tk.error(f"unexpected character {ch!r}")
 
     result = parse_expr()
@@ -462,9 +516,10 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
 # ----------------------------------------------------------------------
 # packed arithmetic, division and Buchberger
 #
-# A divisor is prepared once as the tuple (leading exponents, inverse
-# leading coefficient, tail exponents, tail coefficients, total degree),
-# the tail in term order without the leading term.
+# A divisor is prepared once as the tuple (leading monomial, inverse
+# leading coefficient, tail monomials, tail coefficients, total degree),
+# the tail in term order without the leading term.  `rank` is the order's
+# `_packed_rank` on the ring: None under grevlex.
 #
 # Buchberger is one loop over one pair queue.  It reduces each generator by
 # the ones before it, smallest leading term first, then takes pairs from
@@ -475,28 +530,23 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
 # naming the basis size and the largest sugar.
 
 
-def _prepare(terms: dict, rank, k):
+def _prepare(terms: dict, rank, ring: PolyRing):
     if not terms:
         raise DomainError("zero polynomial has no leading term")
     lead = min(terms, key=rank)
     tail = [e for e in terms if e != lead]
-    return (
-        lead,
-        k.inv(terms[lead]),
-        tail,
-        [terms[e] for e in tail],
-        max(map(sum, terms)),
-    )
+    inv = ring.field.kernel.inv(terms[lead])
+    return lead, inv, tail, [terms[e] for e in tail], _degree(terms, ring._shift)
 
 
-def _check_product(deg_a: int, deg_b: int, bound: int):
-    """The degree guard of every polynomial product.  A degree too long to
-    print (a lift to x^(q-2) at a huge level q) is named by its bit length."""
-    degree = deg_a + deg_b
-    if degree > bound:
-        bits = degree.bit_length()
-        shown = degree if bits <= 1000 else f"of 2^{bits - 1} or more"
-        raise ResourceError(f"product degree {shown} exceeds the configured bound {bound}")
+def _check_bound(value: int, bound: int, what: str = "product degree"):
+    """The degree guard of every product, and the constructors' exponent
+    bound.  A value too long to print (a lift to x^(q-2) at a huge level q)
+    is named by its bit length."""
+    if value > bound:
+        bits = value.bit_length()
+        shown = value if bits <= 1000 else f"of 2^{bits - 1} or more"
+        raise ResourceError(f"{what} {shown} exceeds the configured bound {bound}")
 
 
 def _add_multiple(acc: dict, exps, coeffs, u, c, k) -> list:
@@ -505,7 +555,7 @@ def _add_multiple(acc: dict, exps, coeffs, u, c, k) -> list:
     kadd = k.add
     fresh = []
     for e, v in zip(exps, k.scale(coeffs, c)):
-        e = tuple(map(add, e, u))
+        e += u
         s = acc.get(e)
         if s is None:
             acc[e] = v
@@ -519,24 +569,25 @@ def _add_multiple(acc: dict, exps, coeffs, u, c, k) -> list:
     return fresh
 
 
-def _add_product(acc: dict, m: dict, f: dict, k, bound: int):
+def _add_product(acc: dict, m: dict, f: dict, ring: PolyRing):
     """acc += m * f, in place, under the degree guard (checked only when
     both factors are nonzero)."""
     if m and f:
-        _check_product(max(map(sum, m)), max(map(sum, f)), bound)
+        shift, k = ring._shift, ring.field.kernel
+        _check_bound(_degree(m, shift) + _degree(f, shift), ring.max_degree)
         for u, c in m.items():
             _add_multiple(acc, f, f.values(), u, c, k)
 
 
 def _mul(a: dict, b: dict, ring: PolyRing) -> dict:
     acc = {}
-    _add_product(acc, a, b, ring.field.kernel, ring.max_degree)
+    _add_product(acc, a, b, ring)
     return acc
 
 
 def _power(f: dict, n: int, ring: PolyRing) -> dict:
     """f^n by square and multiply, starting from 1."""
-    result = {(0,) * ring.nvars: ring.field.kernel.one}
+    result = {0: ring.field.kernel.one}
     while n:
         if n & 1:
             result = _mul(result, f, ring)
@@ -546,36 +597,54 @@ def _power(f: dict, n: int, ring: PolyRing) -> dict:
     return result
 
 
-def _divide(work: dict, divisors, rank, k, quots=None) -> dict:
+def _lcm(a: int, b: int, ring: PolyRing) -> int:
+    mask, m, degree = ring._mask, 0, 0
+    for s in ring._offsets:
+        x, y = a >> s & mask, b >> s & mask
+        x = y if y > x else x
+        m |= x << s
+        degree += x
+    return m - (degree << ring._shift)
+
+
+def _divide(work: dict, divisors, ring: PolyRing, rank, quots=None) -> dict:
     """Remainder of the packed polynomial `work` (consumed) by prepared
     divisors: at each step the leading pending term is reduced by the
     first divisor, in list order, whose leading term divides it.  With
     `quots` (one dict per divisor) the quotient terms are recorded there.
 
-    Pending monomials wait in a heap keyed by rank; an entry whose term
-    has cancelled since it was pushed is dropped when popped.  Every
-    monomial a step adds is below the one it reduces, so a monomial that
-    was reduced or moved to the remainder never comes back (and each
-    quotient term is written once)."""
-    heap = [(rank(e), e) for e in work]
+    Pending monomials wait in a heap, keyed by rank (themselves under
+    grevlex); an entry whose term has cancelled since it was pushed is
+    dropped when popped.  Every monomial a step adds is below the one it
+    reduces, so a monomial that was reduced or moved to the remainder
+    never comes back (and each quotient term is written once)."""
+    heap = list(work) if rank is None else [(rank(e), e) for e in work]
     heapify(heap)
     leads = [d[0] for d in divisors]
+    k, guards = ring.field.kernel, ring._guards
     kmul, kneg = k.mul, k.neg
     rem = {}
     while heap:
-        e = heappop(heap)[1]
+        e = heappop(heap)
+        if rank is not None:
+            e = e[1]
         c = work.pop(e, 0)
         if not c:
             continue
         for i, de in enumerate(leads):
-            if all(map(le, de, e)):
+            u = e - de
+            if not u & guards:
                 _, inv, texps, tcoeffs, _ = divisors[i]
-                u = tuple(map(sub, e, de))
                 c = kmul(c, inv)
                 if quots is not None:
                     quots[i][u] = c
                 for ne in _add_multiple(work, texps, tcoeffs, u, kneg(c), k):
-                    heappush(heap, (rank(ne), ne))
+                    if ne & guards:  # only a new monomial can leave its fields
+                        raise ResourceError(
+                            f"division reached an exponent above {ring._mask}, "
+                            f"past the configured bound {ring.max_degree}"
+                        )
+                    heappush(heap, ne if rank is None else (rank(ne), ne))
                 break
         else:
             rem[e] = c
@@ -586,25 +655,23 @@ def divide(f: Polynomial, divisors, order: MonomialOrder, track: bool = False):
     """Multivariate division: f = sum q_i d_i + r, no term of r divisible
     by any leading term.  Returns r, or (r, quotients) when tracking."""
     ring = f.ring
-    k = ring.field.kernel
-    prepared = []
-    for d in divisors:
-        f._check(d)
-        prepared.append(_prepare(d._packed, order.rank, k))
+    rank = order._packed_rank(ring)
+    prepared = [_prepare(f._check(d), rank, ring) for d in divisors]
     quots = [{} for _ in prepared] if track else None
-    r = _new(ring, _divide(dict(f._packed), prepared, order.rank, k, quots))
+    r = _new(ring, _divide(dict(f._packed), prepared, ring, rank, quots))
     return (r, [_new(ring, q) for q in quots]) if track else r
 
 
-def _s_polynomial(f, g, k, bound):
-    """S-polynomial of two prepared divisors, with the exponents u_f, u_g
-    of its monomial multipliers: S = x^u_f * f / lc(f) - x^u_g * g / lc(g)."""
+def _s_polynomial(f, g, lcm: int, ring: PolyRing):
+    """S-polynomial of two prepared divisors whose leading monomials have
+    this lcm, with the exponents u_f, u_g of its monomial multipliers:
+    S = x^u_f * f / lc(f) - x^u_g * g / lc(g)."""
     lf, finv, fexps, fcoeffs, fdeg = f
     lg, ginv, gexps, gcoeffs, gdeg = g
-    lcm = mono_lcm(lf, lg)
-    uf, ug = mono_div(lcm, lf), mono_div(lcm, lg)
-    _check_product(sum(uf), fdeg, bound)
-    _check_product(sum(ug), gdeg, bound)
+    k, shift, bound = ring.field.kernel, ring._shift, ring.max_degree
+    uf, ug = lcm - lf, lcm - lg
+    _check_bound(fdeg - (uf >> shift), bound)
+    _check_bound(gdeg - (ug >> shift), bound)
     s = {}
     _add_multiple(s, fexps, fcoeffs, uf, finv, k)
     _add_multiple(s, gexps, gcoeffs, ug, k.neg(ginv), k)
@@ -643,45 +710,48 @@ class _SugarPairs:
     pair goes when the lcm of another new pair divides its lcm (chain
     criterion; of pairs with equal lcms the last stays, so a pair with an
     element whose leading term a later one divides always goes), and then
-    when the two leading terms are coprime (product criterion).  An old
-    pair (i, j) goes when lt(h) divides its lcm and that lcm is neither
-    lcm(i, h) nor lcm(j, h) (triangle criterion).  Pairs leave a heap
-    keyed by (sugar, order key of the lcm, i, j); sugar is the degree the
-    pair would have if the input were homogenised (Giovini et al., ISSAC
-    1991)."""
+    when its lcm is the product of the two leading terms (product
+    criterion).  An old pair (i, j) goes when lt(h) divides its lcm and
+    that lcm is neither lcm(i, h) nor lcm(j, h) (triangle criterion).
+    Pairs leave a heap keyed by (sugar, order key of the lcm, i, j); sugar
+    is the degree the pair would have if the input were homogenised
+    (Giovini et al., ISSAC 1991)."""
 
-    def __init__(self, leads, sugars, key):
-        self.leads, self.sugars, self.key = leads, sugars, key
+    def __init__(self, leads, sugars, rank, ring: PolyRing):
+        self.leads, self.sugars, self.rank, self.ring = leads, sugars, rank, ring
         self.heap = []  # (sugar, key of lcm, i, j, lcm)
         for h in range(len(leads)):
             self.add(h)
 
     def add(self, h):
-        leads, sugars = self.leads, self.sugars
-        lh, excess = leads[h], sugars[h] - sum(leads[h])
-        new = [(g, mono_lcm(leads[g], lh)) for g in range(h)]
+        leads, sugars, rank, ring = self.leads, self.sugars, self.rank, self.ring
+        shift, guards = ring._shift, ring._guards
+        lh = leads[h]
+        excess = sugars[h] + (lh >> shift)  # sugar minus degree
+        new = [(g, _lcm(leads[g], lh, ring)) for g in range(h)]
         kept = []
         for n, (g, lcm) in enumerate(new):
-            if mono_coprime(leads[g], lh) or not any(
-                mono_divides(other, lcm) for _, other in new[n + 1 :] + kept
+            if lcm == leads[g] + lh or all(
+                (lcm - other) & guards for _, other in new[n + 1 :] + kept
             ):
                 kept.append((g, lcm))
         heap = [
             pair
             for pair in self.heap
-            if not mono_divides(lh, pair[4])
-            or mono_lcm(leads[pair[2]], lh) == pair[4]
-            or mono_lcm(leads[pair[3]], lh) == pair[4]
+            if (pair[4] - lh) & guards
+            or _lcm(leads[pair[2]], lh, ring) == pair[4]
+            or _lcm(leads[pair[3]], lh, ring) == pair[4]
         ]
         for g, lcm in kept:
-            if not mono_coprime(leads[g], lh):
-                sugar = max(sugars[g] - sum(leads[g]), excess) + sum(lcm)
-                heap.append((sugar, self.key(lcm), g, h, lcm))
+            if lcm != leads[g] + lh:
+                sugar = max(sugars[g] + (leads[g] >> shift), excess) - (lcm >> shift)
+                heap.append((sugar, -(lcm if rank is None else rank(lcm)), g, h, lcm))
         heapify(heap)
         self.heap = heap
 
     def pop(self):
-        return heappop(self.heap)[2:4] if self.heap else None
+        """(i, j, lcm) of the next pair, or None."""
+        return heappop(self.heap)[2:] if self.heap else None
 
 
 def _buchberger(gens, order: MonomialOrder, track: bool):
@@ -689,27 +759,29 @@ def _buchberger(gens, order: MonomialOrder, track: bool):
     if not gens:
         return [], None
     ring = gens[0].ring
-    k, rank, bound = ring.field.kernel, order.rank, ring.max_degree
-    for g in gens:
-        gens[0]._check(g)
+    k, shift = ring.field.kernel, ring._shift
+    rank = order._packed_rank(ring)
     prepared = []
     cofs = [] if track else None
-    inputs = [(j, g._packed) for j, g in enumerate(gens) if g]
-    for j, t in sorted(inputs, key=lambda jt: min(map(rank, jt[1])), reverse=True):
+    inputs = [(j, t) for j, t in enumerate(map(gens[0]._check, gens)) if t]
+    # the generator with the smallest leading term first
+    for j, t in sorted(
+        inputs, key=lambda jt: min(jt[1] if rank is None else map(rank, jt[1])), reverse=True
+    ):
         unit = None
         if track:
             unit = [{} for _ in gens]
-            unit[j] = {(0,) * ring.nvars: k.one}
-        r, rcof = _reduce(dict(t), unit, prepared, cofs, rank, k, bound)
+            unit[j] = {0: k.one}
+        r, rcof = _reduce(dict(t), unit, prepared, cofs, ring, rank)
         if r:
-            prepared.append(_prepare(r, rank, k))
+            prepared.append(_prepare(r, rank, ring))
             if track:
                 cofs.append(rcof)
     if not prepared:
         return [], cofs
     leads = [d[0] for d in prepared]
     sugars = [d[4] for d in prepared]
-    pairs = _SugarPairs(leads, sugars, order.key)
+    pairs = _SugarPairs(leads, sugars, rank, ring)
     reduced = 0
     while (pair := pairs.pop()) is not None:
         if reduced == MAX_SPAIRS:
@@ -718,51 +790,53 @@ def _buchberger(gens, order: MonomialOrder, track: bool):
                 f"{len(prepared)} basis elements, largest sugar {max(sugars)}"
             )
         reduced += 1
-        i, j = pair
+        i, j, lcm = pair
         fi, fj = prepared[i], prepared[j]
-        s, uf, ug = _s_polynomial(fi, fj, k, bound)
+        s, uf, ug = _s_polynomial(fi, fj, lcm, ring)
         scof = None
         if track:
             mf, mg = {uf: fi[1]}, {ug: k.neg(fj[1])}
             scof = []
             for a, b in zip(cofs[i], cofs[j]):
                 c = {}
-                _add_product(c, mf, a, k, bound)
-                _add_product(c, mg, b, k, bound)
+                _add_product(c, mf, a, ring)
+                _add_product(c, mg, b, ring)
                 scof.append(c)
-        r, rcof = _reduce(s, scof, prepared, cofs, rank, k, bound)
+        r, rcof = _reduce(s, scof, prepared, cofs, ring, rank)
         if r:
-            d = _prepare(r, rank, k)
+            d = _prepare(r, rank, ring)
             prepared.append(d)
             leads.append(d[0])
-            sugars.append(max(sugars[i] + sum(uf), sugars[j] + sum(ug), d[4]))
+            sugars.append(max(sugars[i] - (uf >> shift), sugars[j] - (ug >> shift), d[4]))
             if track:
                 cofs.append(rcof)
             pairs.add(len(prepared) - 1)
-    return _reduce_basis(prepared, cofs, rank, k, bound)
+    return _reduce_basis(prepared, cofs, ring, rank)
 
 
-def _reduce(f: dict, fcof, divisors, dcofs, rank, k, bound):
+def _reduce(f: dict, fcof, divisors, dcofs, ring: PolyRing, rank):
     """Remainder of f (consumed) by the prepared divisors, and, when f
     carries cofactors, the remainder's cofactors
     fcof - sum_i quotient_i * dcofs[i]."""
     if fcof is None:
-        return _divide(f, divisors, rank, k), None
+        return _divide(f, divisors, ring, rank), None
+    k = ring.field.kernel
     quots = [{} for _ in divisors]
-    r = _divide(f, divisors, rank, k, quots)
+    r = _divide(f, divisors, ring, rank, quots)
     out = [dict(c) for c in fcof]
     for q, dc in zip(quots, dcofs):
         if q:
             negq = {u: k.neg(c) for u, c in q.items()}
             for acc, c in zip(out, dc):
-                _add_product(acc, negq, c, k, bound)
+                _add_product(acc, negq, c, ring)
     return r, out
 
 
-def _reduce_basis(prepared, cofs, rank, k, bound):
+def _reduce_basis(prepared, cofs, ring: PolyRing, rank):
     """Monic, minimal, then fully reduced; cofactors (None when untracked)
     are scaled and reduced in step with their basis elements.  The basis
     comes out sorted by leading monomial ascending."""
+    k, guards = ring.field.kernel, ring._guards
     one = k.one
     items = []
     for n, (lead, inv, texps, tcoeffs, deg) in enumerate(prepared):
@@ -770,12 +844,12 @@ def _reduce_basis(prepared, cofs, rank, k, bound):
         if cofs is not None:
             cof = [dict(zip(c, k.scale(c.values(), inv))) for c in cofs[n]]
         items.append(((lead, one, texps, k.scale(tcoeffs, inv), deg), cof))
-    items.sort(key=lambda t: rank(t[0][0]), reverse=True)
+    items.sort(key=lambda t: t[0][0] if rank is None else rank(t[0][0]), reverse=True)
     # minimal: drop any element whose leading term another one divides
     minimal = []
     for item in items:
         lead = item[0][0]
-        if any(mono_divides(h[0][0], lead) for h in minimal):
+        if any(not (lead - h[0][0]) & guards for h in minimal):
             continue
         minimal.append(item)
     # fully reduce each element against the others; no other leading term
@@ -789,7 +863,7 @@ def _reduce_basis(prepared, cofs, rank, k, bound):
         g[lead] = one
         others = divisors[:i] + divisors[i + 1 :]
         if others:
-            g, cof = _reduce(g, cof, others, dcofs[:i] + dcofs[i + 1 :], rank, k, bound)
+            g, cof = _reduce(g, cof, others, dcofs[:i] + dcofs[i + 1 :], ring, rank)
         basis.append(g)
         if rcofs is not None:
             rcofs.append(cof)
@@ -817,14 +891,16 @@ class Ideal(_Immutable):
         for g in gens:
             if not isinstance(g, Polynomial) or g.ring != ring:
                 raise UsageError("generator outside the ring")
+        if any(g.ring._width != ring._width for g in gens):
+            gens = tuple(_new(ring, g._terms_for(ring)) for g in gens)
         self._set(ring=ring, gens=gens, _gb={})
 
     def _basis(self, order: MonomialOrder):
         """(reduced basis, its prepared divisors), computed once per order."""
         if order not in self._gb:
             basis = groebner_basis(self.gens, order)
-            k = self.ring.field.kernel
-            prepared = [_prepare(g._packed, order.rank, k) for g in basis]
+            rank = order._packed_rank(self.ring)
+            prepared = [_prepare(g._packed, rank, self.ring) for g in basis]
             self._gb[order] = (basis, prepared)
         return self._gb[order]
 
@@ -835,7 +911,8 @@ class Ideal(_Immutable):
         if f.ring != self.ring:
             raise UsageError("polynomial outside the ring")
         prepared = self._basis(order)[1]
-        return _divide(dict(f._packed), prepared, order.rank, self.ring.field.kernel)
+        rank = order._packed_rank(self.ring)
+        return _divide(dict(f._terms_for(self.ring)), prepared, self.ring, rank)
 
     def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
         return _new(self.ring, self._remainder(f, order))
@@ -883,8 +960,13 @@ class Ideal(_Immutable):
             aux += "_"
         big = PolyRing(ring.field, (aux,) + ring.vars, ring.max_degree)
 
+        # big has ring's field width and t in the lowest field: a monomial
+        # moves up one field, and a factor t^s adds s - (s << big._shift)
+        w, tdeg = ring._width, 1 - (1 << big._shift)
+
         def up(f, shift_t):
-            return _new(big, {(shift_t,) + e: c for e, c in f._packed.items()})
+            terms = f._terms_for(ring).items()
+            return _new(big, {(m << w) + shift_t * tdeg: c for m, c in terms})
 
         t = big.var(aux)
         one = big.one
@@ -893,8 +975,8 @@ class Ideal(_Immutable):
         gb = groebner_basis(gens, elimination_order(1))
         down_gens = []
         for g in gb:
-            if all(e[0] == 0 for e in g._packed):
-                down_gens.append(_new(ring, {e[1:]: c for e, c in g._packed.items()}))
+            if not any(m & big._mask for m in g._packed):  # free of t
+                down_gens.append(_new(ring, {m >> w: c for m, c in g._packed.items()}))
         return Ideal(ring, tuple(down_gens))
 
     def colon_element(self, g: Polynomial) -> "Ideal":
@@ -933,16 +1015,17 @@ class Ideal(_Immutable):
             if len(g._packed) != 1:
                 raise UsageError("ideal is not given by monomial generators")
             gens.add(next(iter(g._packed)))
-        return _minimal_monomials(gens)
+        return _minimal_monomials(gens, self.ring)
 
     def is_squarefree_monomial(self) -> bool:
-        return all(all(x <= 1 for x in e) for e in self._monomial_gens())
+        return all(x <= 1 for m in self._monomial_gens() for x in self.ring._unpack(m))
 
     def monomial_radical(self) -> "Ideal":
         """Exponent truncation to <= 1 on the minimal monomial generators."""
-        truncated = {tuple(min(x, 1) for x in e) for e in self._monomial_gens()}
-        minimal = _minimal_monomials(truncated)
-        return Ideal(self.ring, tuple(self.ring.monomial(e) for e in minimal))
+        ring, one = self.ring, self.ring.field.kernel.one
+        squarefree = lambda m: ring._pack([min(x, 1) for x in ring._unpack(m)])
+        truncated = set(map(squarefree, self._monomial_gens()))
+        return Ideal(ring, tuple(_new(ring, {m: one}) for m in _minimal_monomials(truncated, ring)))
 
     # -- serialization -------------------------------------------------
 
@@ -960,6 +1043,9 @@ class Ideal(_Immutable):
         return f"Ideal({gens})"
 
 
-def _minimal_monomials(exps):
-    """The exponent tuples of `exps` that no other one divides, sorted."""
-    return [e for e in sorted(exps) if not any(f != e and mono_divides(f, e) for f in exps)]
+def _minimal_monomials(monomials, ring: PolyRing):
+    """The packed monomials no other one divides, sorted as exponents."""
+    guards = ring._guards
+    minimal = [m for m in monomials if all(f == m or (m - f) & guards for f in monomials)]
+    return sorted(minimal, key=ring._unpack)
+

@@ -336,15 +336,16 @@ class _TwistedModule(_Immutable):
         """Matrix B_i with (i-th power of the map)(v) = B_i . twist^i(v)."""
         return tuple(map(self.spec.wrap, self._power(i)))
 
-    def _fitting(self):
+    def _fitting(self, powers=None):
         """(ranks, B_m, image): rank B_0, ..., rank B_m, and the RREF rows
         and pivots of B_m's column span, the image of the m-th power.  The
         images fall until the Fitting index m, the least i with rank
         B_(i+1) = rank B_i, and stay from then on (Hartshorne-Speiser);
         V = ker + image of the m-th power.  The walk stops at B_m when it
-        is zero and at B_(m+1) otherwise: at most m + 1 matrix products."""
+        is zero and at B_(m+1) otherwise: at most m + 1 matrix products.
+        It walks `powers` when given, an iterator over `_powers()`."""
         k, ranks = self.spec.kernel, []
-        for b in self._powers():
+        for b in self._powers() if powers is None else powers:
             rows, pivots = linalg._rref(zip(*b), k)
             if ranks and len(rows) >= ranks[-1]:
                 if len(rows) > ranks[-1]:
@@ -457,16 +458,18 @@ class SemilinearModule(_TwistedModule):
             big, tuple(tuple(phi(x) for x in row) for row in self.matrix)
         )
 
-    def _base_change_fixed_dims(self):
+    def _base_change_fixed_dims(self, powers=None):
         """Yield len(self.base_change(m).fixed_points()) for m = 1, 2, ...
         as n - rank(B^m - I), B = B_(d/e), without building GF(p^(dm)).
+        B is taken from `powers` when given, an iterator over `_powers()`.
 
         B = C^(d/e) is k-linear.  A fixed point v over the algebraic closure
         has v^(p^d) = B v, so it lies in GF(p^(dm))^n exactly when B^m v = v.
         The fixed points span the unit part over the closure (Katz, LNM 350,
         4.1), and B is nilpotent on the nilpotent part."""
         spec, n, k = self.spec, self.dim, self.spec.kernel
-        b = bm = self._power(spec.d // spec.e)
+        powers = self._powers() if powers is None else powers
+        b = bm = next(islice(powers, spec.d // spec.e, None))
         while True:
             shifted = [
                 [k.sub(x, k.one) if i == j else x for j, x in enumerate(row)]

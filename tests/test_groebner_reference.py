@@ -249,7 +249,8 @@ def test_homogeneous_pairs_leave_in_degree_order(monkeypatch):
     spolys = _record_calls(monkeypatch, "_s_polynomial")
 
     def lcm_degrees():
-        return [sum(poly.mono_lcm(f[0], g[0])) for (f, g, _, _), _ in spolys]
+        unpack = ring._unpack  # prepared leading monomials are packed ints
+        return [sum(map(max, unpack(f[0]), unpack(g[0]))) for (f, g, _, _), _ in spolys]
 
     basis = groebner_basis(gens, LEX)
     untracked = lcm_degrees()

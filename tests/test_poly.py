@@ -20,9 +20,6 @@ from cartier.poly import (
     elimination_order,
     groebner_basis,
     divide,
-    mono_divides,
-    mono_lcm,
-    mono_div,
 )
 
 from conftest import oracle_parse
@@ -597,7 +594,7 @@ def monomial_ideal(ring, exps_list):
 def oracle_monomial_intersect(ring, gens_a, gens_b):
     """Combinatorial formula: pairwise lcms generate the intersection."""
     return monomial_ideal(
-        ring, [mono_lcm(a, b) for a in gens_a for b in gens_b]
+        ring, [tuple(map(max, a, b)) for a in gens_a for b in gens_b]
     )
 
 
@@ -605,7 +602,7 @@ def oracle_monomial_colon(ring, gens_a, m):
     """Combinatorial formula: (I : x^m) = (a / gcd(a, m))."""
     return monomial_ideal(
         ring,
-        [mono_div(a, tuple(min(x, y) for x, y in zip(a, m))) for a in gens_a],
+        [tuple(x - min(x, y) for x, y in zip(a, m)) for a in gens_a],
     )
 
 

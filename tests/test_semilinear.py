@@ -347,12 +347,58 @@ def test_every_fitting_question_walks_the_powers_once(question, gf4, gf8, monkey
         expected = list(map(fitting_products, modules))
     assert max(expected) > 2
     # the profile's base-change dimensions make products of their own
-    monkeypatch.setattr(SemilinearModule, "_base_change_fixed_dims", lambda m: iter((0,) * 3))
+    monkeypatch.setattr(
+        SemilinearModule, "_base_change_fixed_dims", lambda m, powers=None: iter((0,) * 3)
+    )
     calls = count_products(monkeypatch)
     for m, want in zip(modules, expected):
         calls.clear()
         FITTING_QUESTIONS[question](m)
         assert len(calls) == want
+
+
+def test_the_profile_takes_the_base_change_power_from_its_walk(gf4, gf8, monkeypatch):
+    # B_(d/e) comes from the powers the walk formed, or from where the walk
+    # stopped: max(walk, d/e) products, then B^2 and B^3 for m = 2, 3
+    rng = random.Random(86)
+    modules = [random_module(rng, gf8, 4), random_module(rng, gf8, 6), low_rank(rng, gf4, 6, 3)]
+    modules += [module_with_nilpotent_part(rng, gf8, 6) for _ in range(3)]
+    modules += [nilpotent_jordan(gf8, (3, 2, 1)), strictly_upper(rng, gf4, 5)]
+    expected = [max(fitting_products(m), m.spec.d // m.spec.e) + 2 for m in modules]
+    assert any(fitting_products(m) < m.spec.d // m.spec.e for m in modules)
+    assert any(fitting_products(m) > m.spec.d // m.spec.e for m in modules)
+    calls = count_products(monkeypatch)
+    for m, want in zip(modules, expected):
+        calls.clear()
+        crystal.invariant_profile(m)
+        assert len(calls) == want
+
+
+def count_walks(monkeypatch):
+    """Patch `_fitting` to record the module of each walk."""
+    walked, real = [], SemilinearModule._fitting
+    monkeypatch.setattr(
+        SemilinearModule, "_fitting", lambda m, *args: walked.append(m) or real(m, *args)
+    )
+    return walked
+
+
+def test_each_crystal_question_walks_a_module_once(gf4, gf8, monkeypatch):
+    # nil_series walks the module once, for the top of its series and its
+    # minimal representative together; isomorphism_verdict walks each side
+    # once, for its profile and its stable image together
+    rng = random.Random(85)
+    modules = [module_with_nilpotent_part(rng, gf4, 4) for _ in range(3)]
+    modules += [random_module(rng, gf8, 4), nilpotent_jordan(gf4, (2, 1))]
+    walked = count_walks(monkeypatch)
+    for m in modules:
+        walked.clear()
+        crystal.nil_series(m)
+        assert sum(w is m for w in walked) == 1
+        other = SemilinearModule(m.spec, m.matrix)
+        walked.clear()
+        assert crystal.isomorphism_verdict(m, other) == "isomorphic"
+        assert sum(w is m for w in walked) == sum(w is other for w in walked) == 1
 
 
 @pytest.mark.parametrize("n", range(1, 7))
