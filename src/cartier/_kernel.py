@@ -2,17 +2,21 @@
 
 The encoding is the one `field` defines: the base-p number c0 c1 ...
 c_{d-1}, so the packed zero is 0 and the packed one is p^(d-1).  One
-kernel serves each (p, d, modulus).  Fields of order up to
-TABLE_MAX_ORDER get log/antilog tables of a primitive element g (a few MB
-at most): multiplication and inversion add or negate logs, sigma^j
-multiplies a log by p^j mod (p^d - 1), and addition is XOR in
-characteristic 2 and a Zech-log lookup otherwise (Huber, "Some comments on
-Zech's logarithms", IEEE Trans. IT 1990).  Larger prime fields compute
-on residues mod p; larger extension fields use polynomial-basis
+kernel serves each (p, d, modulus).  Prime fields of odd
+characteristic compute on residues mod p, at every size.  Fields of
+characteristic 2 and odd extension fields of order up to TABLE_MAX_ORDER
+get log/antilog tables of a primitive element g (a few MB at most):
+multiplication and inversion add or negate logs, sigma^j multiplies a log
+by p^j mod (p^d - 1), and addition is XOR in characteristic 2 and a
+Zech-log lookup otherwise (Huber, "Some comments on Zech's logarithms",
+IEEE Trans. IT 1990).  Larger extension fields use polynomial-basis
 arithmetic behind the same interface.
 
 Besides scalar operations, a kernel works on whole rows (lists of packed
-ints): `scale`, `add_multiple` (row + c * other), `dot` and `frob_row`.
+ints): `scale`, `add_multiple` (row + c * other), `dot` and `frob_row`;
+and on the sparse polynomials of `cartier.poly`: `add_terms` adds
+c * x^u * f to a dict of terms.  The residue and XOR kernels inline their
+arithmetic there, so the polynomial term loop makes no call per term.
 
 `field` imports this module on the first arithmetic in any field, so a
 program that only describes fields does not load it.
@@ -93,14 +97,33 @@ class _PolyKernel:
                 acc = self.add(acc, self.mul(x, y))
         return acc
 
+    def add_terms(self, acc, exps, coeffs, u, c):
+        """acc += c * x^u * (sum of coeffs[i] x^exps[i]), in place, for a
+        dict acc of nonzero terms, nonzero coeffs and c.  Returns the
+        monomials that were not in acc before."""
+        mul, add, get = self.mul, self.add, acc.get
+        fresh = []
+        for e, y in zip(exps, coeffs):
+            e += u
+            s = get(e)
+            if s is None:
+                acc[e] = mul(c, y)
+                fresh.append(e)
+            else:
+                s = add(s, mul(c, y))
+                if s:
+                    acc[e] = s
+                else:
+                    del acc[e]
+        return fresh
+
     def frob_row(self, row, j):
         return [self.frob(x, j) for x in row]
 
 
 class _PrimeKernel:
-    """F_p for a prime p above TABLE_MAX_ORDER: a packed element is its
-    residue, so every operation is integer arithmetic mod p and sigma is
-    the identity."""
+    """F_p for an odd prime p: a packed element is its residue, so every
+    operation is integer arithmetic mod p and sigma is the identity."""
 
     def __init__(self, p: int):
         self.p = self.order = p
@@ -126,7 +149,7 @@ class _PrimeKernel:
     def inv(self, a):
         if not a:
             raise DomainError("cannot invert zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def frob(self, a, j):
         return a
@@ -142,6 +165,25 @@ class _PrimeKernel:
 
     def dot(self, a, b):
         return sum(x * y for x, y in zip(a, b)) % self.p
+
+    def add_terms(self, acc, exps, coeffs, u, c):
+        """acc += c * x^u * (sum of coeffs[i] x^exps[i]); see
+        `_PolyKernel.add_terms`."""
+        p, get = self.p, acc.get
+        fresh = []
+        for e, y in zip(exps, coeffs):
+            e += u
+            s = get(e)
+            if s is None:
+                acc[e] = c * y % p
+                fresh.append(e)
+            else:
+                s = (s + c * y) % p
+                if s:
+                    acc[e] = s
+                else:
+                    del acc[e]
+        return fresh
 
     def frob_row(self, row, j):
         return list(row)
@@ -278,6 +320,25 @@ class _XorKernel(_LogKernel):
                 acc ^= ex[lg[x] + lg[y]]
         return acc
 
+    def add_terms(self, acc, exps, coeffs, u, c):
+        """acc += c * x^u * (sum of coeffs[i] x^exps[i]); see
+        `_PolyKernel.add_terms`."""
+        ex, lg, get = self.exp, self.log, acc.get
+        lc = lg[c]
+        fresh = []
+        for e, y in zip(exps, coeffs):
+            e += u
+            v = ex[lc + lg[y]]
+            s = get(e)
+            if s is None:
+                acc[e] = v
+                fresh.append(e)
+            elif s != v:
+                acc[e] = s ^ v
+            else:
+                del acc[e]
+        return fresh
+
 
 class _ZechKernel(_LogKernel):
     """Odd characteristic: g^a + g^b = g^(a + Z(b - a)) with the Zech log
@@ -349,6 +410,11 @@ class _ZechKernel(_LogKernel):
                             acc -= n
         return ex[acc] if acc >= 0 else 0
 
+    # the generic loop: no benchmark workload does polynomial arithmetic
+    # over an odd extension field, so inlined Zech lookups would gain nothing
+    # measured
+    add_terms = _PolyKernel.add_terms
+
 
 _KERNELS: dict = {}
 
@@ -359,8 +425,10 @@ def kernel(p: int, d: int, modulus: tuple):
     key = (p, d, modulus)
     k = _KERNELS.get(key)
     if k is None:
-        if p**d > TABLE_MAX_ORDER:
-            k = _PrimeKernel(p) if d == 1 else _PolyKernel(p, d, modulus)
+        if d == 1 and p > 2:
+            k = _PrimeKernel(p)
+        elif p**d > TABLE_MAX_ORDER:
+            k = _PolyKernel(p, d, modulus)
         elif p == 2:
             k = _XorKernel(p, d, modulus)
         else:

@@ -12,11 +12,12 @@ structure built on top of the field.
 
 Arithmetic on packed ints runs in one kernel per (p, d, modulus), shared
 by every spec of that field and built on the first arithmetic in it:
-log/antilog (Zech) tables up to TABLE_MAX_ORDER elements, residues mod p
-for larger prime fields and polynomial-basis arithmetic for larger
-extension fields (see `cartier._kernel`).  A kernel also works on whole
-rows of packed ints: scale, add a multiple of another row, dot product,
-Frobenius.
+residues mod p for every prime field of odd characteristic, log/antilog
+(XOR or Zech) tables for the other fields up to TABLE_MAX_ORDER elements,
+and polynomial-basis arithmetic for larger extension fields (see
+`cartier._kernel`).  A kernel also works on whole rows of packed ints
+(scale, add a multiple of another row, dot product, Frobenius) and on the
+term dicts of sparse polynomials (`add_terms`: add c * x^u * f).
 
 FieldElement is the public wrapper of a packed int.  `FieldSpec.unwrap`
 and `FieldSpec.wrap` convert whole vectors at the boundary of the
@@ -63,8 +64,9 @@ DEFAULT_MODULI = {
 # bounded so a typo cannot trigger an open-ended hunt.
 MAX_SEARCH_DEGREE = 16
 
-# Fields up to this order get log/antilog tables (a few MB at most); larger
-# ones compute on residues (d = 1) or in the polynomial basis.
+# Extension fields and F_2 up to this order get log/antilog tables (a few
+# MB at most); larger ones compute in the polynomial basis.  Odd prime
+# fields compute on residues at every order.
 TABLE_MAX_ORDER = 7**6
 
 # q = p^e is computed as an int, so e is bounded by the size of q: 2^e with

@@ -21,7 +21,6 @@ from .poly import (
     Ideal,
     Polynomial,
     PolyRing,
-    _add_multiple,
     _add_product,
     _buchberger,
     _check_bound,
@@ -238,7 +237,7 @@ class CartierOperator(_Immutable):
             c = _new(ring, c).frobenius_power(self.e)._packed
             if c:  # the degree guard first: b < q may not fit a field
                 _check_bound(_degree(c, shift) + sum(b), ring.max_degree)
-                _add_multiple(h, c, c.values(), ring._pack(b), k.one, k)
+                k.add_terms(h, c, c.values(), ring._pack(b), k.one)
         h = _new(ring, h)
         # The ring's degree bound guards user input.  f * h is one product
         # of two known polynomials, so check it in a copy of the ring whose

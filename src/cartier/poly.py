@@ -14,8 +14,10 @@ leave its field; the public API speaks exponent tuples.
 
 All arithmetic runs on packed terms through the field's kernel, with one
 set of helpers shared by the polynomial operators, the parser, division
-and Buchberger: `_add_multiple` (acc += c * x^u * f), `_add_product`
-(acc += m * f) and `_power`, under the one degree guard `_check_bound`.
+and Buchberger: the kernel's `add_terms` (acc += c * x^u * f, the term
+loop, with the arithmetic of residue and XOR fields inlined),
+`_add_product` (acc += m * f) and `_power`, under the one degree guard
+`_check_bound`.
 Printing sorts terms descending in grevlex, so it is canonical and
 parse/print round-trips.  Polynomials and monomial orders are immutable.
 
@@ -113,10 +115,15 @@ def elimination_order(k: int) -> MonomialOrder:
 
 class PolyRing(_Immutable):
     """GF(p^d)[x_1, ..., x_n] with a total-degree guard on products, which
-    sets the layout but is not part of the ring's value.  Immutable."""
+    sets the layout but is not part of the ring's value.  Immutable.
 
-    __slots__ = ("field", "vars", "max_degree", "_width", "_shift", "_offsets", "_mask", "_guards")
+    `_aux`, the ring t, x_1, ..., x_n of `Ideal.intersect`, is built on
+    first use and kept per instance: rings that differ only in the bound
+    are equal but lay their monomials out differently."""
+
+    __slots__ = ("field", "vars", "max_degree", "_width", "_shift", "_offsets", "_mask", "_guards", "_aux")
     _fields = ("field", "vars")
+    _lazy = ("_aux",)
 
     def __init__(self, field: FieldSpec, variables, max_degree: int = 200):
         variables = tuple(variables)
@@ -133,6 +140,18 @@ class PolyRing(_Immutable):
         guards = sum(1 << s + w - 1 for s in offsets)
         self._set(field=field, vars=variables, max_degree=max_degree, _width=w, _offsets=offsets)
         self._set(_shift=w * len(variables), _mask=(1 << w - 1) - 1, _guards=guards)
+
+    def __getattr__(self, name):
+        # Reached only while the lazy slot is still empty.  The bound is one
+        # higher, so the lift t * f of a generator of top degree fits.
+        if name != "_aux":
+            raise AttributeError(name)
+        aux = "t"
+        while aux in self.vars:
+            aux += "_"
+        value = PolyRing(self.field, (aux,) + self.vars, self.max_degree + 1)
+        self._set(_aux=value)
+        return value
 
     @property
     def nvars(self) -> int:
@@ -259,7 +278,7 @@ class Polynomial(_Immutable):
     def __add__(self, other):
         o = self._check(other)
         k, acc = self.ring.field.kernel, dict(self._packed)
-        _add_multiple(acc, o, o.values(), 0, k.one, k)
+        k.add_terms(acc, o, o.values(), 0, k.one)
         return _new(self.ring, acc)
 
     def __neg__(self):
@@ -423,7 +442,7 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
             sign = minus if ch == "-" else one
         while True:
             term = parse_term()
-            _add_multiple(acc, term, term.values(), 0, sign, k)
+            k.add_terms(acc, term, term.values(), 0, sign)
             ch = tk.peek()
             if ch not in ("+", "-"):
                 return acc
@@ -549,34 +568,14 @@ def _check_bound(value: int, bound: int, what: str = "product degree"):
         raise ResourceError(f"{what} {shown} exceeds the configured bound {bound}")
 
 
-def _add_multiple(acc: dict, exps, coeffs, u, c, k) -> list:
-    """acc += c * x^u * (sum of coeffs[i] x^exps[i]), in place.  Returns
-    the monomials that were not in acc before."""
-    kadd = k.add
-    fresh = []
-    for e, v in zip(exps, k.scale(coeffs, c)):
-        e += u
-        s = acc.get(e)
-        if s is None:
-            acc[e] = v
-            fresh.append(e)
-        else:
-            s = kadd(s, v)
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
-    return fresh
-
-
 def _add_product(acc: dict, m: dict, f: dict, ring: PolyRing):
     """acc += m * f, in place, under the degree guard (checked only when
     both factors are nonzero)."""
     if m and f:
-        shift, k = ring._shift, ring.field.kernel
+        add_terms, shift = ring.field.kernel.add_terms, ring._shift
         _check_bound(_degree(m, shift) + _degree(f, shift), ring.max_degree)
         for u, c in m.items():
-            _add_multiple(acc, f, f.values(), u, c, k)
+            add_terms(acc, f, f.values(), u, c)
 
 
 def _mul(a: dict, b: dict, ring: PolyRing) -> dict:
@@ -622,7 +621,7 @@ def _divide(work: dict, divisors, ring: PolyRing, rank, quots=None) -> dict:
     heapify(heap)
     leads = [d[0] for d in divisors]
     k, guards = ring.field.kernel, ring._guards
-    kmul, kneg = k.mul, k.neg
+    kmul, kneg, add_terms = k.mul, k.neg, k.add_terms
     rem = {}
     while heap:
         e = heappop(heap)
@@ -638,7 +637,7 @@ def _divide(work: dict, divisors, ring: PolyRing, rank, quots=None) -> dict:
                 c = kmul(c, inv)
                 if quots is not None:
                     quots[i][u] = c
-                for ne in _add_multiple(work, texps, tcoeffs, u, kneg(c), k):
+                for ne in add_terms(work, texps, tcoeffs, u, kneg(c)):
                     if ne & guards:  # only a new monomial can leave its fields
                         raise ResourceError(
                             f"division reached an exponent above {ring._mask}, "
@@ -673,8 +672,8 @@ def _s_polynomial(f, g, lcm: int, ring: PolyRing):
     _check_bound(fdeg - (uf >> shift), bound)
     _check_bound(gdeg - (ug >> shift), bound)
     s = {}
-    _add_multiple(s, fexps, fcoeffs, uf, finv, k)
-    _add_multiple(s, gexps, gcoeffs, ug, k.neg(ginv), k)
+    k.add_terms(s, fexps, fcoeffs, uf, finv)
+    k.add_terms(s, gexps, gcoeffs, ug, k.neg(ginv))
     return s, uf, ug
 
 
@@ -779,6 +778,8 @@ def _buchberger(gens, order: MonomialOrder, track: bool):
                 cofs.append(rcof)
     if not prepared:
         return [], cofs
+    if not any(d[2] for d in prepared):  # monomials: every S-polynomial is 0
+        return _reduce_basis(prepared, cofs, ring, rank)
     leads = [d[0] for d in prepared]
     sugars = [d[4] for d in prepared]
     pairs = _SugarPairs(leads, sugars, rank, ring)
@@ -954,29 +955,39 @@ class Ideal(_Immutable):
         if self.ring != other.ring:
             raise UsageError("ideals in different rings")
         ring = self.ring
-        aux = "t"
-        existing = set(ring.vars)
-        while aux in existing:
-            aux += "_"
-        big = PolyRing(ring.field, (aux,) + ring.vars, ring.max_degree)
-
-        # big has ring's field width and t in the lowest field: a monomial
-        # moves up one field, and a factor t^s adds s - (s << big._shift)
+        big = ring._aux
+        # t sits in big's lowest field, so a factor t^s adds
+        # s - (s << big._shift); where big keeps the ring's field width a
+        # monomial just moves up one field
         w, tdeg = ring._width, 1 - (1 << big._shift)
+        if big._width == w:
+            lift, drop = (lambda m: m << w), (lambda m: m >> w)
+        else:  # the higher bound widened the fields
+            lift = lambda m: big._pack((0,) + ring._unpack(m))
+            drop = lambda m: ring._pack(big._unpack(m)[1:])
 
         def up(f, shift_t):
             terms = f._terms_for(ring).items()
-            return _new(big, {(m << w) + shift_t * tdeg: c for m, c in terms})
+            return _new(big, {lift(m) + shift_t * tdeg: c for m, c in terms})
 
-        t = big.var(aux)
-        one = big.one
+        t = big.var(big.vars[0])
         gens = [up(f, 1) for f in self.gens if not f.is_zero]
-        gens += [(one - t) * up(g, 0) for g in other.gens if not g.is_zero]
-        gb = groebner_basis(gens, elimination_order(1))
+        gens += [(big.one - t) * up(g, 0) for g in other.gens if not g.is_zero]
+        try:
+            gb = groebner_basis(gens, elimination_order(1))
+        except ResourceError as e:
+            # a degree guard of the auxiliary ring names its bound, one above
+            # the ring's own
+            if not str(e).endswith(f"configured bound {big.max_degree}"):
+                raise
+            raise ResourceError(
+                f"intersection degree exceeds the configured bound {ring.max_degree}"
+            ) from e
         down_gens = []
         for g in gb:
             if not any(m & big._mask for m in g._packed):  # free of t
-                down_gens.append(_new(ring, {m >> w: c for m, c in g._packed.items()}))
+                _check_bound(_degree(g._packed, big._shift), ring.max_degree, "intersection degree")
+                down_gens.append(_new(ring, {drop(m): c for m, c in g._packed.items()}))
         return Ideal(ring, tuple(down_gens))
 
     def colon_element(self, g: Polynomial) -> "Ideal":

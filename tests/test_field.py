@@ -348,8 +348,8 @@ def test_fields_above_the_cap_use_polynomial_arithmetic():
         assert spec.order > TABLE_MAX_ORDER
         assert type(spec.kernel) is kind
         assert spec.gen * spec.gen.inverse() == spec.one
-    for table in (FieldSpec(7, 6).kernel, FieldSpec(7, 1).kernel):
-        assert not isinstance(table, (_kernel._PolyKernel, _kernel._PrimeKernel))
+    assert not isinstance(FieldSpec(7, 6).kernel, (_kernel._PolyKernel, _kernel._PrimeKernel))
+    assert type(FieldSpec(7, 1).kernel) is _kernel._PrimeKernel
 
 
 @pytest.mark.parametrize("p,d", [(2, 3), (3, 2), (1_000_003, 1), (3, 11)])
@@ -369,6 +369,56 @@ def test_row_operations_match_scalar_operations(p, d):
     assert k.dot(u, v) == dot
     for j in (1, -1, d + 1):
         assert k.frob_row(u, j) == [k.frob(x, j) for x in u]
+
+
+@pytest.mark.parametrize(
+    "p,d,kind",
+    [(2, 1, "_XorKernel"), (2, 3, "_XorKernel"), (3, 2, "_ZechKernel"), (7, 1, "_PrimeKernel"),
+     (1_000_003, 1, "_PrimeKernel"), (3, 11, "_PolyKernel")],
+)
+def test_add_terms_matches_scalar_operations(p, d, kind):
+    """add_terms (acc += c * x^u * f on a dict of nonzero terms) of each
+    kernel kind agrees with its scalar mul and add: a sum that cancels
+    deletes its key, and the monomials new to acc come back in order."""
+    k = FieldSpec(p, d).kernel
+    assert type(k).__name__ == kind
+    rng = random.Random(p * 10 + d)
+    nonzero = lambda: rng.randrange(1, p**d)
+    cancelled = 0
+    for _ in range(40):
+        acc = {rng.randrange(16): nonzero() for _ in range(rng.randrange(8))}
+        exps = rng.sample(range(12), rng.randrange(9))
+        coeffs = [nonzero() for _ in exps]
+        u, c = rng.randrange(5), nonzero()
+        if exps and rng.random() < 0.5:  # one exact cancellation
+            acc[exps[0] + u] = k.neg(k.mul(c, coeffs[0]))
+        expected = dict(acc)
+        for e, y in zip(exps, coeffs):
+            s = k.add(expected.get(e + u, 0), k.mul(c, y))
+            if s:
+                expected[e + u] = s
+            else:
+                del expected[e + u]
+                cancelled += 1
+        new = [e + u for e in exps if e + u not in acc]
+        assert k.add_terms(acc, exps, coeffs, u, c) == new
+        assert acc == expected and all(acc.values())
+    assert cancelled
+
+
+def test_every_odd_prime_field_computes_on_residues():
+    """Prime fields of odd characteristic use residues mod p at every size,
+    tabled or not; F_2 keeps its XOR tables."""
+    largest = max(p for p in range(TABLE_MAX_ORDER - 100, TABLE_MAX_ORDER + 1) if field.is_prime(p))
+    for p in (3, 5, 7, 11, 101, largest, 1_000_003):
+        spec = FieldSpec(p, 1)
+        k = spec.kernel
+        assert type(k) is _kernel._PrimeKernel and k.one == 1
+        for a in (1, 2, p - 1, p // 2 + 1):
+            assert k.inv(a) == pow(a, p - 2, p) and k.mul(a, k.inv(a)) == 1
+        with pytest.raises(DomainError):
+            k.inv(0)
+    assert type(FieldSpec(2, 1).kernel) is _kernel._XorKernel
 
 
 def test_spec_and_field_info_build_no_tables(monkeypatch, capsys):

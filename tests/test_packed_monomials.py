@@ -155,6 +155,43 @@ def test_intersect_lifts_a_generator_of_the_top_degree():
     assert Ideal(ring, (x**8,)).intersect(Ideal(ring, ())).canonical_strings() == []
 
 
+@pytest.mark.parametrize("bound", [8, 255])
+def test_intersect_of_generators_of_the_top_degree(bound):
+    # the auxiliary ring's bound is one higher, so t * x^bound fits; at 255
+    # that widens its fields, and the lift repacks instead of shifting
+    ring = PolyRing(FieldSpec(7, 1), ("x", "y"), bound)
+    x, y = ring.var("x"), ring.var("y")
+    top = Ideal(ring, (x**bound,))
+    assert top.intersect(Ideal(ring, (x**bound,))).canonical_strings() == [f"x^{bound}"]
+    meet = Ideal(ring, (x ** (bound - 1) * y,)).intersect(Ideal(ring, (x * y, y**2)))
+    assert meet.canonical_strings() == [f"x^{bound - 1}*y"]
+    assert top.intersect(Ideal(ring, (x,))).canonical_strings() == [f"x^{bound}"]
+    # the answer x^bound * y lies above the bound, and the error names the
+    # ring's bound, not the auxiliary ring's
+    for other in (y, x * y):
+        message = f"^intersection degree exceeds the configured bound {bound}$"
+        with pytest.raises(ResourceError, match=message):
+            top.intersect(Ideal(ring, (other,)))
+    assert (ring._aux._width == ring._width) == (bound == 8)
+
+
+def test_intersect_builds_its_auxiliary_ring_once_per_ring(monkeypatch):
+    field = FieldSpec(5, 1)
+    small, large = PolyRing(field, ("x", "t"), 10), PolyRing(field, ("x", "t"), 300)
+    aux = small._aux
+    assert aux.vars == ("t_", "x", "t") and aux.max_degree == 11
+    x, t = small.var("x"), small.var("t")
+    built, init = [], PolyRing.__init__
+    monkeypatch.setattr(PolyRing, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    for _ in range(2):
+        meet = Ideal(small, (x**2,)).intersect(Ideal(small, (x * t,)))
+        assert meet.canonical_strings() == ["x^2*t"] and small._aux is aux
+    assert built == []
+    # equal rings, but each lays out its own auxiliary ring
+    assert large == small and large._aux == aux and large._aux._width != aux._width
+    assert "_aux" not in small.__getstate__()
+
+
 def test_rings_that_differ_in_the_bound_share_their_polynomials():
     # the bound sets the field width (5 bits and 10 bits here) but is not
     # part of the ring's value

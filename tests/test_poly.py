@@ -631,6 +631,44 @@ def test_monomial_colon_against_combinatorial_oracle(R3):
         assert lhs.equals(rhs), (gens, m)
 
 
+@pytest.mark.parametrize("track", [False, True])
+def test_monomial_ideals_build_no_pair_queue(monkeypatch, track):
+    """Every S-polynomial of monomials is 0, so Buchberger goes straight to
+    the reduced basis: the minimal monomials, monic, with cofactors that
+    still give basis[i] = sum_j cofs[i][j] * gens[j]."""
+
+    class NoPairs:
+        def __init__(self, *args):
+            raise AssertionError("a pair queue was built")
+
+    monkeypatch.setattr(poly, "_SugarPairs", NoPairs)
+    field, rng = FieldSpec(7, 1), random.Random(31 + track)
+    for n in (1, 2, 3, 4):
+        ring = PolyRing(field, ("x", "y", "z", "w")[:n])
+        for _ in range(12):
+            gens = [
+                ring.monomial([rng.randrange(4) for _ in range(n)], field.from_int(rng.randrange(1, 7)))
+                for _ in range(rng.randrange(1, 6))
+            ]
+            gens += [ring.zero] * rng.randrange(2) + gens[: rng.randrange(2)]
+            rng.shuffle(gens)
+            expected = poly._minimal_monomials({next(iter(g._packed)) for g in gens if g}, ring)
+            for order in (GREVLEX, LEX, elimination_order(1)):
+                out = groebner_basis(gens, order, track)
+                basis, cofs = out if track else (out, None)
+                assert sorted(m for g in basis for m in g._packed) == sorted(expected)
+                assert all(len(g._packed) == 1 and g.monic(order) == g for g in basis)
+                for g, cof in zip(basis, cofs or ()):
+                    assert sum((c * f for c, f in zip(cof, gens)), ring.zero) == g
+    # monomials meet no S-pair degree guard: the lcm x^8*y lies above bound 8
+    ring = PolyRing(field, ("x", "y"), 8)
+    gens = [ring.parse("x^8"), ring.parse("x^7*y")]
+    out = groebner_basis(gens, GREVLEX, track)
+    assert sorted(str(g) for g in (out[0] if track else out)) == ["x^7*y", "x^8"]
+    with pytest.raises(AssertionError, match="pair queue"):
+        groebner_basis([ring.parse("x + y"), ring.parse("x*y")], GREVLEX, track)
+
+
 # -- monomial radical ---------------------------------------------------------------
 
 
