@@ -15,8 +15,10 @@ arithmetic behind the same interface.
 Besides scalar operations, a kernel works on whole rows (lists of packed
 ints): `scale`, `add_multiple` (row + c * other), `dot` and `frob_row`;
 and on the sparse polynomials of `cartier.poly`: `add_terms` adds
-c * x^u * f to a dict of terms.  The residue and XOR kernels inline their
-arithmetic there, so the polynomial term loop makes no call per term.
+c * x^u * f to a dict of terms.  The base class `_Kernel` writes these
+loops once on the scalar operations.  A kernel inlines its arithmetic
+into a loop only where a benchmark workload runs that loop and measures
+the gain.
 
 `field` imports this module on the first arithmetic in any field, so a
 program that only describes fields does not load it.
@@ -38,50 +40,22 @@ from .field import (
 )
 
 
-class _PolyKernel:
-    """Polynomial-basis arithmetic on packed ints, for extension fields
-    above TABLE_MAX_ORDER.  Every operation unpacks its operands into
-    coefficient lists."""
+class _Kernel:
+    """What every kernel shares.  A subclass supplies `add`, `neg`, `mul`,
+    `_pow` (for n >= 0), `inv` and `frob`."""
 
-    def __init__(self, p: int, d: int, modulus: tuple):
-        self.p, self.d, self.modulus = p, d, list(modulus)
+    def __init__(self, p: int, d: int):
+        self.p, self.d = p, d
         self.order = p**d
         self.one = p ** (d - 1)
-
-    def _poly(self, v):
-        return _unpack(v, self.p, self.d)
-
-    def _packed(self, poly):
-        return _pack(poly + [0] * (self.d - len(poly)), self.p)
-
-    def add(self, a, b):
-        p = self.p
-        return _pack([(x + y) % p for x, y in zip(self._poly(a), self._poly(b))], p)
-
-    def neg(self, a):
-        p = self.p
-        return _pack([(-x) % p for x in self._poly(a)], p)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def mul(self, a, b):
-        return self._packed(
-            _fp_poly_mulmod(self._poly(a), self._poly(b), self.modulus, self.p)
-        )
-
     def pow(self, a, n):
         if n < 0:
             a, n = self.inv(a), -n
-        return self._packed(_fp_poly_powmod(self._poly(a), n, self.modulus, self.p))
-
-    def inv(self, a):
-        if not a:
-            raise DomainError("cannot invert zero")
-        return self.pow(a, self.order - 2)
-
-    def frob(self, a, j):
-        return self.pow(a, self.p ** (j % self.d))
+        return self._pow(a, n)
 
     def scale(self, row, c):
         return [self.mul(x, c) for x in row]
@@ -121,13 +95,49 @@ class _PolyKernel:
         return [self.frob(x, j) for x in row]
 
 
-class _PrimeKernel:
+class _PolyKernel(_Kernel):
+    """Polynomial-basis arithmetic on packed ints, for extension fields
+    above TABLE_MAX_ORDER.  Every operation unpacks its operands into
+    coefficient lists."""
+
+    def __init__(self, p: int, d: int, modulus: tuple):
+        super().__init__(p, d)
+        self.modulus = list(modulus)
+
+    def _poly(self, v):
+        return _unpack(v, self.p, self.d)
+
+    def _packed(self, poly):
+        return _pack(poly + [0] * (self.d - len(poly)), self.p)
+
+    def add(self, a, b):
+        p = self.p
+        return _pack([(x + y) % p for x, y in zip(self._poly(a), self._poly(b))], p)
+
+    def neg(self, a):
+        p = self.p
+        return _pack([(-x) % p for x in self._poly(a)], p)
+
+    def mul(self, a, b):
+        return self._packed(
+            _fp_poly_mulmod(self._poly(a), self._poly(b), self.modulus, self.p)
+        )
+
+    def _pow(self, a, n):
+        return self._packed(_fp_poly_powmod(self._poly(a), n, self.modulus, self.p))
+
+    def inv(self, a):
+        if not a:
+            raise DomainError("cannot invert zero")
+        return self._pow(a, self.order - 2)
+
+    def frob(self, a, j):
+        return self._pow(a, self.p ** (j % self.d))
+
+
+class _PrimeKernel(_Kernel):
     """F_p for an odd prime p: a packed element is its residue, so every
     operation is integer arithmetic mod p and sigma is the identity."""
-
-    def __init__(self, p: int):
-        self.p = self.order = p
-        self.one = 1
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -135,15 +145,10 @@ class _PrimeKernel:
     def neg(self, a):
         return -a % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return a * b % self.p
 
-    def pow(self, a, n):
-        if n < 0:
-            a, n = self.inv(a), -n
+    def _pow(self, a, n):
         return pow(a, n, self.p)
 
     def inv(self, a):
@@ -168,7 +173,7 @@ class _PrimeKernel:
 
     def add_terms(self, acc, exps, coeffs, u, c):
         """acc += c * x^u * (sum of coeffs[i] x^exps[i]); see
-        `_PolyKernel.add_terms`."""
+        `_Kernel.add_terms`."""
         p, get = self.p, acc.get
         fresh = []
         for e, y in zip(exps, coeffs):
@@ -239,15 +244,13 @@ def _primitive_element(p: int, d: int, modulus: tuple) -> list:
     )
 
 
-class _LogKernel:
+class _LogKernel(_Kernel):
     """Log/antilog tables of a primitive element g, for fields up to
     TABLE_MAX_ORDER.  `exp` holds two periods of g^i, `log` maps each
     nonzero packed int to its log in [0, n) with n = p^d - 1."""
 
     def __init__(self, p: int, d: int, modulus: tuple):
-        self.p, self.d = p, d
-        self.order = p**d
-        self.one = p ** (d - 1)
+        super().__init__(p, d)
         n = self.n = self.order - 1
         g = _primitive_element(p, d, modulus)
         self.exp = ex = _antilog_table(p, d, modulus, g, n)
@@ -261,10 +264,8 @@ class _LogKernel:
             return 0
         return self.exp[self.log[a] + self.log[b]]
 
-    def pow(self, a, n):
+    def _pow(self, a, n):
         if not a:
-            if n < 0:
-                raise DomainError("cannot invert zero")
             return 0 if n else self.one
         return self.exp[self.log[a] * n % self.n]
 
@@ -299,8 +300,6 @@ class _XorKernel(_LogKernel):
     def add(self, a, b):
         return a ^ b
 
-    sub = add
-
     def neg(self, a):
         return a
 
@@ -322,7 +321,7 @@ class _XorKernel(_LogKernel):
 
     def add_terms(self, acc, exps, coeffs, u, c):
         """acc += c * x^u * (sum of coeffs[i] x^exps[i]); see
-        `_PolyKernel.add_terms`."""
+        `_Kernel.add_terms`."""
         ex, lg, get = self.exp, self.log, acc.get
         lc = lg[c]
         fresh = []
@@ -370,9 +369,6 @@ class _ZechKernel(_LogKernel):
     def neg(self, a):
         return self.exp[self.log[a] + self.half] if a else 0
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def add_multiple(self, row, c, other):
         """row + c * other."""
         if not c:
@@ -410,11 +406,6 @@ class _ZechKernel(_LogKernel):
                             acc -= n
         return ex[acc] if acc >= 0 else 0
 
-    # the generic loop: no benchmark workload does polynomial arithmetic
-    # over an odd extension field, so inlined Zech lookups would gain nothing
-    # measured
-    add_terms = _PolyKernel.add_terms
-
 
 _KERNELS: dict = {}
 
@@ -426,7 +417,7 @@ def kernel(p: int, d: int, modulus: tuple):
     k = _KERNELS.get(key)
     if k is None:
         if d == 1 and p > 2:
-            k = _PrimeKernel(p)
+            k = _PrimeKernel(p, d)
         elif p**d > TABLE_MAX_ORDER:
             k = _PolyKernel(p, d, modulus)
         elif p == 2:

@@ -17,7 +17,9 @@ residues mod p for every prime field of odd characteristic, log/antilog
 and polynomial-basis arithmetic for larger extension fields (see
 `cartier._kernel`).  A kernel also works on whole rows of packed ints
 (scale, add a multiple of another row, dot product, Frobenius) and on the
-term dicts of sparse polynomials (`add_terms`: add c * x^u * f).
+term dicts of sparse polynomials (`add_terms`: add c * x^u * f).  One
+base class writes these loops on the scalar operations; a kernel inlines
+its arithmetic into a loop only where a benchmark workload runs it.
 
 FieldElement is the public wrapper of a packed int.  `FieldSpec.unwrap`
 and `FieldSpec.wrap` convert whole vectors at the boundary of the

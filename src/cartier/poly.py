@@ -310,8 +310,7 @@ class Polynomial(_Immutable):
             raise UsageError("frobenius iteration count must be >= 0")
         ring, t = self.ring, self._packed
         pj = ring.field.p**j
-        if self.total_degree() * pj > ring.max_degree:
-            raise ResourceError("Frobenius power exceeds the degree bound")
+        _check_bound(self.total_degree() * pj, ring.max_degree, "Frobenius power degree")
         exps = [m * pj for m in t]  # the bound keeps every field in place
         return _new(ring, dict(zip(exps, ring.field.kernel.frob_row(t.values(), j))))
 

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import cartier
 from cartier import cli
 from cartier.cli import run
+from cartier.errors import InvariantViolation
 
 ZERO_MODULE = (
     '{"field":{"p":2,"d":1,"modulus":[1,1],"e":1},"dim":2,'
@@ -469,6 +471,45 @@ def test_corpus_run_records_rejected_argv(tmp_path, capsys):
         ("info", "PASS", ""),
     ]
     assert (report["passed"], report["failed"]) == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "argv, code, kind, detail",
+    [
+        (["poly-image", "--vars", "x", "--ideal", "x"], 2, "usage",
+         re.escape("--f (the operator multiplier) is required")),
+        (["poly-image", "--vars", "x", "--f", "x"], 2, "usage", re.escape("--ideal is required")),
+        (["semilinear-analyze"], 2, "usage", re.escape("--module is required")),
+        (["poly-cartier", "--vars", "x"], 2, "usage", re.escape("--expr is required")),
+        (["poly-cartier", "--expr", "x"], 2, "usage",
+         re.escape("--vars is required for ring commands")),
+        (["semilinear-hom", "--module", ID_MODULE], 2, "usage",
+         re.escape("semilinear-hom needs --module twice (source, target)")),
+        # the rest of the detail is the interpreter's own ValueError text
+        (["field-info", "--p", "2", "--e", "100000"], 3, "resource",
+         re.escape("q or the field order is too long to print: ") + ".+"),
+    ],
+    ids=["missing-f", "missing-ideal", "missing-module", "missing-expr", "missing-vars",
+         "hom-one-module", "field-info-too-long"],
+)
+def test_errors_of_the_handlers_name_their_cause(capsys, argv, code, kind, detail):
+    got, out = capture(capsys, argv + ["--json"])
+    error = json.loads(out)["error"]
+    assert (got, error["kind"]) == (code, kind)
+    assert re.fullmatch(detail, error["detail"])
+
+
+def test_an_invariant_violation_exits_4(capsys, monkeypatch):
+    def broken(args):
+        raise InvariantViolation("fixed set is not an F_q-subspace")
+
+    _, *rest = cli._COMMANDS["field-info"]
+    monkeypatch.setitem(cli._COMMANDS, "field-info", (broken, *rest))
+    code, out = capture(capsys, ["field-info", "--json"])
+    assert code == 4
+    assert json.loads(out) == {
+        "error": {"kind": "invariant", "detail": "fixed set is not an F_q-subspace"}
+    }
 
 
 # ----------------------------------------------------------------------

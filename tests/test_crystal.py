@@ -486,3 +486,22 @@ def test_report_json(f2):
     assert data["quasi_length"] == 2
     assert len(data["lattice"]) == 5
     assert all(isinstance(e, list) and len(e) == 2 for e in data["edges"])
+
+
+# -- errors at the public boundary ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "phi, target, message",
+    [
+        ([[1]], FieldSpec(2, 2), "modules live over different field specs"),
+        ([[1, 1]], FieldSpec(2, 1), "matrix shape does not match the modules"),
+    ],
+    ids=["field", "shape"],
+)
+def test_nil_isomorphism_errors_name_their_cause(f2, phi, target, message):
+    source = module_from_ints(f2, [[1]])
+    phi = [[f2.from_int(c) for c in row] for row in phi]
+    with pytest.raises(UsageError) as info:
+        crystal.is_nil_isomorphism(phi, source, module_from_ints(target, [[1]]))
+    assert str(info.value) == message

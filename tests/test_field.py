@@ -371,11 +371,13 @@ def test_row_operations_match_scalar_operations(p, d):
         assert k.frob_row(u, j) == [k.frob(x, j) for x in u]
 
 
-@pytest.mark.parametrize(
-    "p,d,kind",
-    [(2, 1, "_XorKernel"), (2, 3, "_XorKernel"), (3, 2, "_ZechKernel"), (7, 1, "_PrimeKernel"),
-     (1_000_003, 1, "_PrimeKernel"), (3, 11, "_PolyKernel")],
-)
+KERNEL_KINDS = [
+    (2, 1, "_XorKernel"), (2, 3, "_XorKernel"), (3, 2, "_ZechKernel"), (7, 1, "_PrimeKernel"),
+    (1_000_003, 1, "_PrimeKernel"), (3, 11, "_PolyKernel"),
+]
+
+
+@pytest.mark.parametrize("p,d,kind", KERNEL_KINDS)
 def test_add_terms_matches_scalar_operations(p, d, kind):
     """add_terms (acc += c * x^u * f on a dict of nonzero terms) of each
     kernel kind agrees with its scalar mul and add: a sum that cancels
@@ -404,6 +406,27 @@ def test_add_terms_matches_scalar_operations(p, d, kind):
         assert k.add_terms(acc, exps, coeffs, u, c) == new
         assert acc == expected and all(acc.values())
     assert cancelled
+
+
+@pytest.mark.parametrize("p,d,kind", KERNEL_KINDS)
+def test_sub_and_pow_of_every_kernel_kind(p, d, kind):
+    """sub is add of the negative, and pow takes 0 and negative exponents,
+    on every kernel kind, zero included."""
+    k = FieldSpec(p, d).kernel
+    assert type(k).__name__ == kind
+    rng = random.Random(p * 10 + d)
+    values = [0, k.one] + [rng.randrange(p**d) for _ in range(10)]
+    for a in values:
+        for b in values:
+            assert k.sub(a, b) == k.add(a, k.neg(b))
+    assert k.pow(0, 0) == k.one
+    assert all(k.pow(0, n) == 0 for n in (1, 2, p**d))
+    with pytest.raises(DomainError) as info:
+        k.pow(0, -1)
+    assert str(info.value) == "cannot invert zero"
+    for a in filter(None, values):
+        for n in (1, 2, 5, p**d):
+            assert k.pow(a, -n) == k.inv(k.pow(a, n))
 
 
 def test_every_odd_prime_field_computes_on_residues():
@@ -462,3 +485,40 @@ def test_degree_twelve_modulus_search_is_fast():
     assert time.perf_counter() - start < 10
     assert spec.order == 7**12
     assert spec.modulus == field._search_modulus(7, 12)
+
+
+# -- errors and edge values at the public boundary -----------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: default_modulus(4, 3), "characteristic 4 is not prime"),
+        (lambda: FieldSpec(2, 17), "no modulus available for degree 17 over F_2"),
+        (lambda: FieldSpec(2, 0), "extension degree must be >= 1"),
+        (lambda: FieldSpec(2, 1, None, 0), "twist exponent must be >= 1"),
+        (lambda: FieldSpec(2, 2).element([1, 0, 1]),
+         "coefficient list longer than extension degree"),
+        (lambda: FieldSpec(2, 2).unwrap([1]), "vector entry is not a field element"),
+        (lambda: FieldSpec(2, 2).unwrap([FieldSpec(2, 1).one]),
+         "operands belong to different fields"),
+        (lambda: FieldSpec(2, 2).one + 1.5, "cannot combine field element with float"),
+        (lambda: FieldSpec(2, 2).gen.frobenius(-1), "frobenius iteration count must be >= 0"),
+        (lambda: FieldSpec(2, 2).gen.inv_frobenius(-1), "frobenius iteration count must be >= 0"),
+        (lambda: find_embedding_root(FieldSpec(2, 1), FieldSpec(3, 2)),
+         "fields have different characteristic"),
+    ],
+    ids=["modulus-characteristic", "modulus-degree", "degree", "twist", "element-length", "unwrap-entry",
+         "unwrap-field", "combine-type", "frobenius-count", "inv-frobenius-count",
+         "embedding-characteristic"],
+)
+def test_user_errors_name_their_cause(call, message):
+    with pytest.raises(UsageError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_unwrap_takes_elements_of_an_equal_spec():
+    spec, twin = FieldSpec(2, 2), FieldSpec(2, 2)
+    assert spec is not twin and spec == twin
+    assert spec.unwrap([twin.gen, spec.one]) == [spec.gen.packed, spec.one.packed]

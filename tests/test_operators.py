@@ -18,7 +18,7 @@ from cartier.operators import (
 )
 
 from conftest import oracle_compatible_monomial
-from test_poly import random_poly
+from test_poly import outside_x, random_poly
 
 
 @pytest.fixture
@@ -786,3 +786,30 @@ def test_level_two_split_operator(Rx):
     assert [tuple(i.canonical_strings()) for i in ideals] == [(), ("1",), ("x",)]
     stable, _ = op.stable_image()
     assert stable.is_unit
+
+
+# -- errors at the public boundary ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda R: cartier_std(R.var("x"), 0), "operator level must be >= 1"),
+        (lambda R: CartierOperator(R, outside_x(R)), "multiplier outside the ring"),
+        (lambda R: CartierOperator(R, R.one).apply(outside_x(R)), "argument outside the ring"),
+        (lambda R: CartierOperator(R, R.one).compose(CartierOperator(R, R.one, 2)),
+         "can only compose operators of the same ring and level"),
+        (lambda R: CartierOperator(R, R.one).image_ideal(Ideal(outside_x(R).ring, ())),
+         "ideal outside the ring"),
+        (lambda R: IdealModule(CartierOperator(R, R.one), Ideal(outside_x(R).ring, ())),
+         "ideal outside the operator's ring"),
+        (lambda R: IdealModule(CartierOperator(R, R.var("x")), Ideal(R, (R.var("x"),)))
+         .annihilator_submodule(Ideal(outside_x(R).ring, ())), "ideal outside the ring"),
+    ],
+    ids=["level", "multiplier-ring", "apply-ring", "compose-level", "image-ring",
+         "quotient-ring", "annihilator-ring"],
+)
+def test_user_errors_name_their_cause(Rxy, call, message):
+    with pytest.raises(UsageError) as info:
+        call(Rxy)
+    assert str(info.value) == message

@@ -692,6 +692,65 @@ def test_monomial_ops_reject_non_monomial(R2):
         Ideal(R2, (x + y,)).is_squarefree_monomial()
 
 
+# -- errors and edge values at the public boundary -----------------------------
+
+
+def outside_x(ring):
+    """x in a ring with one more variable than `ring`, so outside it."""
+    return PolyRing(ring.field, ring.vars + ("z",)).var("x")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda R: MonomialOrder("revlex"), UsageError, "unknown monomial order 'revlex'"),
+        (lambda R: R.monomial((1,)), UsageError, "bad exponent vector"),
+        (lambda R: R.var("z"), UsageError, "unknown variable 'z'"),
+        (lambda R: R.var("x") + "x", UsageError, "cannot combine polynomial with str"),
+        (lambda R: R.var("x") + outside_x(R), UsageError, "polynomials belong to different rings"),
+        (lambda R: R.var("x") ** -1, UsageError, "negative polynomial power"),
+        (lambda R: R.var("x").frobenius_power(-1), UsageError,
+         "frobenius iteration count must be >= 0"),
+        (lambda R: R.parse("x^101").frobenius_power(1), ResourceError,
+         "Frobenius power degree 202 exceeds the configured bound 200"),
+        (lambda R: PolyRing(FieldSpec(2, 2), ("x",)).parse("x + [1,"), UsageError,
+         "syntax error at position 7: unterminated coefficient literal"),
+        (lambda R: divide(R.var("x"), [R.zero], GREVLEX), DomainError,
+         "zero polynomial has no leading term"),
+        (lambda R: Ideal(R, (outside_x(R),)), UsageError, "generator outside the ring"),
+        (lambda R: Ideal(R, ()).normal_form(outside_x(R)), UsageError,
+         "polynomial outside the ring"),
+        (lambda R: Ideal(R, ()).colon_element(outside_x(R)), UsageError,
+         "polynomial outside the ring"),
+        *[
+            (lambda R, method=method: getattr(Ideal(R, ()), method)(Ideal(outside_x(R).ring, ())),
+             UsageError, "ideals in different rings")
+            for method in ("equals", "sum", "product", "intersect")
+        ],
+    ],
+    ids=["order", "exponents", "variable", "combine-type", "combine-ring", "negative-power",
+         "frobenius-count", "frobenius-degree", "unterminated-literal", "divide-by-zero",
+         "generator-ring", "normal-form-ring", "colon-element-ring", "equals-ring", "sum-ring",
+         "product-ring", "intersect-ring"],
+)
+def test_user_errors_name_their_cause(R2, call, error, message):
+    with pytest.raises(error) as info:
+        call(R2)
+    assert str(info.value) == message
+
+
+def test_edge_values_of_polynomials_and_ideals(R2):
+    x, y = R2.var("x"), R2.var("y")
+    assert x != "x" and x != outside_x(R2)
+    assert (x * 0).is_zero and (0 * x).is_zero
+    # (I : 0) is the whole ring
+    assert Ideal(R2, (x,)).colon(Ideal(R2, (R2.zero,))).canonical_strings() == ["1"]
+    with_zero = Ideal(R2, (x**2 * y, R2.zero))
+    assert with_zero.monomial_radical().canonical_strings() == ["x*y"]
+    assert not with_zero.is_squarefree_monomial()
+    assert Ideal(R2, (x * y, y)).to_json() == ["y"]
+
+
 # -- guards ---------------------------------------------------------------------------
 
 

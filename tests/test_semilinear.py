@@ -861,6 +861,7 @@ def test_end_basis_closed_under_composition():
 def test_gaussian_binomials():
     assert gaussian_binomial(2, 1, 2) == 3
     assert gaussian_binomial(3, 1, 4) == 21
+    assert gaussian_binomial(2, 3, 2) == gaussian_binomial(2, -1, 2) == 0
     assert count_subspaces(2, 2) == 5
     assert count_subspaces(4, 2) == 67
 
@@ -1060,3 +1061,38 @@ def test_subfield_elements(gf4):
     elems = subfield_elements(gf4)
     assert len(elems) == 2
     assert gf4.zero in elems and gf4.one in elems
+
+
+# -- errors and edge values at the public boundary -----------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda spec: semilinear.sigma_inv_mat([[spec.one]], -1),
+         "frobenius iteration count must be >= 0"),
+        (lambda spec: subfield_elements(FieldSpec(2, 3, None, 2)), "twist e=2 does not divide d=3"),
+        (lambda spec: module_from_ints(spec, [[1]]).base_change(0),
+         "base change degree must be >= 1"),
+        # C moves e_0 to e_1
+        (lambda spec: module_from_ints(spec, [[0, 0], [1, 0]])
+         .quotient_by(Subspace(spec, 2, ((spec.one, spec.zero),), (0,))),
+         "cannot quotient by a subspace that is not C-stable"),
+        (lambda spec: SemilinearModule.from_json({"field": spec.to_json(), "dim": 2,
+                                                  "matrix": [[[1]]]}),
+         "matrix size disagrees with declared dimension"),
+    ],
+    ids=["sigma-count", "twist", "base-change-degree", "quotient-unstable", "json-dim"],
+)
+def test_user_errors_name_their_cause(gf4, call, message):
+    with pytest.raises(UsageError) as info:
+        call(gf4)
+    assert str(info.value) == message
+
+
+def test_linalg_edge_values(gf4):
+    one, zero = gf4.one, gf4.zero
+    assert linalg.invert([[one, one], [one, one]], gf4) is None
+    assert linalg.kernel_basis([[one, one]], 2, gf4) == [(one, one)]
+    assert linalg.kernel_basis([], 2, gf4) == [(one, zero), (zero, one)]
+    assert mat_mul((), [[one]]) == mat_mul([[one]], ()) == ()
