@@ -130,7 +130,11 @@ def _cmd_field_info(args):
             f"modulus {list(spec.modulus)}",
         ]
     except ValueError as exc:  # more digits than int -> str converts
-        raise ResourceError(f"q or the field order is too long to print: {exc}") from exc
+        what, k = ("q", spec.e) if spec.e >= spec.d else ("the field order", spec.d)
+        raise ResourceError(
+            f"{what} = {spec.p}^{k} exceeds the configured bound "
+            f"{sys.get_int_max_str_digits()} on printed digits"
+        ) from exc
     payload = {
         "p": spec.p,
         "d": spec.d,

@@ -21,13 +21,15 @@ loop, with the arithmetic of residue and XOR fields inlined),
 Printing sorts terms descending in grevlex, so it is canonical and
 parse/print round-trips.  Polynomials and monomial orders are immutable.
 
-Gröbner bases come from one Buchberger loop with one pair queue, the
-Gebauer–Möller criteria and the sugar strategy, reduced to the unique
-reduced basis for the order; it can also track cofactors, for an explicit
-1 = sum h_i g_i, forming the same S-polynomials.  Division pops the
-leading pending monomial from a heap, and each divisor's leading term,
-inverse leading coefficient and tail are prepared once: per Buchberger run
-as the basis grows, and per `Ideal` next to its cached basis.
+Gröbner bases come from one Buchberger loop, reduced to the unique reduced
+basis for the order.  It takes pairs in one of two orders: under grevlex
+in signature order, dropping them by the signature criteria (F5); or,
+under lex and block orders or when it tracks cofactors for an explicit
+1 = sum h_i g_i, by sugar with the Gebauer–Möller criteria.  Division
+pops the leading pending monomial from a heap, and each divisor's leading
+term, inverse leading coefficient and tail are prepared once: per
+Buchberger run as the basis grows, and per `Ideal` next to its cached
+basis.
 """
 
 from __future__ import annotations
@@ -394,11 +396,11 @@ class _Tokenizer:
         return text[pos] if pos < end else None
 
     def take_int(self) -> int:
+        """The integer literal at the cursor, whose first digit the caller
+        has seen."""
         start = self.pos
         while self.pos < self.end and self.text[self.pos].isdecimal():
             self.pos += 1
-        if self.pos == start:
-            self.error("expected an integer")
         if self.pos - start > MAX_INT_DIGITS:
             self.pos = start
             self.error(f"integer literal longer than {MAX_INT_DIGITS} digits")
@@ -539,11 +541,11 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
 # the tail in term order without the leading term.  `rank` is the order's
 # `_packed_rank` on the ring: None under grevlex.
 #
-# Buchberger is one loop over one pair queue.  It reduces each generator by
+# Buchberger is one loop with two pair queues.  It reduces each generator by
 # the ones before it, smallest leading term first, then takes pairs from
-# `_SugarPairs`: sugar order and the Gebauer–Möller chain, product and
-# triangle criteria.  `track` only decides whether cofactors are carried
-# through the same reductions; a generator starts from its unit cofactor.
+# `_SignaturePairs` under grevlex, or from `_SugarPairs` under lex and block
+# orders and when `track` carries cofactors through the reductions (a
+# generator starts from its unit cofactor), so witnesses keep their pairs.
 # A run raises ResourceError once it has reduced MAX_SPAIRS S-pairs,
 # naming the basis size and the largest sugar.
 
@@ -605,11 +607,12 @@ def _lcm(a: int, b: int, ring: PolyRing) -> int:
     return m - (degree << ring._shift)
 
 
-def _divide(work: dict, divisors, ring: PolyRing, rank, quots=None) -> dict:
+def _divide(work: dict, divisors, ring: PolyRing, rank, quots=None, limits=None) -> dict:
     """Remainder of the packed polynomial `work` (consumed) by prepared
     divisors: at each step the leading pending term is reduced by the
-    first divisor, in list order, whose leading term divides it.  With
-    `quots` (one dict per divisor) the quotient terms are recorded there.
+    first divisor, in list order, whose leading term divides it, and with
+    `limits` only by a divisor i with limits[i] below its packed monomial.
+    With `quots` (one dict per divisor) the quotient terms are recorded.
 
     Pending monomials wait in a heap, keyed by rank (themselves under
     grevlex); an entry whose term has cancelled since it was pushed is
@@ -631,7 +634,7 @@ def _divide(work: dict, divisors, ring: PolyRing, rank, quots=None) -> dict:
             continue
         for i, de in enumerate(leads):
             u = e - de
-            if not u & guards:
+            if not u & guards and (limits is None or limits[i] < e):
                 _, inv, texps, tcoeffs, _ = divisors[i]
                 c = kmul(c, inv)
                 if quots is not None:
@@ -695,9 +698,9 @@ def groebner_basis(gens, order: MonomialOrder = GREVLEX, track: bool = False):
 
 
 # S-pairs one Buchberger run may reduce before it raises ResourceError.
-# Over F_7, cyclic-6 reduces 350 of them and cyclic-5 108, with or without
-# cofactors; no run in the tests, the corpus or the benchmark reduces more
-# than 108.
+# Over F_7, cyclic-6 reduces 143 of them and cyclic-5 35, or 350 and 108
+# with cofactors; no run in the tests, the corpus or the benchmark reduces
+# more than 143.
 MAX_SPAIRS = 5_000
 
 
@@ -715,18 +718,19 @@ class _SugarPairs:
     is the degree the pair would have if the input were homogenised
     (Giovini et al., ISSAC 1991)."""
 
-    def __init__(self, leads, sugars, rank, ring: PolyRing):
-        self.leads, self.sugars, self.rank, self.ring = leads, sugars, rank, ring
-        self.heap = []  # (sugar, key of lcm, i, j, lcm)
-        for h in range(len(leads)):
+    def __init__(self, prepared, sugars, rank, ring: PolyRing):
+        self.prepared, self.sugars, self.rank, self.ring = prepared, sugars, rank, ring
+        self.leads, self.heap = [], []  # heap: (sugar, key of lcm, i, j, lcm)
+        for h in range(len(prepared)):
             self.add(h)
 
     def add(self, h):
         leads, sugars, rank, ring = self.leads, self.sugars, self.rank, self.ring
         shift, guards = ring._shift, ring._guards
-        lh = leads[h]
+        lh = self.prepared[h][0]
         excess = sugars[h] + (lh >> shift)  # sugar minus degree
         new = [(g, _lcm(leads[g], lh, ring)) for g in range(h)]
+        leads.append(lh)
         kept = []
         for n, (g, lcm) in enumerate(new):
             if lcm == leads[g] + lh or all(
@@ -750,6 +754,116 @@ class _SugarPairs:
     def pop(self):
         """(i, j, lcm) of the next pair, or None."""
         return heappop(self.heap)[2:] if self.heap else None
+
+    limits = zero = lambda self: None  # reductions are not restricted
+
+
+class _SignaturePairs:
+    """Signatures (Faugère, F5, ISSAC 2002): the RB algorithm of Eder and
+    Faugère's survey (JSC 2017) with Roune and Stillman's ratio rewrite
+    order (ISSAC 2012), for grevlex.
+
+    Element n has a signature, the leading term t·e_p of its cofactor
+    vector; prepared input n starts at 1·e_n.  Signatures compare by sugar
+    (deg t + deg(input p)), then by t in grevlex, then by p: a module order
+    that is degree first and extends grevlex, which lex and block orders
+    it does not extend leave to the sugar queue.  The key
+    ((deg(input p) << shift) + fields - t) << b | p ascends with it, and
+    x^u times a signature has a key u << b less.  As a monomial a
+    signature is (p << shift) + the fields of t; `divides` tests division.
+
+    Pair (i, j) has the larger signature of its halves, that of i, and is
+    not formed when they tie.  A pair goes when a syzygy's signature divides
+    its own: a reduction to zero's, or the Koszul syzygy's of two
+    elements.  It also goes unless i is its rewriter: of the elements
+    whose signatures divide it, the one whose multiple has the least
+    leading monomial, the newest on a tie.  `limits` keeps reductions
+    below the current signature.  Signatures up to the degree bound fit
+    the ring's fields (a guard bit shows one that does not): a Koszul
+    syzygy past it is passed over, and a pair past it starts the run over
+    from its inputs on `_SugarPairs`, which may skip that pair."""
+
+    def __init__(self, prepared, sugars, ring: PolyRing):
+        shift = ring._shift
+        self.prepared, self.sugars, self.ring = prepared, sugars, ring
+        self.inputs, self.b = len(prepared), len(prepared).bit_length()
+        self.fields, self.divides = (1 << shift) - 1, ring._guards | -(1 << shift)
+        # elements: (lead, key, signature); heap: (key, i, j, lcm, signature)
+        self.elements, self.heap, self.rest = [], [], None
+        self.syz = [[] for _ in prepared]  # per position, minimal syzygy signatures
+        for h in range(self.inputs):
+            self.sig = ((((sugars[h] << shift) + self.fields) << self.b) + h, h << shift)
+            self.add(h)
+
+    def add(self, h):
+        """Element h, made under the signature of the pair popped last."""
+        if self.rest:
+            return self.rest.add(h)
+        lh = self.prepared[h][0]
+        (kh, sh), b, fields = self.sig, self.b, self.fields
+        for g, (lg, kg, sg) in enumerate(self.elements):
+            x, y = kh - (lg << b), kg - (lh << b)
+            if x != y:  # the Koszul syzygy lm(g)·F_h - lm(h)·F_g
+                self._syzygy(sh + (lg & fields) if x > y else sg + (lh & fields))
+            lcm = _lcm(lg, lh, self.ring)
+            uh, ug = lcm - lh, lcm - lg
+            x, y = kh - (uh << b), kg - (ug << b)  # the halves' signatures
+            if x > y:
+                heappush(self.heap, (x, h, g, lcm, sh + (uh & fields)))
+            elif x < y:
+                heappush(self.heap, (y, g, h, lcm, sg + (ug & fields)))
+        self.elements.append((lh, kh, sh))
+
+    def _syzygy(self, s):
+        divides, syz = self.divides, self.syz[s >> self.ring._shift]
+        if s & self.ring._guards:
+            return
+        for z in syz:
+            if not (s - z) & divides:
+                return
+        syz[:] = [z for z in syz if (z - s) & divides]
+        syz.append(s)
+
+    def pop(self):
+        """(i, j, lcm) of the next pair, or None."""
+        if self.rest:
+            return self.rest.pop()
+        ring, divides, b = self.ring, self.divides, self.b
+        while self.heap:
+            key, i, j, lcm, s = heappop(self.heap)
+            for z in self.syz[s >> ring._shift]:
+                if not (s - z) & divides:
+                    break
+            else:
+                if key >> b >> ring._shift > ring.max_degree:  # the sugar
+                    return self._unsigned().pop()
+                # the rewriter: the least leading monomial is the largest packed int
+                best = None
+                for n, (lead, kn, sn) in enumerate(self.elements):
+                    if not (s - sn) & divides:
+                        m = lead + (kn - key >> b)
+                        if best is None or m >= best[0]:
+                            best = m, n
+                if best[1] == i:
+                    self.sig = key, s
+                    return i, j, lcm
+        return None
+
+    def _unsigned(self):
+        del self.prepared[self.inputs :], self.sugars[self.inputs :]
+        self.rest = _SugarPairs(self.prepared, self.sugars, None, self.ring)
+        return self.rest
+
+    def limits(self):
+        """limits[n] is the packed monomial that x^e must lie above for
+        x^e / lm(n) times element n to keep below the current signature;
+        None after a start over."""
+        key, b = self.sig[0], self.b
+        return None if self.rest else [(k + (l << b) - key) >> b for l, k, _ in self.elements]
+
+    def zero(self):
+        if not self.rest:
+            self._syzygy(self.sig[1])
 
 
 def _buchberger(gens, order: MonomialOrder, track: bool):
@@ -779,9 +893,11 @@ def _buchberger(gens, order: MonomialOrder, track: bool):
         return [], cofs
     if not any(d[2] for d in prepared):  # monomials: every S-polynomial is 0
         return _reduce_basis(prepared, cofs, ring, rank)
-    leads = [d[0] for d in prepared]
     sugars = [d[4] for d in prepared]
-    pairs = _SugarPairs(leads, sugars, rank, ring)
+    if track or rank is not None:  # signatures need a degree-first order: grevlex
+        pairs = _SugarPairs(prepared, sugars, rank, ring)
+    else:
+        pairs = _SignaturePairs(prepared, sugars, ring)
     reduced = 0
     while (pair := pairs.pop()) is not None:
         if reduced == MAX_SPAIRS:
@@ -802,24 +918,27 @@ def _buchberger(gens, order: MonomialOrder, track: bool):
                 _add_product(c, mf, a, ring)
                 _add_product(c, mg, b, ring)
                 scof.append(c)
-        r, rcof = _reduce(s, scof, prepared, cofs, ring, rank)
-        if r:
+        r, rcof = _reduce(s, scof, prepared, cofs, ring, rank, pairs.limits())
+        if not r:
+            pairs.zero()
+        else:
             d = _prepare(r, rank, ring)
             prepared.append(d)
-            leads.append(d[0])
             sugars.append(max(sugars[i] - (uf >> shift), sugars[j] - (ug >> shift), d[4]))
             if track:
                 cofs.append(rcof)
+            if not d[0]:  # a constant: the basis is (1), and every S-polynomial reduces to 0
+                break
             pairs.add(len(prepared) - 1)
     return _reduce_basis(prepared, cofs, ring, rank)
 
 
-def _reduce(f: dict, fcof, divisors, dcofs, ring: PolyRing, rank):
+def _reduce(f: dict, fcof, divisors, dcofs, ring: PolyRing, rank, limits=None):
     """Remainder of f (consumed) by the prepared divisors, and, when f
     carries cofactors, the remainder's cofactors
     fcof - sum_i quotient_i * dcofs[i]."""
     if fcof is None:
-        return _divide(f, divisors, ring, rank), None
+        return _divide(f, divisors, ring, rank, None, limits), None
     k = ring.field.kernel
     quots = [{} for _ in divisors]
     r = _divide(f, divisors, ring, rank, quots)

@@ -485,12 +485,16 @@ def test_corpus_run_records_rejected_argv(tmp_path, capsys):
          re.escape("--vars is required for ring commands")),
         (["semilinear-hom", "--module", ID_MODULE], 2, "usage",
          re.escape("semilinear-hom needs --module twice (source, target)")),
-        # the rest of the detail is the interpreter's own ValueError text
+        # the interpreter prints no int longer than sys.get_int_max_str_digits()
         (["field-info", "--p", "2", "--e", "100000"], 3, "resource",
-         re.escape("q or the field order is too long to print: ") + ".+"),
+         re.escape(f"q = 2^100000 exceeds the configured bound {sys.get_int_max_str_digits()} "
+                   "on printed digits")),
+        (["field-info", "--p", "3", "--e", "10000"], 3, "resource",
+         re.escape(f"q = 3^10000 exceeds the configured bound {sys.get_int_max_str_digits()} "
+                   "on printed digits")),
     ],
     ids=["missing-f", "missing-ideal", "missing-module", "missing-expr", "missing-vars",
-         "hom-one-module", "field-info-too-long"],
+         "hom-one-module", "field-info-too-long", "field-info-just-too-long"],
 )
 def test_errors_of_the_handlers_name_their_cause(capsys, argv, code, kind, detail):
     got, out = capture(capsys, argv + ["--json"])

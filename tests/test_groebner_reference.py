@@ -9,11 +9,13 @@ The reference keeps the generators as given, takes pairs first in, first
 out, and drops only those with coprime leading terms.  Division scans the
 divisors in the same order and breaks every tie the same way, so tracked
 remainders and quotients must agree exactly.  Buchberger reduces the
-generators first, takes pairs by sugar and drops them by the
-Gebauer–Möller criteria, with or without cofactors; the reduced basis is
-unique, so it must equal the reference's all the same, with far fewer
-S-polynomials formed.  Cofactors are not unique: tracked ones are held to
-their defining identity basis[i] = sum_j cofs[i][j] * gens[j].
+generators first.  Under grevlex without cofactors it then takes pairs in
+signature order and drops them by the signature criteria; with cofactors,
+or under lex and block orders, it takes them by sugar and drops them by
+the Gebauer–Möller criteria.  The reduced basis is unique, so both must
+equal the reference's all the same, with far fewer S-polynomials formed.
+Cofactors are not unique: tracked ones are held to their defining
+identity basis[i] = sum_j cofs[i][j] * gens[j].
 """
 
 import random
@@ -157,20 +159,21 @@ def test_packed_buchberger_matches_reference(monkeypatch, p, d, order):
     key = reference_key(order)
     rng = random.Random(1000 * p + 10 * d + len(repr(order)))
     spolys = _record_calls(monkeypatch, "_s_polynomial")
-    nontrivial = formed = 0
+    nontrivial = formed = tracked_formed = 0
     for _ in range(6 if big else 12):
         gens = [random_poly(rng, ring, max_terms=3, max_exp=2) for _ in range(3)]
-        basis, n = _assert_one_path(spolys, gens, order)
+        basis, n, m = _both_paths(spolys, gens, order)
         assert basis == ref_groebner(gens, order)
         nontrivial += len(basis) > 1
         formed += n
+        tracked_formed += m
         divisors = [g for g in gens if not g.is_zero]
         f = random_poly(rng, ring, max_terms=5, max_exp=4)
         r, quots = divide(f, divisors, order, track=True)
         assert (r, quots) == ref_divide(f, divisors, key, track=True)
         assert divide(f, divisors, order) == r
         assert divide(f, basis, order) == ref_divide(f, list(basis), key)
-    assert nontrivial and formed
+    assert nontrivial and formed and tracked_formed
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=["grevlex", "lex", "elim1"])
@@ -191,6 +194,78 @@ def test_criteria_buchberger_matches_fifo_reference(p, d, order):
         assert basis == ref_groebner(gens, order)
         nontrivial += len(basis) > 1
     assert nontrivial
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["grevlex", "lex", "elim1"])
+@pytest.mark.parametrize("p,d", [(2, 1), (2, 2), (3, 2)], ids=["F2", "GF4", "GF9"])
+def test_untracked_runs_match_fifo_reference(monkeypatch, p, d, order):
+    # Generators of up to four terms with exponents up to 2 mix degrees 0
+    # to 6, so the sugar of a signature and the degree of its element part
+    # ways.  Under grevlex every run keeps its signatures to the end; lex
+    # and block orders take the sugar queue.
+    ring = PolyRing(FieldSpec(p, d), ("x", "y", "z"))
+    rng = random.Random(9000 * p + 10 * d + len(repr(order)))
+    runs = _record_calls(monkeypatch, "_SignaturePairs")
+    nontrivial = 0
+    for _ in range(10):
+        gens = [random_poly(rng, ring, max_terms=4, max_exp=2) for _ in range(rng.randint(3, 4))]
+        basis = groebner_basis(gens, order)
+        assert basis == ref_groebner(gens, order)
+        nontrivial += len(basis) > 1
+    assert nontrivial
+    if order == GREVLEX:
+        assert runs and all(pairs.rest is None for _, pairs in runs)
+    else:
+        assert not runs
+
+
+# (p, variables, degree bound, generators, reduced basis under grevlex)
+RESTARTS = [
+    (3, ("x", "y", "z"), 4, ("2*z^2 + y + 2*x*z", "2*x + 2*x*z^2"),
+     ["x*z + z^2 + 2*y", "x^3 + x*y^2 + 2*x*y + x", "y*z^2 + 2*x^2 + 2*y^2 + z^2 + 2*y",
+      "z^3 + 2*y*z + 2*x"]),
+    (7, ("x", "y", "z"), 5, ("3*x*y*z + 1 + 5*x^2*y^2", "4*y*z^2 + 3*x*z^2", "5*x*y^2*z + 6*x*y^2"),
+     ["x + 6*y", "y^4 + 6*y^2 + 3", "z + 4"]),
+]
+
+
+@pytest.mark.parametrize("p,names,bound,texts,expected", RESTARTS, ids=["F3", "F7"])
+def test_signature_runs_start_over_on_the_sugar_queue(
+    monkeypatch, p, names, bound, texts, expected
+):
+    # A pair whose sugar passes the degree bound starts the run over from
+    # its inputs on the sugar queue, whose criteria leave that pair out:
+    # the basis is the one the same ideal has in a ring of bound 200, where
+    # the signatures last.
+    restarts = _record_calls(monkeypatch, "_SugarPairs")
+    for bound, starts in ((bound, 1), (200, 0)):
+        ring = PolyRing(FieldSpec(p, 1), names, bound)
+        del restarts[:]
+        basis = groebner_basis([ring.parse(t) for t in texts], GREVLEX)
+        assert sorted(map(str, basis)) == sorted(expected)
+        assert len(restarts) == starts
+
+
+def test_a_constant_ends_the_run(monkeypatch):
+    # Once an S-polynomial reduces to a constant the basis is (1), and
+    # every pair left would reduce to 0: the run forms no more of them.
+    # With cofactors the sugar queue formed 26 here, the last 5 after the
+    # constant.
+    ring = PolyRing(FieldSpec(7, 1), ("x", "y", "z"))
+    texts = ("4*x*z^2 + 5*z^2", "5*x^2*y^2 + 4", "6*x*y*z + 5*x^2 + 2*x*y*z^2",
+             "3*x^2*y^2*z + 5*x^2*y^2*z^2 + 6*y")
+    gens = [ring.parse(t) for t in texts]
+    spolys = _record_calls(monkeypatch, "_s_polynomial")
+    reductions = _record_calls(monkeypatch, "_reduce")
+    for track, formed in ((False, 22), (True, 21)):
+        del spolys[:], reductions[:]
+        out = groebner_basis(gens, GREVLEX, track)
+        assert len(spolys) == formed
+        # each generator is reduced once before the first S-pair
+        assert list(reductions[len(gens) + formed - 1][1][0]) == [0]
+        basis = out[0] if track else out
+        assert basis == (ring.one,)
+    assert_cofactors(*out, gens)
 
 
 def _record_calls(monkeypatch, name):
@@ -239,67 +314,82 @@ def test_criteria_form_fewer_s_polynomials(monkeypatch, name, fifo_formed, bound
 
 
 def test_homogeneous_pairs_leave_in_degree_order(monkeypatch):
-    # On homogeneous input the sugar of a pair is the degree of its lcm, so
-    # the sugar queue forms S-polynomials in nondecreasing lcm degree, under
-    # lex too, where the order key alone would not, and tracked runs form
-    # the same ones.
+    # On homogeneous input the sugar of a pair, and of its signature, is
+    # the degree of its lcm, so both queues form S-polynomials in
+    # nondecreasing lcm degree: the signature queue under grevlex, and the
+    # sugar queue, with or without cofactors, under lex too, where the
+    # order key alone would not.
     ring = PolyRing(FieldSpec(7, 1), ("a", "b", "c", "d", "h"))
     texts = ("a+b+c+d", "a*b+b*c+c*d+d*a", "a*b*c+b*c*d+c*d*a+d*a*b", "a*b*c*d-h^4")
     gens = [ring.parse(t) for t in texts]
     spolys = _record_calls(monkeypatch, "_s_polynomial")
+    reductions = _record_calls(monkeypatch, "_reduce")
 
-    def lcm_degrees():
+    def pairs():
+        """lcm degrees of the S-polynomials formed, and how many of them
+        reduced to zero; each generator is reduced once before them."""
         unpack = ring._unpack  # prepared leading monomials are packed ints
-        return [sum(map(max, unpack(f[0]), unpack(g[0]))) for (f, g, _, _), _ in spolys]
+        degrees = [sum(map(max, unpack(f[0]), unpack(g[0]))) for (f, g, _, _), _ in spolys]
+        zero = sum(not r for _, (r, _) in reductions[len(gens) : len(gens) + len(spolys)])
+        del spolys[:], reductions[:]
+        return degrees, zero
 
+    groebner_basis(gens, GREVLEX)
+    assert pairs() == ([4, 5, 5, 6], 1)
     basis = groebner_basis(gens, LEX)
-    untracked = lcm_degrees()
+    untracked, zero = pairs()
     assert untracked == sorted(untracked) and len(set(untracked)) > 2
-    del spolys[:]
+    assert (len(untracked), zero) == (11, 7)
     assert groebner_basis(gens, LEX, track=True)[0] == basis
-    assert lcm_degrees() == untracked
+    assert pairs() == (untracked, 7)
 
 
-def _assert_one_path(spolys, gens, order):
-    """Tracked and untracked runs call `_s_polynomial`, recorded in spolys,
-    on the same pairs in the same order and reach the same basis; tracked
-    cofactors satisfy their identity.  Returns the basis and the number of
-    S-polynomials formed."""
+def _both_paths(spolys, gens, order):
+    """Untracked and tracked runs, whose `_s_polynomial` calls spolys
+    records, reach the same basis, and tracked cofactors satisfy their
+    identity.  Returns the basis and the S-polynomials each run formed,
+    untracked first."""
     del spolys[:]
     basis = groebner_basis(gens, order)
-    untracked = [args[:2] for args, _ in spolys]
+    untracked = len(spolys)
     del spolys[:]
     tracked, cofs = groebner_basis(gens, order, track=True)
     assert tracked == basis
-    assert [args[:2] for args, _ in spolys] == untracked
     assert_cofactors(basis, cofs, gens)
-    return basis, len(untracked)
+    return basis, untracked, len(spolys)
 
 
-# (system, S-polynomials formed with or without cofactors)
-ONE_PATH_SYSTEMS = [("cyclic4", 8), ("katsura4", 8), ("katsura5", 26)]
+# (system, S-polynomials formed and reductions to zero without cofactors)
+UNTRACKED_PINS = [
+    ("cyclic4", 4, 1), ("katsura4", 3, 0), ("katsura5", 9, 1), ("cyclic5", 35, 1),
+    ("katsura6", 47, 8), ("cyclic6", 143, 18),
+]
 
 
 @pytest.mark.parametrize(
-    "name,formed", ONE_PATH_SYSTEMS, ids=[n for n, _ in ONE_PATH_SYSTEMS]
+    "name,formed,zero", UNTRACKED_PINS, ids=[n for n, _, _ in UNTRACKED_PINS]
 )
-def test_tracked_runs_form_the_untracked_pairs(monkeypatch, name, formed):
+def test_untracked_runs_form_their_pinned_pairs(monkeypatch, name, formed, zero):
+    # Signatures leave few reductions to zero: the sugar queue forms 8, 8,
+    # 26, 108, 152 and 350 S-polynomials here, of which 5, 5, 18, 75, 120
+    # and 257 reduce to zero.
     ring, gens = classic_system(name)
     spolys = _record_calls(monkeypatch, "_s_polynomial")
-    assert _assert_one_path(spolys, gens, GREVLEX)[1] == formed
+    reductions = _record_calls(monkeypatch, "_reduce")
+    groebner_basis(gens, GREVLEX)
+    assert len(spolys) == formed
+    # each generator is reduced once before the first S-pair
+    assert sum(not r for _, (r, _) in reductions[len(gens) : len(gens) + formed]) == zero
 
 
-CYCLIC5 = (
-    "a+b+c+d+e",
-    "a*b+b*c+c*d+d*e+e*a",
-    "a*b*c+b*c*d+c*d*e+d*e*a+e*a*b",
-    "a*b*c*d+b*c*d*e+c*d*e*a+d*e*a*b+e*a*b*c",
-    "a*b*c*d*e-1",
-)
+# (system, S-polynomials formed with cofactors)
+TRACKED_PINS = [("cyclic4", 8), ("katsura4", 8), ("katsura5", 26), ("cyclic5", 108)]
 
 
-def test_tracked_cyclic5_forms_the_untracked_pairs(monkeypatch):
-    ring = PolyRing(FieldSpec(7, 1), ("a", "b", "c", "d", "e"))
-    gens = [ring.parse(t) for t in CYCLIC5]
+@pytest.mark.parametrize("name,formed", TRACKED_PINS, ids=[n for n, _ in TRACKED_PINS])
+def test_tracked_runs_form_their_pinned_pairs(monkeypatch, name, formed):
+    ring, gens = classic_system(name)
     spolys = _record_calls(monkeypatch, "_s_polynomial")
-    assert _assert_one_path(spolys, gens, GREVLEX)[1] == 108
+    basis, untracked, tracked = _both_paths(spolys, gens, GREVLEX)
+    assert tracked == formed
+    assert untracked == dict((n, f) for n, f, _ in UNTRACKED_PINS)[name]

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, parsing, Gröbner bases, and ideal operations."""
 
+import hashlib
 import random
 import re
 from itertools import product
@@ -446,6 +447,27 @@ def test_gb_matches_sympy_on_katsura3():
     assert _as_term_dicts(basis) == _sympy_groebner(gens, ring)
 
 
+def cyclic(n):
+    """The cyclic-n system in the variables a, b, ...: the elementary
+    symmetric sums of consecutive runs, and the product minus 1."""
+    v = "abcdefgh"[:n]
+    sums = ["+".join("*".join(v[(i + j) % n] for j in range(k)) for i in range(n))
+            for k in range(1, n)]
+    return (*sums, "*".join(v) + "-1")
+
+
+def katsura(n):
+    """The Katsura-n system in the n + 1 variables a, b, ...:
+    sum_{|i| <= n} u_i = 1 and sum_i u_i u_{m-i} = u_m for m < n, where
+    u_{-i} = u_i and u_i = 0 for i > n."""
+    v = "abcdefgh"[: n + 1]
+    u = lambda i: v[abs(i)] if abs(i) <= n else None
+    first = "+".join([v[0]] + [f"2*{x}" for x in v[1:]]) + "-1"
+    rest = ["+".join(f"{u(i)}*{u(m - i)}" for i in range(-n, n + 1) if u(i) and u(m - i))
+            + f"-{v[m]}" for m in range(n)]
+    return (first, *rest)
+
+
 CLASSIC_SYSTEMS = {
     "cyclic4": ("a+b+c+d", "a*b+b*c+c*d+d*a", "a*b*c+b*c*d+c*d*a+d*a*b", "a*b*c*d-1"),
     "katsura4": ("a+2*b+2*c+2*d-1", "a^2+2*b^2+2*c^2+2*d^2-a",
@@ -453,13 +475,22 @@ CLASSIC_SYSTEMS = {
     "katsura5": ("a+2*b+2*c+2*d+2*e-1", "a^2+2*b^2+2*c^2+2*d^2+2*e^2-a",
                  "2*a*b+2*b*c+2*c*d+2*d*e-b", "b^2+2*a*c+2*b*d+2*c*e-c",
                  "2*b*c+2*a*d+2*b*e-d"),
+    "cyclic5": cyclic(5),
+}
+# sympy takes 11 s on Katsura-6 and 34 s on cyclic-6, so these two are held
+# to digests of its bases (`_digest(_sympy_groebner(gens, ring))` with
+# sympy 1.14) instead of a run of it
+LARGE_SYSTEMS = {
+    "katsura6": (katsura(6), "ab0bb8f11b209bc3bcc741a089f33bc7251ef0d9371ee39e39fc6a83cd17daff"),
+    "cyclic6": (cyclic(6), "b0ce94240635fb94417f8919ae36ac9b4d0277b17d9526002d2aeca61412156d"),
 }
 
 
 def classic_system(name, p=7):
-    names = ("a", "b", "c", "d", "e")[: 5 if name == "katsura5" else 4]
+    texts = CLASSIC_SYSTEMS[name] if name in CLASSIC_SYSTEMS else LARGE_SYSTEMS[name][0]
+    names = tuple(sorted({ch for t in texts for ch in t if ch.isalpha()}))
     ring = PolyRing(FieldSpec(p, 1), names)
-    return ring, [ring.parse(t) for t in CLASSIC_SYSTEMS[name]]
+    return ring, [ring.parse(t) for t in texts]
 
 
 @pytest.mark.parametrize("name", sorted(CLASSIC_SYSTEMS))
@@ -468,6 +499,20 @@ def test_gb_matches_sympy_on_classic_systems(name):
     basis = groebner_basis(gens, GREVLEX)
     assert len(basis) > len(gens)
     assert _as_term_dicts(basis) == _sympy_groebner(gens, ring)
+
+
+def _digest(term_dicts):
+    """SHA-256 of sorted term dicts, each written with its terms sorted."""
+    text = repr([sorted(t.items()) for t in term_dicts])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_SYSTEMS))
+def test_gb_matches_recorded_sympy_bases(name):
+    ring, gens = classic_system(name)
+    basis = groebner_basis(gens, GREVLEX)
+    assert len(basis) > len(gens)
+    assert _digest(_as_term_dicts(basis)) == LARGE_SYSTEMS[name][1]
 
 
 def test_buchberger_stays_on_packed_terms(element_op_calls):
@@ -577,7 +622,8 @@ def test_buchberger_budget_raises_with_progress(monkeypatch):
     progress = r"unfinished after 10 S-pairs reduced: \d+ basis elements, largest sugar \d+"
     with pytest.raises(ResourceError, match=progress):
         I.intersect(J)
-    # the tracked cyclic-4 run reduces 8 S-pairs
+    # cyclic-4 reduces 8 S-pairs on the sugar queue, with cofactors, and 4
+    # with signatures, without
     ring, gens = classic_system("cyclic4")
     monkeypatch.setattr(poly, "MAX_SPAIRS", 7)
     progress = "after 7 S-pairs reduced: 7 basis elements, largest sugar 6$"
@@ -585,6 +631,12 @@ def test_buchberger_budget_raises_with_progress(monkeypatch):
         groebner_basis(gens, GREVLEX, track=True)
     monkeypatch.setattr(poly, "MAX_SPAIRS", 8)
     groebner_basis(gens, GREVLEX, track=True)
+    monkeypatch.setattr(poly, "MAX_SPAIRS", 3)
+    progress = "after 3 S-pairs reduced: 6 basis elements, largest sugar 5$"
+    with pytest.raises(ResourceError, match=progress):
+        groebner_basis(gens, GREVLEX)
+    monkeypatch.setattr(poly, "MAX_SPAIRS", 4)
+    groebner_basis(gens, GREVLEX)
 
 
 def monomial_ideal(ring, exps_list):
@@ -642,6 +694,7 @@ def test_monomial_ideals_build_no_pair_queue(monkeypatch, track):
             raise AssertionError("a pair queue was built")
 
     monkeypatch.setattr(poly, "_SugarPairs", NoPairs)
+    monkeypatch.setattr(poly, "_SignaturePairs", NoPairs)
     field, rng = FieldSpec(7, 1), random.Random(31 + track)
     for n in (1, 2, 3, 4):
         ring = PolyRing(field, ("x", "y", "z", "w")[:n])
