@@ -8,7 +8,8 @@ C(N) = N of the minimal representative is finite, all its maximal chains
 have equal length, and that common length is the quasi-length.
 
 `jordan_holder` grows that lattice once, with `SemilinearModule._lattice`,
-which also finds its Hasse covers, and `nil_series` walks down its covers.
+which also finds its Hasse covers.  `nil_series` steps down one largest
+proper submodule at a time, read off the cyclic submodules of the dual.
 """
 
 from __future__ import annotations
@@ -136,35 +137,31 @@ def nil_series(module: SemilinearModule, cap: int = 100_000):
 
     U_0 is the stable image.  C is bijective on it, so M_{i+1} = U_i, and
     U_{i+1} is the largest proper submodule of U_i by (dimension, RREF
-    rows in the coordinates of U_i's basis).  Two vectors of U_i first
-    differ at one of its pivot columns, so that is the lattice order, and
-    U_{i+1} is the last lower cover of U_i in the one lattice
-    `jordan_holder` grows for U_0.  `cap` bounds that lattice.
+    rows in the coordinates of U_i's basis).  `cap` bounds the points of
+    the dual of each U_i.
+
+    Duality: N -> N^perp reverses inclusion between C-stable subspaces and
+    those of the dual, as F(w)^T u = sigma^e(w^T C(u)); so U_{i+1} is the
+    annihilator of a least nonzero stable subspace of the dual, a cyclic one.
 
     Returns the subspaces of the ambient space in order.
     """
-    top = module.stable_image()
-    report = _jordan_holder(_minimal_rep(module, top), cap)
-    lattice, rep = report.lattice, report.minimal_rep
-    last = [0] * len(lattice)  # each member's last lower cover
-    for i, j in report.edges:  # sorted, so the last i for j is the largest
-        last[j] = i
-    series, cur = [Subspace.full(module.spec, module.dim), top], len(lattice) - 1
-    while lattice[cur].dim > 0:
-        inside, cur = lattice[cur], last[cur]
-        quotient, _ = rep.restrict_to(inside).quotient_by(_coords(lattice[cur], inside))
+    top, spec, k = module.stable_image(), module.spec, module.spec.kernel
+    _minimal_rep(module, top)  # for its checks on the stable image
+    series, cur = [Subspace.full(spec, module.dim), top], top
+    while cur.dim > 0:
+        inside, n = module.restrict_to(cur), cur.dim
+        spans, _, _ = inside.dual()._cyclic_spans(linalg._Points(spec, n, cap))
+        sub = max(
+            (Subspace._span(spec, n, linalg._null_space(rows, n, k)) for rows, _ in spans[1:]),
+            key=lambda s: (s.dim, s._rows),
+        )
+        quotient, _ = inside.quotient_by(sub)
         if quotient.is_nilpotent or not quotient.is_simple(cap=cap):
             raise InvariantViolation("series factor is not simple non-nilpotent")
-        series += [_unrestrict(lattice[cur], top)] * 2
+        cur = _unrestrict(sub, cur)
+        series += [cur] * 2
     return series
-
-
-def _coords(sub: Subspace, inside: Subspace) -> Subspace:
-    """A subspace of `inside` in the coordinates of inside's RREF basis.
-    Each vector of `inside` leads at one of its pivot columns, so the
-    entries there are the coordinates, and RREF rows stay RREF."""
-    rows = [[r[pc] for pc in inside.pivots] for r in sub._rows]
-    return Subspace._of(sub.spec, inside.dim, rows, map(inside.pivots.index, sub.pivots))
 
 
 def _unrestrict(sub: Subspace, inside: Subspace) -> Subspace:

@@ -362,6 +362,56 @@ class _TwistedModule(_Immutable):
         ranks = self._fitting()[0]
         return None if ranks[-1] else len(ranks) - 1
 
+    def _cyclic_spans(self, points, simple=False):
+        """Z(v) = <v, Cv, C^2 v, ...> for every point v of `points`, by one
+        walk of the point map [v] -> [Cv] (C(cv) is a multiple of C(v)).  As
+        Z(v) = <v> + Z(Cv), a walk stops at a known Z, at zero, or at a
+        repeat, which closes a cycle whose points all have its span; unwound,
+        a point keeps Z(Cv) when it lies in it and extends its rows otherwise.
+        Returns the distinct spans as RREF (rows, pivots), zero first, their
+        point bitsets, and of[j], the index of the span of point j.  With
+        `simple`, None as soon as some Z(v) is not the whole space."""
+        k, n, vectors, index = self.spec.kernel, self.dim, points.vectors, points.index
+        spans, masks, where, of = [((), ())], [0], {(): 0}, [None] * len(vectors)
+
+        def span(rows, pivots):
+            key = tuple(map(tuple, rows))
+            if key not in where:
+                where[key] = len(spans)
+                spans.append((key, tuple(pivots)))
+                masks.append(points.mask(key) if len(key) < n else (1 << len(vectors)) - 1)
+            return where[key]
+
+        for j in range(len(vectors)):
+            path, orbit = [], ([], [])
+            while j is not None and of[j] is None:
+                if simple and len(orbit[0]) < n and not linalg._extend(*orbit, vectors[j], k):
+                    return None  # the walk so far spans Z(v) of its first point
+                of[j] = -1  # on this walk
+                path.append(j)
+                w = self._apply(vectors[j])
+                c = next((c for c in w if c), 0)
+                j = index[tuple(w if c == k.one else k.scale(w, k.inv(c)))] if c else None
+            if j is None:
+                z = 0
+            elif of[j] < 0:  # a repeat
+                rows, pivots = [], []
+                for i in path[path.index(j):]:  # <u, Cu, ...> is stable once one adds nothing
+                    if not linalg._extend(rows, pivots, vectors[i], k):
+                        break
+                z = span(rows, pivots)
+            else:
+                z = of[j]
+            for i in reversed(path):
+                if not masks[z] >> i & 1:
+                    rows, pivots = map(list, spans[z])
+                    linalg._extend(rows, pivots, vectors[i], k)
+                    z = span(rows, pivots)
+                of[i] = z
+            if simple and path and len(spans[of[path[-1]]][0]) < n:
+                return None  # the least Z(v) on the walk, inside all the others
+        return spans, masks, of
+
     def dual(self):
         """The module of the other twist on the dual space, with matrix
         sigma^(-+e)(A^T): a Cartier module's dual is a left-Frobenius
@@ -516,14 +566,6 @@ class SemilinearModule(_TwistedModule):
                 raise InvariantViolation("hom basis element fails the commuting identity")
         return HomSpace(spec, basis)
 
-    def _cyclic(self, v):
-        """RREF rows and pivots of <v, Cv, C^2 v, ...> for a packed vector
-        v; the span is C-stable once C^i v adds nothing."""
-        k, rows, pivots = self.spec.kernel, [], []
-        while linalg._extend(rows, pivots, v, k):
-            v = self._apply(v)
-        return rows, pivots
-
     def _lattice(self, cap: int):
         """Every C-stable subspace, sorted by (dimension, canonical basis);
         the point bitset of each; and the Hasse cover pairs (i, j), meaning
@@ -538,10 +580,10 @@ class SemilinearModule(_TwistedModule):
         """
         spec, n, k = self.spec, self.dim, self.spec.kernel
         points = linalg._Points(spec, n, cap)
-        elems, masks, where, cyclic = [Subspace.zero(spec, n)], [0], {(): 0}, {}
+        elems, masks, where = [Subspace.zero(spec, n)], [0], {(): 0}
         covers = []
 
-        def member(rows, pivots):
+        def member(rows, pivots, mask=None):
             key = tuple(map(tuple, rows))
             if key not in where:
                 if len(elems) == cap:
@@ -551,7 +593,7 @@ class SemilinearModule(_TwistedModule):
                     )
                 where[key] = len(elems)
                 elems.append(Subspace._of(spec, n, key, pivots))
-                masks.append(points.mask(key))
+                masks.append(points.mask(key) if mask is None else mask)
             return where[key]
 
         def add(sub, cyc):  # the member N + <v>
@@ -560,14 +602,14 @@ class SemilinearModule(_TwistedModule):
                 linalg._extend(rows, pivots, r, k)
             return member(rows, pivots)
 
+        spans, span_masks, cyclic = self._cyclic_spans(points)
+        for (rows, pivots), mask in zip(spans[1:], span_masks[1:]):
+            member(rows, pivots, mask)  # distinct, so member i is spans[i]
         for sub, mask in zip(elems, masks):  # both grow as members are found
             todo, sums = ~mask & ((1 << len(points.vectors)) - 1), {}
             while todo:
                 low = todo & -todo
-                j = low.bit_length() - 1
-                if j not in cyclic:
-                    cyclic[j] = member(*self._cyclic(points.vectors[j]))
-                c = cyclic[j]
+                c = cyclic[low.bit_length() - 1]
                 if c not in sums:  # N + <v> is <v> when N lies inside it
                     sums[c] = add(sub, elems[c]) if mask & ~masks[c] else c
                 m = sums[c]
@@ -600,9 +642,7 @@ class SemilinearModule(_TwistedModule):
         """Whether 0 and V are the only C-stable subspaces: every cyclic
         submodule is V."""
         points = linalg._Points(self.spec, self.dim, cap)
-        return self.dim > 0 and all(
-            len(self._cyclic(v)[0]) == self.dim for v in points.vectors
-        )
+        return self.dim > 0 and self._cyclic_spans(points, simple=True) is not None
 
     def end_ring(self, cap: int = 100_000):
         """(order, is_field) for the endomorphism ring of a simple module.

@@ -5,7 +5,9 @@ paths: they iterate the structural map over every vector of the space, so
 they stay independent of the code they check.  Usable whenever |k|^n is a
 few thousand at most.  The submodule oracles scan every subspace of k^n
 and find Hasse covers by a cubic search, so they suit lattices of a few
-hundred subspaces.  `oracle_isomorphic` searches every intertwiner for an
+hundred subspaces.  `oracle_lattice_nil_series` is the older lattice walk
+behind `crystal.nil_series`: down the last lower covers of the lattice
+that `jordan_holder` grows.  `oracle_isomorphic` searches every intertwiner for an
 invertible one, and `oracle_end_ring` lists End(M) in full to test it
 for a field.  `oracle_rref` is textbook Gauss-Jordan elimination on
 packed rows.  `oracle_parse` evaluates a polynomial string with the
@@ -19,7 +21,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from cartier import linalg
+from cartier import crystal, linalg
 from cartier.errors import ResourceError
 from cartier.field import FieldElement, FieldSpec
 from cartier.poly import MAX_NESTING, Ideal, _Tokenizer
@@ -464,6 +466,23 @@ def _in_ambient(sub: Subspace, inside: Subspace) -> Subspace:
             acc = [a + c * b for a, b in zip(acc, row)]
         vectors.append(acc)
     return Subspace.from_vectors(spec, inside.ambient, vectors)
+
+
+def oracle_lattice_nil_series(module: SemilinearModule, cap: int = 100_000):
+    """The series of `crystal.nil_series` by the lattice walk: grow the
+    lattice of the minimal representative with `crystal._jordan_holder`,
+    then step from the top to the last lower cover of each member, which
+    is the largest proper submodule by (dimension, RREF rows)."""
+    top = module.stable_image()
+    report = crystal._jordan_holder(crystal._minimal_rep(module, top), cap)
+    lattice, last = report.lattice, [0] * len(report.lattice)
+    for i, j in report.edges:  # sorted, so the last i for j is the largest
+        last[j] = i
+    series, cur = [Subspace.full(module.spec, module.dim), top], len(lattice) - 1
+    while lattice[cur].dim > 0:
+        cur = last[cur]
+        series += [_in_ambient(lattice[cur], top)] * 2
+    return series
 
 
 def oracle_chain(lattice, edges):

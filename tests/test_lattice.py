@@ -14,11 +14,14 @@ from cartier.semilinear import SemilinearModule, Subspace, count_subspaces
 
 from conftest import (
     block_extension,
+    module_with_nilpotent_part,
     oracle_chain,
     oracle_cover_edges,
     oracle_fixed_lattice,
     oracle_is_simple,
+    oracle_lattice_nil_series,
     oracle_nil_series,
+    oracle_subspaces,
     oracle_submodules,
     random_element,
     random_module,
@@ -78,6 +81,19 @@ def test_enumeration_matches_exhaustive_scan(field):
         assert crystal.anti_nilpotent(m) == all(onto for _, onto in expected)
 
 
+def test_is_simple_when_a_walk_leaves_its_first_span():
+    """C the shift e_i -> e_(i+1): the walk of the point map from the
+    first point e_1 spans V but ends at e_n, whose cyclic submodule <e_n>
+    is proper; every later walk starts at a point that spans V too."""
+    for p, d, e in FIELDS:
+        spec = FieldSpec(p, d, None, e)
+        for n in range(2, 5):
+            m = SemilinearModule(spec, [
+                [spec.one if i == j + 1 else spec.zero for j in range(n)] for i in range(n)
+            ])
+            assert not m.is_simple() and not oracle_is_simple(m)
+
+
 @pytest.mark.parametrize("field", list(FIELDS), ids=FIELD_IDS)
 def test_lattice_covers_match_oracle(field):
     """The covers `_lattice` finds among its sums are the Hasse diagram,
@@ -106,20 +122,91 @@ def test_nil_series_matches_oracle(field):
         assert crystal.nil_series(m) == oracle_nil_series(m)
 
 
-def test_nil_series_grows_one_lattice(monkeypatch):
-    """The series walks down the covers of one lattice, the one grown for
-    the stable image, rather than growing a lattice for each U_i."""
-    f2, gf4, rng = FieldSpec(2, 1), FieldSpec(2, 2), random.Random(14)
-    modules = [SemilinearModule(f2, identity(5, f2)), random_module(rng, f2, 6)]
-    modules += [block_extension(rng, gf4, 1, 2)[0] for _ in range(5)]
+def _count_lattices(monkeypatch):
     calls, real = [], SemilinearModule._lattice
     monkeypatch.setattr(
         SemilinearModule, "_lattice", lambda self, cap: calls.append(1) or real(self, cap)
     )
+    return calls
+
+
+def test_nil_series_grows_no_lattice(monkeypatch):
+    """Each step reads the next submodule off the cyclic submodules of a
+    dual, so no submodule lattice is grown."""
+    f2, gf4, rng = FieldSpec(2, 1), FieldSpec(2, 2), random.Random(14)
+    modules = [SemilinearModule(f2, identity(5, f2)), random_module(rng, f2, 6)]
+    modules += [block_extension(rng, gf4, 1, 2)[0] for _ in range(5)]
+    calls = _count_lattices(monkeypatch)
     for m in modules:
+        series = crystal.nil_series(m)
+        assert calls == []
+        assert series == oracle_lattice_nil_series(m)
         calls.clear()
-        crystal.nil_series(m)
-        assert len(calls) == 1
+
+
+# (p, d, e) -> largest dimension of the sweep against the lattice walk
+SWEEP_FIELDS = {
+    (2, 1, 1): 5,
+    (3, 1, 1): 4,
+    (5, 1, 1): 3,
+    (2, 2, 1): 4,
+    (2, 3, 1): 3,
+    (3, 2, 1): 3,
+    (2, 2, 2): 4,
+}
+
+
+@pytest.mark.parametrize(
+    "field", list(SWEEP_FIELDS), ids=[f"GF{p}^{d}-e{e}" for p, d, e in SWEEP_FIELDS]
+)
+def test_nil_series_matches_lattice_walk(field):
+    """45 modules per field, 315 in all: random ones, with and without a
+    nilpotent part, identities, diagonals and block extensions."""
+    p, d, e = field
+    spec, rng = FieldSpec(p, d, None, e), random.Random(p * 100 + d * 10 + e)
+    shapes = [
+        lambda n: random_module(rng, spec, n),
+        lambda n: module_with_nilpotent_part(rng, spec, n),
+        lambda n: SemilinearModule(spec, identity(n, spec)),
+        lambda n: _diagonal(rng, spec, n),
+        lambda n: block_extension(rng, spec, 1, n - 1)[0] if n > 1 else _diagonal(rng, spec, 1),
+    ]
+    for i in range(45):
+        m = shapes[i % len(shapes)](1 + i // len(shapes) % SWEEP_FIELDS[field])
+        assert crystal.nil_series(m) == oracle_lattice_nil_series(m)
+
+
+def _dual_stable(module):
+    """Every subspace that the dual's structural map carries into itself,
+    by the exhaustive scan, sorted by (dimension, canonical basis)."""
+    dual = module.dual()
+    return [
+        sub
+        for sub in oracle_subspaces(module.spec, module.dim)
+        if all(sub.contains_vector(dual.apply(r)) for r in sub.rows)
+    ]
+
+
+@pytest.mark.parametrize("field", list(FIELDS), ids=FIELD_IDS)
+def test_annihilators_of_dual_submodules_are_the_submodules(field):
+    """N -> N^perp is a bijection from the stable subspaces of the dual
+    onto `enumerate_submodules`.  It reverses dimension and inclusion, but
+    not the order within a dimension: on the identity of F_2^2 the lines
+    <01>, <10>, <11> go to <10>, <01>, <11>."""
+    for m in oracle_suite(*field):
+        spec, n = m.spec, m.dim
+        duals = _dual_stable(m)
+        perps = [
+            Subspace.from_vectors(spec, n, linalg.kernel_basis(s.rows, n, spec))
+            for s in duals
+        ]
+        subs = [info.subspace for info in m.enumerate_submodules()]
+        assert sorted(perps, key=Subspace.key) == subs
+        assert [p.dim for p in perps] == [s.dim for s in reversed(subs)]
+        for a, pa in zip(duals, perps):
+            for b, pb in zip(duals, perps):
+                if a.dim == b.dim + 1:
+                    assert a.contains(b) == pb.contains(pa)
 
 
 # -- scale and caps --------------------------------------------------------------
@@ -143,6 +230,19 @@ def test_anti_nilpotent_identity_on_f2_8_at_once():
     start = time.process_time()
     assert crystal.anti_nilpotent(SemilinearModule(f2, identity(8, f2)))
     assert time.process_time() - start < 0.5
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_nil_series_of_identity_on_f2_7_and_8(monkeypatch, n):
+    """F_2^7 and F_2^8 have 29,212 and 417,199 stable subspaces under the
+    identity, the second above the cap; the series steps through duals of
+    at most 2^n - 1 points each and grows no lattice."""
+    f2 = FieldSpec(2, 1)
+    calls = _count_lattices(monkeypatch)
+    series = crystal.nil_series(SemilinearModule(f2, identity(n, f2)))
+    assert calls == []
+    assert len(series) == 2 * n + 2
+    assert [s.dim for s in series] == [n, n] + [i for i in range(n - 1, -1, -1) for _ in (0, 1)]
 
 
 def test_random_8_dim_module_over_f2_enumerates():
