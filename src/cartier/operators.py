@@ -112,13 +112,17 @@ def _minimal_transversals(family, width: int):
 def _stabilise(step, start: Ideal, cap: int, what: str):
     """(ideal, steps): the first of start, step(start), ... that step gives
     back, and the number of steps that changed the ideal; ResourceError,
-    naming the last two ideals, when more than `cap` of them do."""
-    cur, nxt, steps = start, step(start), 0
-    while not nxt.equals(cur):
+    naming the last two ideals, when more than `cap` of them do.
+
+    Each step starts from, and the answer is, its ideal generated by its
+    reduced basis.  That gives the same chain: C(f * r^q * x^b * g) =
+    r * C(f * x^b * g), so an image depends only on the ideal."""
+    cur, steps = start._reduced(), 0
+    while not (nxt := step(cur)).equals(cur):
         if steps >= cap:
             last = f"last two ideals {cur.canonical_strings()} and {nxt.canonical_strings()}"
             raise ResourceError(f"{what} did not stabilise within {cap} steps; {last}")
-        cur, nxt, steps = nxt, step(nxt), steps + 1
+        cur, steps = nxt._reduced(), steps + 1
     return cur, steps
 
 
@@ -166,6 +170,11 @@ class CartierOperator(_Immutable):
             key=lambda t: t[0],
         )
 
+    def _own(self, ideal: Ideal) -> Ideal:
+        if ideal.ring != self.ring:
+            raise UsageError("ideal outside the ring")
+        return ideal
+
     def image_ideal(self, ideal: Ideal) -> Ideal:
         """The ideal generated by the operator values on the ideal.
 
@@ -174,8 +183,7 @@ class CartierOperator(_Immutable):
         C(h * x^b) = h_{q-1-b} they are the nonzero Frobenius-descent
         components of f * g_i, listed with b ascending.
         """
-        if ideal.ring != self.ring:
-            raise UsageError("ideal outside the ring")
+        self._own(ideal)
         gens = tuple(
             value for g in ideal.gens for _, value in self._shifted_values(g)
         )
@@ -187,7 +195,7 @@ class CartierOperator(_Immutable):
     def stable_image(self, ideal: Ideal | None = None, cap: int = DEFAULT_CHAIN_CAP):
         """Stable value of the descending image chain, plus the number of
         steps that changed it.  Starts from the whole ring by default."""
-        start = ideal if ideal is not None else Ideal(self.ring, (self.ring.one,))
+        start = self._own(ideal) if ideal is not None else Ideal(self.ring, (self.ring.one,))
         return _stabilise(self.image_ideal, start, cap, "image chain")
 
     def smallest_stable_containing(
@@ -196,7 +204,7 @@ class CartierOperator(_Immutable):
         """Least ideal containing the seed that the operator maps into itself,
         computed as the union of the seed with all iterated images."""
         step = lambda cur: cur.sum(self.image_ideal(cur))
-        return _stabilise(step, seed, cap, "ascending chain")[0]
+        return _stabilise(step, self._own(seed), cap, "ascending chain")[0]
 
     def is_compatible(self, ideal: Ideal) -> bool:
         """Whether the operator maps the ideal into itself."""
@@ -289,7 +297,9 @@ class CartierOperator(_Immutable):
                 self.ring.monomial(1 if i in s else 0 for i in range(self.ring.nvars))
                 for s in supports
             )
-            out.append(Ideal(self.ring, gens))
+            # monic monomials, none dividing another: their own reduced basis
+            basis = sorted(gens, key=lambda g: min(g._packed), reverse=True)
+            out.append(Ideal._with_basis(self.ring, gens, basis))
         out.sort(key=lambda i: i.key())
         return out
 
@@ -358,9 +368,7 @@ class IdealModule(_Immutable):
     def annihilator_submodule(self, ideal: Ideal):
         """((J : I), I <= J): the preimage of the I-torsion of R/J, and
         whether that torsion is everything."""
-        if ideal.ring != self.op.ring:
-            raise UsageError("ideal outside the ring")
-        result = self.ideal.colon(ideal)
+        result = self.ideal.colon(self.op._own(ideal))
         stable = result.sum(self.ideal)
         if not stable.contains(self.op.image_ideal(result)):
             raise InvariantViolation("torsion preimage is not operator-stable")

@@ -1014,6 +1014,21 @@ class Ideal(_Immutable):
             gens = tuple(_new(ring, g._terms_for(ring)) for g in gens)
         self._set(ring=ring, gens=gens, _gb={})
 
+    @classmethod
+    def _with_basis(cls, ring: PolyRing, gens, basis, prepared=None) -> "Ideal":
+        """The ideal of `gens`, carrying `basis` as its known reduced grevlex
+        basis (sorted as `groebner` sorts it), so no Buchberger run repeats it."""
+        ideal = cls(ring, gens)
+        if prepared is None:
+            prepared = [_prepare(g._packed, None, ring) for g in basis]
+        ideal._gb[GREVLEX] = (tuple(basis), prepared)
+        return ideal
+
+    def _reduced(self) -> "Ideal":
+        """The same ideal, generated by its reduced grevlex basis."""
+        basis, prepared = self._basis(GREVLEX)
+        return Ideal._with_basis(self.ring, basis, basis, prepared)
+
     def _basis(self, order: MonomialOrder):
         """(reduced basis, its prepared divisors), computed once per order."""
         if order not in self._gb:

@@ -13,7 +13,9 @@ for a field.  `oracle_rref` is textbook Gauss-Jordan elimination on
 packed rows.  `oracle_parse` evaluates a polynomial string with the
 polynomial operators, one product per `*` and one power per `^`.
 `oracle_compatible_monomial` runs the operator's `is_compatible` test on
-every squarefree monomial ideal of the ring.
+every squarefree monomial ideal of the ring.  `oracle_stabilise` is the
+older image-chain loop, which steps from every generator built up so far
+instead of from each ideal's reduced basis.
 """
 
 import random
@@ -634,3 +636,17 @@ def oracle_compatible_monomial(op):
             out.append(ideal)
     out.sort(key=lambda i: i.key())
     return out
+
+
+def oracle_stabilise(step, start, cap, what):
+    """(ideal, steps): the first of start, step(start), ... that step gives
+    back, and the number of steps that changed the ideal; ResourceError,
+    naming the last two ideals, when more than `cap` of them do.  Each step
+    runs on the generators the previous one built."""
+    cur, nxt, steps = start, step(start), 0
+    while not nxt.equals(cur):
+        if steps >= cap:
+            last = f"last two ideals {cur.canonical_strings()} and {nxt.canonical_strings()}"
+            raise ResourceError(f"{what} did not stabilise within {cap} steps; {last}")
+        cur, nxt, steps = nxt, step(nxt), steps + 1
+    return cur, steps

@@ -7,9 +7,10 @@ from itertools import product
 
 import pytest
 
+from cartier import poly
 from cartier.errors import ResourceError, UsageError
 from cartier.field import FieldSpec
-from cartier.poly import Ideal, PolyRing
+from cartier.poly import Ideal, PolyRing, groebner_basis
 from cartier.operators import (
     CartierOperator,
     IdealModule,
@@ -17,7 +18,7 @@ from cartier.operators import (
     frobenius_descent,
 )
 
-from conftest import oracle_compatible_monomial
+from conftest import oracle_compatible_monomial, oracle_stabilise
 from test_poly import outside_x, random_poly
 
 
@@ -314,6 +315,8 @@ def counted_chains(chain):
             else:
                 module = IdealModule(op, op.smallest_stable_containing(seed))
                 run = lambda cap, m=module: (None, m.supp_crys(cap).iterations)
+                if chain == "nilpotence":  # the order, None when not nilpotent
+                    run = lambda cap, m=module: (None, m.nilpotence(cap)[1])
                 step = lambda cur, op=op, m=module: op.image_ideal(cur).sum(m.ideal)
                 yield run, step, Ideal(ring, (ring.one,))
 
@@ -713,6 +716,178 @@ def test_supp_crys_ann_contains_defining_ideal_and_is_radical():
         assert report.ann.contains(candidate)
         if not report.ann.is_unit and not report.ann.is_zero:
             assert report.ann.is_squarefree_monomial()
+
+
+# -- chains from reduced bases ----------------------------------------------------------------
+
+# (p, d, e): F_2, F_3, F_5, F_7, GF(4) at levels 1 and 2, and GF(9)
+SWEEP_LEVELS = [(2, 1, 1), (3, 1, 1), (5, 1, 1), (7, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1)]
+
+
+def sweep_operators(count, seed=23):
+    """(op, seed ideal) pairs in 1-3 variables, cycling through SWEEP_LEVELS."""
+    rng = random.Random(seed)
+    for n in range(count):
+        p, d, e = SWEEP_LEVELS[n % len(SWEEP_LEVELS)]
+        ring = PolyRing(FieldSpec(p, d), ("x", "y", "z")[: 1 + n // len(SWEEP_LEVELS) % 3])
+        f = random_poly(rng, ring, 3, 2 * p**e - 1)
+        gens = tuple(random_poly(rng, ring, 2, 3) for _ in range(rng.randint(1, 2)))
+        yield CartierOperator(ring, f, e), Ideal(ring, gens)
+
+
+def outcome(call):
+    """call()'s value, or the message of the ResourceError it raises."""
+    try:
+        return call()
+    except ResourceError as exc:
+        return str(exc)
+
+
+def assert_chain_matches_oracle(run, oracle, cap=64):
+    """run(cap) and oracle(cap) give the same (ideal, steps), or raise the
+    same ResourceError, at `cap` and at cap = steps - 1; the steps of run
+    may be None when the method does not return them.  Returns the steps."""
+    want = outcome(lambda: oracle(cap))
+    if isinstance(want, str):
+        assert outcome(lambda: run(cap)) == want
+        return None
+    stable, steps = want
+    ideal, count = run(steps)
+    assert ideal.groebner() == stable.groebner()
+    assert count in (None, steps)
+    if steps:
+        short = outcome(lambda: oracle(steps - 1))
+        assert isinstance(short, str) and outcome(lambda: run(steps - 1)) == short
+    return steps
+
+
+def test_chains_match_the_generator_oracle():
+    """stable_image with and without a start ideal, smallest_stable_containing,
+    and the quotient chain behind nilpotence and supp_crys, against the
+    loop that steps from every generator built up so far."""
+    steps_seen = []
+    for op, seed in sweep_operators(320):
+        ring = op.ring
+        unit = Ideal(ring, (ring.one,))
+        image = lambda cur, op=op: op.image_ideal(cur)
+        grow = lambda cur, op=op: cur.sum(op.image_ideal(cur))
+        steps_seen.append(assert_chain_matches_oracle(
+            lambda cap: op.stable_image(cap=cap),
+            lambda cap: oracle_stabilise(image, unit, cap, "image chain")))
+        steps_seen.append(assert_chain_matches_oracle(
+            lambda cap: op.stable_image(seed, cap),
+            lambda cap: oracle_stabilise(image, seed, cap, "image chain")))
+        steps_seen.append(assert_chain_matches_oracle(
+            lambda cap: (op.smallest_stable_containing(seed, cap), None),
+            lambda cap: oracle_stabilise(grow, seed, cap, "ascending chain")))
+        module = IdealModule(op, op.smallest_stable_containing(seed))
+        J = module.ideal
+        quotient = lambda cap: oracle_stabilise(
+            lambda cur: op.image_ideal(cur).sum(J), unit, cap, "quotient image chain")
+
+        def nilpotence(cap):
+            flag, order = module.nilpotence(cap)
+            stable, steps = quotient(cap)
+            assert (flag, order) == ((True, steps) if J.contains(stable) else (False, None))
+            return stable, steps
+
+        def supp_crys(cap):
+            report = module.supp_crys(cap)
+            stable, steps = quotient(cap)
+            assert report.ann.groebner() == J.colon(stable).groebner()
+            return stable, report.iterations
+
+        steps_seen.append(assert_chain_matches_oracle(nilpotence, quotient))
+        steps_seen.append(assert_chain_matches_oracle(supp_crys, quotient))
+    assert len(steps_seen) >= 5 * 300
+    assert max(s for s in steps_seen if s is not None) >= 3
+    assert sum(1 for s in steps_seen if s) >= 300
+
+
+@pytest.fixture
+def buchberger_inputs(monkeypatch):
+    """The generators of every Buchberger run, in call order."""
+    runs, inner = [], poly._buchberger
+
+    def counted(gens, order, track):
+        runs.append(tuple(gens))
+        return inner(gens, order, track)
+
+    monkeypatch.setattr(poly, "_buchberger", counted)
+    return runs
+
+
+CHAINS = ["stable_image", "smallest_stable_containing", "nilpotence"]
+
+
+@pytest.mark.parametrize("chain", CHAINS)
+def test_a_chain_runs_buchberger_once_per_ideal(chain, buchberger_inputs, monkeypatch):
+    """s changing steps: one run for the start and one for each of the s + 1
+    images; without the carried basis, `equals` reruns each step's input."""
+    changing = 0
+    for run, step, start in counted_chains(chain):
+        steps = oracle_stabilise(step, Ideal(start.ring, start.gens), 64, chain)[1]
+        buchberger_inputs.clear()
+        run(64)
+        assert len(buchberger_inputs) == steps + 2
+        changing += steps > 0
+    assert changing >= 10
+    monkeypatch.setattr(Ideal, "_reduced", lambda self: Ideal(self.ring, self.groebner()))
+    for run, step, start in counted_chains(chain):
+        steps = oracle_stabilise(step, Ideal(start.ring, start.gens), 64, chain)[1]
+        buchberger_inputs.clear()
+        run(64)
+        assert len(buchberger_inputs) == 2 * steps + 3
+
+
+@pytest.mark.parametrize("chain", CHAINS)
+def test_each_step_starts_from_the_previous_reduced_basis(chain, buchberger_inputs):
+    """Each run after the first is on step(the ideal of the previous run's
+    reduced basis): its image, after that basis for the ascending chain and
+    before J's generators for the quotient chain."""
+    for run, step, start in counted_chains(chain):
+        buchberger_inputs.clear()
+        run(64)
+        runs = list(buchberger_inputs)
+        assert runs[0] == start.gens
+        for before, after in zip(runs, runs[1:]):
+            assert after == step(Ideal(start.ring, groebner_basis(before))).gens
+
+
+def test_enumeration_runs_buchberger_once(Rxy, buchberger_inputs):
+    op = CartierOperator(Rxy, Rxy.parse("x*y"), 1)
+    got = op.enumerate_compatible_monomial()
+    assert len(got) == 6
+    assert len(buchberger_inputs) == 1  # is_split's image of the ring
+
+
+@pytest.mark.parametrize(
+    "p,d,e,n", ENUM_CASES, ids=[f"{p}^{d}-e{e}-n{n}" for p, d, e, n in ENUM_CASES]
+)
+def test_enumerated_ideals_carry_their_reduced_basis(p, d, e, n, buchberger_inputs):
+    field = FieldSpec(p, d)
+    q = p**e
+    for m in range(1, n + 1) if n < 4 else (n,):
+        ring = PolyRing(field, ("x", "y", "z", "w")[:m])
+        for a in product(range(q), repeat=m):
+            op = CartierOperator(ring, ring.monomial(a), e)
+            if not op.is_split():
+                continue
+            got = op.enumerate_compatible_monomial()
+            buchberger_inputs.clear()
+            carried = [i.groebner() for i in got]
+            assert buchberger_inputs == []
+            assert carried == [groebner_basis(i.gens) for i in got]
+
+
+@pytest.mark.parametrize("chain", ["stable_image", "smallest_stable_containing"])
+def test_chains_check_the_ring_before_any_buchberger_run(Rxy, chain, buchberger_inputs):
+    op = CartierOperator(Rxy, Rxy.parse("x*y"), 1)
+    foreign = Ideal(outside_x(Rxy).ring, (outside_x(Rxy),))
+    with pytest.raises(UsageError) as info:
+        getattr(op, chain)(foreign)
+    assert str(info.value) == "ideal outside the ring"
+    assert buchberger_inputs == []
 
 
 def test_annihilator_submodule_examples(Rx, Rxy):
