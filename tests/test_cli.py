@@ -354,6 +354,16 @@ def test_corpus_run_bundled(capsys):
     assert payload["passed"] == len(payload["results"]) >= 20
 
 
+@pytest.mark.parametrize("name", ["acceptance", "odd_p"])
+def test_corpus_report_matches_the_expected_file(capsys, name):
+    """The --json report equals corpus/<name>.expected.json byte for byte;
+    each case's `expect` holds the exact bases, so this pins them."""
+    corpus = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+    code, out = capture(capsys, ["corpus-run", str(corpus / f"{name}.json"), "--json"])
+    assert code == 0
+    assert out == (corpus / f"{name}.expected.json").read_text(encoding="utf-8")
+
+
 def test_corpus_run_builds_the_parser_once(capsys, monkeypatch):
     builds = []
     build = cli._build_parser
