@@ -7,20 +7,21 @@ public ones take and return FieldElement rows: each unwraps once, calls its
 packed counterpart and wraps once.  Everything is canonical: reduced row
 echelon form with pivot 1, so equal row spaces give identical matrices.
 
-Every echelon form is built one vector at a time.  `_reduce` takes a
-vector's residue modulo RREF rows, and `_extend` adds the vector to the
+Every echelon form over k is built one vector at a time.  `_reduce` takes
+a vector's residue modulo RREF rows, and `_extend` adds the vector to the
 rows when that residue is not zero, clearing its pivot column in the rows
-above.  `_rref` is `_extend` folded over a matrix's rows, and subspace
-sums, cyclic submodules and F_q-bases extend the rows they already have.
+above; `_rref` folds it over a matrix's rows.  F_p-linear solves, for every
+p, run on int-packed vectors instead: `_FpInts` and `_fp_null_space`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from itertools import product
+from itertools import count, product
+from operator import lshift
 
 from .errors import ResourceError
-from .field import FieldSpec
+from .field import FieldSpec, _pack, _unpack
 
 
 def _reduce(rows, pivots, v, k):
@@ -77,21 +78,78 @@ def _null_space(rows, ncols, k):
     return basis
 
 
-def _f2_null_space(cols):
-    """`_null_space` over F_2, from the columns of M as int bitsets: each
-    column that depends on the columns before it, written over them (by
-    XOR elimination) as the bitset of the combination, in order."""
-    pivots, basis = {}, []  # top bit -> (reduced column, its combination)
-    for i, col in enumerate(cols):
-        combo = 1 << i
-        while col and col.bit_length() in pivots:
-            c, m = pivots[col.bit_length()]
-            col, combo = col ^ c, combo ^ m
-        if col:
-            pivots[col.bit_length()] = col, combo
-        else:
-            basis.append(combo)
-    return basis
+class _FpInts:
+    """F_p-vectors as ints: entry i is the W-bit field at bit W*i.  For
+    p = 2, W = 1 and addition is XOR.  For odd p, W = bit_length(2p - 2)
+    + 1: a sum of two residues stays below its field's top (guard) bit,
+    and adding 2^(W-1) - p sets the guard where the sum reaches p, so a
+    row operation is a few big-int operations on up to `fields` fields.
+    A packed GF(p^d) element spreads its d base-p digits into d fields."""
+
+    def __init__(self, p: int, d: int, fields: int):
+        self.p, self.d, self.w, self._seen = p, d, 1 if p == 2 else (2 * p - 2).bit_length() + 1, {}
+        ones = ((1 << self.w * fields) - 1) // ((1 << self.w) - 1)
+        self.bias, self.guard = ((1 << self.w - 1) - p) * ones, ones << self.w - 1
+
+    def add(self, a, b):
+        s = a + b
+        return a ^ b if self.p == 2 else s - self.p * ((s + self.bias & self.guard) >> self.w - 1)
+
+    def times(self, c, multiples):
+        """c * v (0 < c < p) by double-and-add from multiples = {k: k * v},
+        which gains the 2^j * v it lacked."""
+        r, j = 0, 1
+        while c:
+            if j not in multiples:
+                multiples[j] = self.add(multiples[j >> 1], multiples[j >> 1])
+            r, c, j = self.add(r, multiples[j]) if c & 1 else r, c >> 1, j << 1
+        return r
+
+    def spread(self, vec, stride: int = 1) -> int:
+        """The int of a packed GF(p^d) vector: entry j in the d fields from
+        field j*stride*d, its digits in an order of their own."""
+        p, d, w = self.p, self.d, self.w
+        if p != 2 and d > 1:
+            for x in set(vec).difference(self._seen):
+                self._seen[x] = sum(c << i * w for i, c in enumerate(_unpack(x, p, d)))
+            vec = map(self._seen.__getitem__, vec)
+        return sum(map(lshift, vec, count(0, stride * d * w)))
+
+    def extend(self, pivots: dict, v: int, low: int = 0):
+        """Reduce v by `pivots` (top field -> {c: c * pivot}, each pivot's
+        top field 1, a multiple formed when first needed) while its top
+        field is at index `low` or above.  None when v, scaled to top field
+        1, becomes the pivot of a top field that had none; else the rest."""
+        p, w, floor = self.p, self.w, low * self.w
+        if p == 2:  # W = 1, and every multiple is the pivot itself
+            while (bl := v.bit_length()) > floor:
+                if (multiples := pivots.get(bl - 1)) is None:
+                    pivots[bl - 1] = {1: v}
+                    return None
+                v ^= multiples[1]
+            return v
+        bias, guard, top = self.bias, self.guard, w - 1
+        while (bl := v.bit_length()) > floor:
+            t = (bl - 1) // w
+            c, multiples = v >> t * w, pivots.get(t)
+            if multiples is None:
+                pivots[t] = {1: v if c == 1 else self.times(pow(c, -1, p), {1: v})}
+                return None
+            m = multiples.get(p - c) or multiples.setdefault(p - c, self.times(p - c, multiples))
+            v = (s := v + m) - p * ((s + bias & guard) >> top)
+        return v
+
+
+def _fp_null_space(cols, fp: _FpInts):
+    """Canonical F_p-basis of the kernel of an additive map on GF(p^d)^m,
+    as packed vectors, from cols[i*d + l], the `fp` int of the image of
+    t^l e_i.  Column elimination on col_i * X^n + e_i leaves each column
+    that depends on earlier ones as e_i minus its combination of the earlier
+    independent columns: RREF's basis vector for free column i, in order."""
+    w, n, pivots = fp.w, len(cols), {}
+    kern = [fp.extend(pivots, col << n * w | 1 << i * w, n) for i, col in enumerate(cols)]
+    digits = [[v >> f * w & (1 << w) - 1 for f in range(n)] for v in kern if v is not None]
+    return [tuple(_pack(c[f : f + fp.d], fp.p) for f in range(0, n, fp.d)) for c in digits]
 
 
 def _rank(rows, k) -> int:

@@ -11,8 +11,8 @@ walk of the twisted powers to the Fitting index.
 Modules, subspaces and Hom-spaces store packed rows and compute on them
 with `linalg`'s packed functions; `matrix`, `rows` and `basis` wrap them
 into FieldElements on each access, like `Polynomial.terms`.  The F_p
-systems behind fixed points and Hom-spaces are built one column per
-F_p-basis vector, each read off the structural matrices in O(n) products.
+systems behind fixed points and Hom-spaces have one int column per F_p-
+basis vector, a sum of shifted spreads of rows and columns of the matrices.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import islice, product
 
 from .errors import InvariantViolation, ResourceError, UsageError
-from .field import FieldElement, FieldSpec, _Immutable, _pack, _unpack, embed
+from .field import FieldElement, FieldSpec, _Immutable, embed
 from . import linalg
 
 
@@ -204,32 +204,9 @@ class SubmoduleInfo(_Immutable):
 # -- F_p-linear algebra on k^n ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _prime_kernel(p: int):
-    return FieldSpec(p, 1).kernel
-
-
 def _fp_units(spec: FieldSpec):
     """The packed F_p-basis 1, t, ..., t^(d-1) of the field."""
     return [spec.p ** (spec.d - 1 - ell) for ell in range(spec.d)]
-
-
-def _fp_coords(v, p: int, d: int):
-    """F_p coordinates of a packed vector: d per entry, c0 first."""
-    return v if d == 1 else [c for x in v for c in _unpack(x, p, d)]
-
-
-def _fp_kernel(spec: FieldSpec, images):
-    """Canonical F_p-basis of the kernel of an additive map on k^m, as
-    packed vectors.  images[i*d + l] is the packed image of t^l e_i."""
-    p, d, n = spec.p, spec.d, len(images)
-    if p == 2:  # each column one int: entry i's d bits at 2^(d*i)
-        cols = [sum(x << d * i for i, x in enumerate(col)) for col in images]
-        kern = [[m >> j & 1 for j in range(n)] for m in linalg._f2_null_space(cols)]
-    else:
-        rows = list(zip(*[_fp_coords(col, p, d) for col in images]))
-        kern = linalg._null_space(rows, n, _prime_kernel(p))
-    return [tuple(_pack(v[i : i + d], p) for i in range(0, n, d)) for v in kern]
 
 
 @lru_cache(maxsize=None)
@@ -237,34 +214,24 @@ def _subfield_fp_basis(spec: FieldSpec) -> tuple:
     """Packed F_p-basis of the subfield F_q = Fix(sigma^e) inside GF(p^d)."""
     if spec.d % spec.e != 0:
         raise UsageError(f"twist e={spec.e} does not divide d={spec.d}")
-    k = spec.kernel
-    kern = _fp_kernel(spec, [[k.sub(k.frob(w, spec.e), w)] for w in _fp_units(spec)])
+    k, e, fp = spec.kernel, spec.e, linalg._FpInts(spec.p, spec.d, 2 * spec.d)
+    kern = linalg._fp_null_space([fp.spread([k.sub(k.frob(w, e), w)]) for w in _fp_units(spec)], fp)
     if len(kern) != spec.e:
         raise InvariantViolation("fixed field of sigma^e has wrong dimension")
     return tuple(x for (x,) in kern)
 
 
-def subfield_elements(spec: FieldSpec) -> tuple:
-    """The q elements of F_q inside GF(p^d), in canonical order."""
-    k, basis = spec.kernel, [[b] for b in _subfield_fp_basis(spec)]
-    fp = [c * k.one for c in range(spec.p)]
-    combos = product(fp, repeat=len(basis))
-    return spec.wrap(sorted({linalg._combine(cs, basis, 1, k)[0] for cs in combos}))
-
-
-def _fq_basis(vectors, spec: FieldSpec):
+def _fq_basis(vectors, spec: FieldSpec, fp):
     """Maximal F_q-independent subset of F_p-independent packed vectors,
     greedy in the order given: all of them when q = p.  v is kept when
-    u*v, for u in an F_p-basis of F_q, extends the F_p echelon of the
-    F_q-span so far."""
+    u*v, for u in an F_p-basis of F_q, extends the F_p echelon (`fp`
+    pivots) of the F_q-span so far."""
     if spec.e == 1:
         return list(vectors)
-    k, fp, p, d = spec.kernel, _prime_kernel(spec.p), spec.p, spec.d
-    rows, pivots, scalars = [], [], _subfield_fp_basis(spec)
+    k, pivots, scalars = spec.kernel, {}, _subfield_fp_basis(spec)
 
     def grows(v):  # extends by every u*v, not just up to the first
-        flats = [_fp_coords(k.scale(v, u), p, d) for u in scalars]
-        return [linalg._extend(rows, pivots, flat, fp) for flat in flats]
+        return [fp.extend(pivots, fp.spread(k.scale(v, u))) is None for u in scalars]
 
     return [v for v in vectors if any(grows(v))]
 
@@ -481,16 +448,14 @@ class SemilinearModule(_TwistedModule):
     def fixed_points(self):
         """F_q-basis of {v : C(v) = v}, via one F_p-linear solve: the unit
         w e_i contributes the column sigma^(-e)(w) A e_i - w e_i."""
-        spec, k = self.spec, self.spec.kernel
-        cols = []
-        for i in range(self.dim):
-            a_i = [row[i] for row in self._a]
-            for w in _fp_units(spec):
-                col = k.scale(a_i, k.frob(w, -spec.e))
-                col[i] = k.sub(col[i], w)
-                cols.append(col)
-        kern = _fp_kernel(spec, cols)
-        basis = _fq_basis(kern, spec)
+        spec, k, n = self.spec, self.spec.kernel, self.dim
+        fp = linalg._FpInts(spec.p, spec.d, 2 * n * spec.d)
+        step = spec.d * fp.w
+        units = [(k.frob(w, -spec.e), fp.spread([k.neg(w)])) for w in _fp_units(spec)]
+        cols = [fp.add(fp.spread(k.scale(a_i, root)), unit << i * step)
+                for i, a_i in enumerate(zip(*self._a)) for root, unit in units]
+        kern = linalg._fp_null_space(cols, fp)
+        basis = _fq_basis(kern, spec, fp)
         if len(basis) * spec.e != len(kern):
             raise InvariantViolation("fixed set is not an F_q-subspace")
         if len(basis) > self.stable_image().dim:
@@ -548,18 +513,15 @@ class SemilinearModule(_TwistedModule):
             raise UsageError("modules live over different field specs")
         spec, k, e = self.spec, self.spec.kernel, self.spec.e
         av, aw, nv, nw = self._a, other._a, self.dim, other.dim
-        aw_cols = list(zip(*aw))
-        cols = []
-        for r in range(nw):
-            for s in range(nv):
-                for w in _fp_units(spec):
-                    col = [0] * (r * nv) + k.scale(av[s], w) + [0] * ((nw - r - 1) * nv)
-                    for i, x in enumerate(k.scale(aw_cols[r], k.frob(w, -e))):
-                        col[i * nv + s] = k.sub(col[i * nv + s], x)
-                    cols.append(col)
+        units, fp = _fp_units(spec), linalg._FpInts(spec.p, spec.d, 2 * nv * nw * spec.d)
+        step = spec.d * fp.w
+        row_v = [[fp.spread(k.scale(row, w)) for w in units] for row in av]
+        col_w = [[fp.spread(k.scale(c, k.neg(k.frob(w, -e))), nv) for w in units] for c in zip(*aw)]
+        cols = [fp.add(row_v[s][ell] << r * nv * step, col_w[r][ell] << s * step)
+                for r, s, ell in product(range(nw), range(nv), range(spec.d))]
         basis = [
             tuple(v[r * nv : (r + 1) * nv] for r in range(nw))
-            for v in _fq_basis(_fp_kernel(spec, cols), spec)
+            for v in _fq_basis(linalg._fp_null_space(cols, fp), spec, fp)
         ]
         for phi in basis:
             if linalg._mul(phi, av, k) != linalg._mul(aw, [k.frob_row(r, -e) for r in phi], k):

@@ -15,7 +15,11 @@ polynomial operators, one product per `*` and one power per `^`.
 `oracle_compatible_monomial` runs the operator's `is_compatible` test on
 every squarefree monomial ideal of the ring.  `oracle_stabilise` is the
 older image-chain loop, which steps from every generator built up so far
-instead of from each ideal's reduced basis.
+instead of from each ideal's reduced basis.  `oracle_fp_kernel` is the
+older F_p solve: F_p coordinate rows through `linalg._null_space`.
+`oracle_hom_basis` and `oracle_fixed_basis` build the Hom-space and
+fixed-point systems on it as lists, one column per F_p-basis vector.
+`subfield_elements` lists F_q inside GF(p^d).
 """
 
 import random
@@ -23,11 +27,11 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from cartier import crystal, linalg
+from cartier import crystal, linalg, semilinear
 from cartier.errors import ResourceError
-from cartier.field import FieldElement, FieldSpec
+from cartier.field import FieldElement, FieldSpec, _pack, _unpack
 from cartier.poly import MAX_NESTING, Ideal, _Tokenizer
-from cartier.semilinear import SemilinearModule, Subspace, subfield_elements
+from cartier.semilinear import SemilinearModule, Subspace
 
 
 @pytest.fixture(scope="session")
@@ -238,6 +242,75 @@ def oracle_rref(mat, k):
         if r == len(mat):
             break
     return mat[:r], tuple(pivots)
+
+
+def subfield_elements(spec: FieldSpec) -> tuple:
+    """The q elements of F_q inside GF(p^d), in canonical order."""
+    k, basis = spec.kernel, [[b] for b in semilinear._subfield_fp_basis(spec)]
+    fp = [c * k.one for c in range(spec.p)]
+    combos = product(fp, repeat=len(basis))
+    return spec.wrap(sorted({linalg._combine(cs, basis, 1, k)[0] for cs in combos}))
+
+
+def _fp_coords(v, spec: FieldSpec):
+    """F_p coordinates of a packed vector: d per entry, c0 first."""
+    return [c for x in v for c in _unpack(x, spec.p, spec.d)]
+
+
+def oracle_fp_kernel(spec: FieldSpec, images):
+    """Canonical F_p-basis of the kernel of an additive map on k^m, as
+    packed vectors, for images[i*d + l] the packed image of t^l e_i: RREF
+    of the F_p coordinate rows under F_p's own kernel, then
+    `linalg._null_space`."""
+    p, d, n = spec.p, spec.d, len(images)
+    rows = list(zip(*[_fp_coords(col, spec) for col in images]))
+    kern = linalg._null_space(rows, n, FieldSpec(p, 1).kernel)
+    return [tuple(_pack(v[i : i + d], p) for i in range(0, n, d)) for v in kern]
+
+
+def _oracle_fq_basis(vectors, spec: FieldSpec):
+    """The greedy F_q-independent subset, on F_p coordinate lists."""
+    if spec.e == 1:
+        return list(vectors)
+    k, fp, rows, pivots = spec.kernel, FieldSpec(spec.p, 1).kernel, [], []
+    scalars = semilinear._subfield_fp_basis(spec)
+
+    def grows(v):
+        return [linalg._extend(rows, pivots, _fp_coords(k.scale(v, u), spec), fp) for u in scalars]
+
+    return [v for v in vectors if any(grows(v))]
+
+
+def oracle_fixed_basis(module: SemilinearModule):
+    """The packed F_q-basis that `fixed_points` returns, from list columns
+    and `oracle_fp_kernel`: the unit w e_i gives sigma^(-e)(w) A e_i - w e_i."""
+    spec, k, cols = module.spec, module.spec.kernel, []
+    for i in range(module.dim):
+        for w in semilinear._fp_units(spec):
+            col = k.scale([row[i] for row in module._a], k.frob(w, -spec.e))
+            col[i] = k.sub(col[i], w)
+            cols.append(col)
+    return _oracle_fq_basis(oracle_fp_kernel(spec, cols), spec)
+
+
+def oracle_hom_basis(source: SemilinearModule, target: SemilinearModule):
+    """The packed basis that `hom_space` returns, from list columns and
+    `oracle_fp_kernel`: the unit w E_rs gives w (row s of A_V) in row r
+    minus sigma^(-e)(w) (column r of A_W) in column s."""
+    spec, k, e = source.spec, source.spec.kernel, source.spec.e
+    av, aw, nv, nw = source._a, target._a, source.dim, target.dim
+    cols = []
+    for r in range(nw):
+        for s in range(nv):
+            for w in semilinear._fp_units(spec):
+                col = [0] * (r * nv) + k.scale(av[s], w) + [0] * ((nw - r - 1) * nv)
+                for i, x in enumerate(k.scale([row[r] for row in aw], k.frob(w, -e))):
+                    col[i * nv + s] = k.sub(col[i * nv + s], x)
+                cols.append(col)
+    return [
+        tuple(v[r * nv : (r + 1) * nv] for r in range(nw))
+        for v in _oracle_fq_basis(oracle_fp_kernel(spec, cols), spec)
+    ]
 
 
 def oracle_determinant(m, spec: FieldSpec):

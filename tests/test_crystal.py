@@ -139,7 +139,7 @@ def test_nil_isomorphisms_of_minimal_modules_are_invertible(f2):
     # between modules with no nilpotent submodules or quotients, a map with
     # nilpotent kernel and cokernel has no room to be anything but bijective
     from cartier.linalg import is_invertible
-    from cartier.semilinear import subfield_elements
+    from conftest import subfield_elements
     from itertools import product as iproduct
 
     rng = random.Random(271)
