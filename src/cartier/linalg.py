@@ -116,17 +116,17 @@ class _FpInts:
         return sum(map(lshift, vec, count(0, stride * d * w)))
 
     def extend(self, pivots: dict, v: int, low: int = 0):
-        """Reduce v by `pivots` (top field -> {c: c * pivot}, each pivot's
-        top field 1, a multiple formed when first needed) while its top
-        field is at index `low` or above.  None when v, scaled to top field
-        1, becomes the pivot of a top field that had none; else the rest."""
+        """Reduce v by `pivots` (top field -> {c: c * pivot}, top field of
+        pivot 1, multiples formed when first needed; for p = 2 the pivot)
+        while its top field is at index `low` or above.  None when v, scaled
+        to top field 1, becomes the pivot of a new top field; else the rest."""
         p, w, floor = self.p, self.w, low * self.w
-        if p == 2:  # W = 1, and every multiple is the pivot itself
+        if p == 2:  # W = 1, and a pivot is its only multiple
             while (bl := v.bit_length()) > floor:
-                if (multiples := pivots.get(bl - 1)) is None:
-                    pivots[bl - 1] = {1: v}
+                if (pivot := pivots.get(bl - 1)) is None:
+                    pivots[bl - 1] = v
                     return None
-                v ^= multiples[1]
+                v ^= pivot
             return v
         bias, guard, top = self.bias, self.guard, w - 1
         while (bl := v.bit_length()) > floor:
