@@ -259,9 +259,9 @@ def _fp_coords(v, spec: FieldSpec):
 
 def oracle_fp_kernel(spec: FieldSpec, images):
     """Canonical F_p-basis of the kernel of an additive map on k^m, as
-    packed vectors, for images[i*d + l] the packed image of t^l e_i: RREF
-    of the F_p coordinate rows under F_p's own kernel, then
-    `linalg._null_space`."""
+    packed vectors, for images[i*d + l] the packed image of t^l e_i: the
+    F_p coordinate rows through `linalg._null_space` under F_p's own
+    kernel."""
     p, d, n = spec.p, spec.d, len(images)
     rows = list(zip(*[_fp_coords(col, spec) for col in images]))
     kern = linalg._null_space(rows, n, FieldSpec(p, 1).kernel)
