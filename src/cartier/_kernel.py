@@ -18,7 +18,14 @@ and on the sparse polynomials of `cartier.poly`: `add_terms` adds
 c * x^u * f to a dict of terms.  The base class `_Kernel` writes these
 loops once on the scalar operations.  A kernel inlines its arithmetic
 into a loop only where a benchmark workload runs that loop and measures
-the gain.
+the gain:
+  - the `modules` workload, on the row loops of GF(2^d) and of odd
+    extension fields: `_XorKernel` and `_ZechKernel` inline `add_multiple`
+    and `dot`, and `_LogKernel` inlines `scale` and `frob_row`;
+  - the `ideals` workload, on the term loop: `_PrimeKernel` and
+    `_XorKernel` inline `add_terms`.
+`_PrimeKernel` runs the base class's row loops, and `_PolyKernel` every
+base loop.
 
 `field` imports this module on the first arithmetic in any field, so a
 program that only describes fields does not load it.
@@ -159,18 +166,6 @@ class _PrimeKernel(_Kernel):
     def frob(self, a, j):
         return a
 
-    def scale(self, row, c):
-        p = self.p
-        return [x * c % p for x in row]
-
-    def add_multiple(self, row, c, other):
-        """row + c * other."""
-        p = self.p
-        return [(x + c * y) % p for x, y in zip(row, other)]
-
-    def dot(self, a, b):
-        return sum(x * y for x, y in zip(a, b)) % self.p
-
     def add_terms(self, acc, exps, coeffs, u, c):
         """acc += c * x^u * (sum of coeffs[i] x^exps[i]); see
         `_Kernel.add_terms`."""
@@ -189,9 +184,6 @@ class _PrimeKernel(_Kernel):
                 else:
                     del acc[e]
         return fresh
-
-    def frob_row(self, row, j):
-        return list(row)
 
 
 def _antilog_table(p: int, d: int, modulus: tuple, g: list, n: int) -> array:

@@ -1,11 +1,10 @@
 """Exact row reduction and kernels over a finite field, on packed rows.
 
 A row is a sequence of packed ints of one field (see `cartier.field`; the
-packed zero is 0).  The private functions take packed rows and the field's
-kernel k, and `semilinear` and `crystal` compute with them directly.  The
-public ones take and return FieldElement rows: each unwraps once, calls its
-packed counterpart and wraps once.  Everything is canonical: reduced row
-echelon form with pivot 1, so equal row spaces give identical matrices.
+packed zero is 0).  Its callers are `semilinear` and `crystal`, which
+wrap its packed results into FieldElements at their own boundary.
+Everything is canonical: reduced row echelon form with pivot 1, so equal
+row spaces give identical matrices.
 
 Every echelon form over k is built one vector at a time.  `_reduce` takes
 a vector's residue modulo RREF rows, and `_extend` adds the vector to the
@@ -166,16 +165,6 @@ def _identity(n, k):
     return [[k.one if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _invert(rows, k):
-    """Inverse of a packed square matrix, or None when singular."""
-    n = len(rows)
-    aug = [list(row) + unit for row, unit in zip(rows, _identity(n, k))]
-    red, pivots = _rref(aug, k)
-    if pivots[:n] != tuple(range(n)):
-        return None
-    return [row[n:] for row in red]
-
-
 def _combine(coeffs, packed_vectors, n: int, k):
     """sum_i c_i * v_i on packed ints; zero coefficients add nothing."""
     acc = [0] * n
@@ -215,69 +204,3 @@ class _Points:
 
     def mask(self, rows) -> int:
         return sum(1 << i for i in self.of(rows))
-
-
-# -- the FieldElement interface ---------------------------------------------
-
-
-def _unwrap(rows, spec: FieldSpec):
-    return [spec.unwrap(row) for row in rows]
-
-
-def rref(rows, spec: FieldSpec):
-    """Reduced row echelon form.  Returns (rows_without_zeros, pivot_columns)."""
-    red, pivots = _rref(_unwrap(rows, spec), spec.kernel)
-    return tuple(map(spec.wrap, red)), pivots
-
-
-def kernel_basis(rows, ncols, spec: FieldSpec):
-    """Canonical basis of {x : M x = 0} for the matrix with the given rows."""
-    return [spec.wrap(v) for v in _null_space(_unwrap(rows, spec), ncols, spec.kernel)]
-
-
-def every_combination(scalars, vectors, n: int, spec: FieldSpec):
-    """Yield sum_i c_i * v_i for every tuple (c_i) of scalars, in
-    itertools.product order."""
-    k = spec.kernel
-    vectors = _unwrap(vectors, spec)
-    for coeffs in product(spec.unwrap(scalars), repeat=len(vectors)):
-        yield spec.wrap(_combine(coeffs, vectors, n, k))
-
-
-def mat_mul(a, b):
-    if not a or not b:
-        return ()
-    spec = a[0][0].spec
-    return tuple(map(spec.wrap, _mul(_unwrap(a, spec), _unwrap(b, spec), spec.kernel)))
-
-
-def identity(n, spec: FieldSpec):
-    return tuple(map(spec.wrap, _identity(n, spec.kernel)))
-
-
-def flatten(rows):
-    """Row-major entries of a matrix, as one vector."""
-    return tuple(x for row in rows for x in row)
-
-
-def reshape(v, nrows: int, ncols: int):
-    """The nrows x ncols matrix with row-major entries v."""
-    return tuple(tuple(v[r * ncols : (r + 1) * ncols]) for r in range(nrows))
-
-
-def is_zero_matrix(rows) -> bool:
-    return all(x.is_zero for row in rows for x in row)
-
-
-def matrix_rank(rows, spec: FieldSpec) -> int:
-    return _rank(_unwrap(rows, spec), spec.kernel)
-
-
-def is_invertible(rows, spec: FieldSpec) -> bool:
-    return matrix_rank(rows, spec) == len(rows)
-
-
-def invert(rows, spec: FieldSpec):
-    """Inverse matrix, or None when singular."""
-    inv = _invert(_unwrap(rows, spec), spec.kernel)
-    return None if inv is None else tuple(map(spec.wrap, inv))

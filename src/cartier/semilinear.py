@@ -40,13 +40,6 @@ def count_subspaces(n: int, q: int) -> int:
     return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
-def sigma_inv_mat(rows, j: int):
-    """sigma^(-j) on every entry of a matrix: coordinatewise p^j-th roots."""
-    if j < 0:
-        raise UsageError("frobenius iteration count must be >= 0")
-    return tuple(tuple(x.inv_frobenius(j) for x in row) for row in rows)
-
-
 def _unwrap(spec: FieldSpec, n: int, v) -> list:
     """The packed entries of a vector of k^n; UsageError on another length."""
     if len(v) != n:

@@ -9,8 +9,10 @@ hundred subspaces.  `oracle_lattice_nil_series` is the older lattice walk
 behind `crystal.nil_series`: down the last lower covers of the lattice
 that `jordan_holder` grows.  `oracle_isomorphic` searches every intertwiner for an
 invertible one, and `oracle_end_ring` lists End(M) in full to test it
-for a field.  `oracle_rref` is textbook Gauss-Jordan elimination on
-packed rows.  `oracle_parse` evaluates a polynomial string with the
+for a field; both build matrices by FieldElement arithmetic
+(`fq_combinations`, `matmul`) and invert them by cofactors
+(`oracle_determinant`, `oracle_inverse`).  `oracle_rref` is textbook
+Gauss-Jordan elimination on packed rows.  `oracle_parse` evaluates a polynomial string with the
 polynomial operators, one product per `*` and one power per `^`.
 `oracle_compatible_monomial` runs the operator's `is_compatible` test on
 every squarefree monomial ideal of the ring.  `oracle_stabilise` is the
@@ -207,7 +209,7 @@ def oracle_fixed_points(module: SemilinearModule):
     }
 
 
-def _matmul(a, b, spec: FieldSpec):
+def matmul(a, b, spec: FieldSpec):
     """Schoolbook product of two matrices given as lists of rows."""
     out = []
     for row in a:
@@ -336,9 +338,35 @@ def oracle_intertwiners(source: SemilinearModule, target: SemilinearModule):
     for entries in product(list(spec.elements()), repeat=nv * nw):
         phi = [list(entries[r * nv : (r + 1) * nv]) for r in range(nw)]
         twisted = [[x.inv_frobenius(spec.e) for x in row] for row in phi]
-        if _matmul(phi, a, spec) == _matmul(b, twisted, spec):
+        if matmul(phi, a, spec) == matmul(b, twisted, spec):
             found.append(phi)
     return found
+
+
+def oracle_inverse(m, spec: FieldSpec):
+    """The inverse of a square matrix as its adjugate over its determinant,
+    every cofactor by `oracle_determinant`; None when singular."""
+    det = oracle_determinant(m, spec)
+    if det.is_zero:
+        return None
+
+    def cofactor(i, j):
+        minor = [[x for c, x in enumerate(row) if c != j] for r, row in enumerate(m) if r != i]
+        value = oracle_determinant(minor, spec)
+        return -value if (i + j) % 2 else value
+
+    return tuple(tuple(cofactor(j, i) / det for j in range(len(m))) for i in range(len(m)))
+
+
+def fq_combinations(mats, rows: int, cols: int, spec: FieldSpec):
+    """Yield sum_i c_i mats[i] for every tuple (c_i) of elements of F_q, in
+    itertools.product order, by FieldElement arithmetic; each sum is a
+    rows x cols tuple of rows."""
+    for coeffs in product(subfield_elements(spec), repeat=len(mats)):
+        acc = [[spec.zero] * cols for _ in range(rows)]
+        for c, m in zip(coeffs, mats):
+            acc = [[a + c * b for a, b in zip(ra, rm)] for ra, rm in zip(acc, m)]
+        yield tuple(map(tuple, acc))
 
 
 def oracle_isomorphic(
@@ -354,10 +382,9 @@ def oracle_isomorphic(
     if count > cap:
         raise ResourceError(f"{count} intertwiners exceed the cap {cap}")
     spec, n = source.spec, source.dim
-    flat_basis = [linalg.flatten(phi) for phi in hom.basis]
     return any(
-        linalg.is_invertible(linalg.reshape(v, n, n), spec)
-        for v in linalg.every_combination(subfield_elements(spec), flat_basis, n * n, spec)
+        not oracle_determinant(phi, spec).is_zero
+        for phi in fq_combinations(hom.basis, n, n, spec)
     )
 
 
@@ -367,16 +394,15 @@ def oracle_end_ring(module: SemilinearModule):
     commute, and every nonzero element has an inverse in End."""
     spec, n = module.spec, module.dim
     hom = module.hom_space(module)
-    flat = [linalg.flatten(phi) for phi in hom.basis]
-    ring = set(linalg.every_combination(subfield_elements(spec), flat, n * n, spec))
+    ring = set(fq_combinations(hom.basis, n, n, spec))
     for phi, psi in product(hom.basis, repeat=2):
-        prod = _matmul(phi, psi, spec)
-        if linalg.flatten(prod) not in ring or prod != _matmul(psi, phi, spec):
+        prod = matmul(phi, psi, spec)
+        if tuple(map(tuple, prod)) not in ring or prod != matmul(psi, phi, spec):
             return len(ring), False
-    for v in ring:
-        if any(not x.is_zero for x in v):
-            inv = linalg.invert(linalg.reshape(v, n, n), spec)
-            if inv is None or linalg.flatten(inv) not in ring:
+    for phi in ring:
+        if any(not x.is_zero for row in phi for x in row):
+            inv = oracle_inverse(phi, spec)
+            if inv is None or inv not in ring:
                 return len(ring), False
     return len(ring), True
 

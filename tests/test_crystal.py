@@ -8,16 +8,18 @@ import pytest
 
 from cartier.errors import UsageError
 from cartier.field import FieldSpec
-from cartier.linalg import identity
-from cartier.semilinear import SemilinearModule, Subspace, sigma_inv_mat
-from cartier import crystal, linalg
+from cartier.semilinear import SemilinearModule, Subspace
+from cartier import crystal
 
 from conftest import (
     block_extension,
+    fq_combinations,
+    matmul,
     module_from_ints,
     module_with_nilpotent_part,
     oracle_determinant,
     oracle_intertwiners,
+    oracle_inverse,
     oracle_isomorphic,
     random_module,
     random_suite,
@@ -111,7 +113,7 @@ def test_order_independence_quotient_vs_restrict(f2):
 
 def test_identity_is_nil_isomorphism(f2):
     m = module_from_ints(f2, [[1, 0], [0, 1]])
-    assert crystal.is_nil_isomorphism(identity(2, f2), m, m)
+    assert crystal.is_nil_isomorphism(Subspace.full(f2, 2).rows, m, m)
 
 
 def test_inclusion_of_stable_image_is_nil_isomorphism(f2):
@@ -132,34 +134,20 @@ def test_non_hom_matrix_rejected(f2):
     a = module_from_ints(f2, [[1, 1], [0, 0]])
     b = module_from_ints(f2, [[0, 1], [1, 0]])
     with pytest.raises(UsageError):
-        crystal.is_nil_isomorphism(identity(2, f2), a, b)
+        crystal.is_nil_isomorphism(Subspace.full(f2, 2).rows, a, b)
 
 
 def test_nil_isomorphisms_of_minimal_modules_are_invertible(f2):
     # between modules with no nilpotent submodules or quotients, a map with
     # nilpotent kernel and cokernel has no room to be anything but bijective
-    from cartier.linalg import is_invertible
-    from conftest import subfield_elements
-    from itertools import product as iproduct
-
     rng = random.Random(271)
     for _ in range(15):
         a = crystal.minimal_rep(random_module(rng, f2, rng.randint(1, 3)))
         b = crystal.minimal_rep(random_module(rng, f2, rng.randint(1, 3)))
-        hom = a.hom_space(b)
-        fq = subfield_elements(f2)
-        for coeffs in iproduct(fq, repeat=hom.dim):
-            phi = [[f2.zero] * a.dim for _ in range(b.dim)]
-            for c, base in zip(coeffs, hom.basis):
-                if c.is_zero:
-                    continue
-                for i in range(b.dim):
-                    for j in range(a.dim):
-                        phi[i][j] = phi[i][j] + c * base[i][j]
-            phi = tuple(tuple(r) for r in phi)
+        for phi in fq_combinations(a.hom_space(b).basis, b.dim, a.dim, f2):
             if crystal.is_nil_isomorphism(phi, a, b):
                 assert a.dim == b.dim
-                assert is_invertible(phi, f2)
+                assert not oracle_determinant(phi, f2).is_zero
 
 
 @pytest.mark.parametrize(
@@ -425,10 +413,10 @@ def conjugate(module, rng):
     spec, n = module.spec, module.dim
     while True:
         p = random_module(rng, spec, n).matrix
-        if linalg.is_invertible(p, spec):
+        if not oracle_determinant(p, spec).is_zero:
             break
-    twisted_inverse = linalg.invert(sigma_inv_mat(p, spec.e), spec)
-    return SemilinearModule(spec, linalg.mat_mul(linalg.mat_mul(p, module.matrix), twisted_inverse))
+    twisted_inverse = oracle_inverse([[x.inv_frobenius(spec.e) for x in row] for row in p], spec)
+    return SemilinearModule(spec, matmul(matmul(p, module.matrix, spec), twisted_inverse, spec))
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ import pytest
 from cartier import crystal, linalg
 from cartier.errors import ResourceError
 from cartier.field import FieldSpec
-from cartier.linalg import identity
 from cartier.semilinear import SemilinearModule, Subspace, count_subspaces
 
 from conftest import (
@@ -57,7 +56,7 @@ def oracle_suite(p, d, e):
     for n in range(1, FIELDS[(p, d, e)] + 1):
         suite += [random_module(rng, spec, n) for _ in range(3)]
         suite += [
-            SemilinearModule(spec, identity(n, spec)),
+            SemilinearModule(spec, Subspace.full(spec, n).rows),
             SemilinearModule(spec, [[spec.zero] * n for _ in range(n)]),
             strictly_upper(rng, spec, n),
             _diagonal(rng, spec, n),
@@ -134,7 +133,7 @@ def test_nil_series_grows_no_lattice(monkeypatch):
     """Each step reads the next submodule off the cyclic submodules of a
     dual, so no submodule lattice is grown."""
     f2, gf4, rng = FieldSpec(2, 1), FieldSpec(2, 2), random.Random(14)
-    modules = [SemilinearModule(f2, identity(5, f2)), random_module(rng, f2, 6)]
+    modules = [SemilinearModule(f2, Subspace.full(f2, 5).rows), random_module(rng, f2, 6)]
     modules += [block_extension(rng, gf4, 1, 2)[0] for _ in range(5)]
     calls = _count_lattices(monkeypatch)
     for m in modules:
@@ -167,7 +166,7 @@ def test_nil_series_matches_lattice_walk(field):
     shapes = [
         lambda n: random_module(rng, spec, n),
         lambda n: module_with_nilpotent_part(rng, spec, n),
-        lambda n: SemilinearModule(spec, identity(n, spec)),
+        lambda n: SemilinearModule(spec, Subspace.full(spec, n).rows),
         lambda n: _diagonal(rng, spec, n),
         lambda n: block_extension(rng, spec, 1, n - 1)[0] if n > 1 else _diagonal(rng, spec, 1),
     ]
@@ -197,7 +196,9 @@ def test_annihilators_of_dual_submodules_are_the_submodules(field):
         spec, n = m.spec, m.dim
         duals = _dual_stable(m)
         perps = [
-            Subspace.from_vectors(spec, n, linalg.kernel_basis(s.rows, n, spec))
+            Subspace.from_vectors(
+                spec, n, [spec.wrap(v) for v in linalg._null_space(s._rows, n, spec.kernel)]
+            )
             for s in duals
         ]
         subs = [info.subspace for info in m.enumerate_submodules()]
@@ -215,7 +216,7 @@ def test_annihilators_of_dual_submodules_are_the_submodules(field):
 def test_identity_on_f2_6_within_a_second_and_a_half():
     f2 = FieldSpec(2, 1)
     start = time.process_time()
-    report = crystal.jordan_holder(SemilinearModule(f2, identity(6, f2)))
+    report = crystal.jordan_holder(SemilinearModule(f2, Subspace.full(f2, 6).rows))
     elapsed = time.process_time() - start
     assert len(report.lattice) == count_subspaces(6, 2) == 2825
     assert len(report.edges) == 23562
@@ -223,12 +224,34 @@ def test_identity_on_f2_6_within_a_second_and_a_half():
     assert elapsed < 1.5
 
 
+def test_identity_on_f2_6_within_a_work_budget(monkeypatch):
+    """The clock test above as work counts: module maps applied, vectors
+    added to an echelon form and point bitsets formed, each at most what
+    it was when the bounds were set, and each seen at least once."""
+    f2, calls = FieldSpec(2, 1), {"_apply": 0, "_extend": 0, "mask": 0}
+
+    def counted(real):
+        def wrapped(*args):
+            calls[real.__name__] += 1
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(SemilinearModule, "_apply", counted(SemilinearModule._apply))
+    monkeypatch.setattr(linalg, "_extend", counted(linalg._extend))
+    monkeypatch.setattr(linalg._Points, "mask", counted(linalg._Points.mask))
+    report = crystal.jordan_holder(SemilinearModule(f2, Subspace.full(f2, 6).rows))
+    assert len(report.lattice) == 2825 and len(report.edges) == 23562
+    assert 0 < calls["_apply"] <= 75
+    assert 0 < calls["_extend"] <= 23_592
+    assert 0 < calls["mask"] <= 2824
+
+
 def test_anti_nilpotent_identity_on_f2_8_at_once():
     """F_2^8 has 417,199 stable subspaces under the identity, all fixed;
     bijectivity answers without growing the lattice."""
     f2 = FieldSpec(2, 1)
     start = time.process_time()
-    assert crystal.anti_nilpotent(SemilinearModule(f2, identity(8, f2)))
+    assert crystal.anti_nilpotent(SemilinearModule(f2, Subspace.full(f2, 8).rows))
     assert time.process_time() - start < 0.5
 
 
@@ -239,7 +262,7 @@ def test_nil_series_of_identity_on_f2_7_and_8(monkeypatch, n):
     at most 2^n - 1 points each and grows no lattice."""
     f2 = FieldSpec(2, 1)
     calls = _count_lattices(monkeypatch)
-    series = crystal.nil_series(SemilinearModule(f2, identity(n, f2)))
+    series = crystal.nil_series(SemilinearModule(f2, Subspace.full(f2, n).rows))
     assert calls == []
     assert len(series) == 2 * n + 2
     assert [s.dim for s in series] == [n, n] + [i for i in range(n - 1, -1, -1) for _ in (0, 1)]
@@ -265,7 +288,7 @@ def test_random_8_dim_module_over_f2_enumerates():
 
 def test_cap_error_says_what_hit_it():
     f2 = FieldSpec(2, 1)
-    m = SemilinearModule(f2, identity(3, f2))  # 7 points, 16 submodules
+    m = SemilinearModule(f2, Subspace.full(f2, 3).rows)  # 7 points, 16 submodules
     with pytest.raises(ResourceError, match="7 points"):
         m.enumerate_submodules(cap=6)
     with pytest.raises(ResourceError, match="7 points"):
@@ -279,7 +302,7 @@ def test_lattice_growth_does_no_full_elimination(monkeypatch):
     """Cyclic submodules and lattice sums extend RREF rows one vector at
     a time; none of them runs linalg._rref over all its rows."""
     f2, gf4, rng = FieldSpec(2, 1), FieldSpec(2, 2), random.Random(150)
-    modules = [SemilinearModule(f2, identity(5, f2))]
+    modules = [SemilinearModule(f2, Subspace.full(f2, 5).rows)]
     modules += [random_module(rng, gf4, n) for n in (2, 3, 3, 4)]
     calls = []
     real = linalg._rref

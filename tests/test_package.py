@@ -54,3 +54,45 @@ def test_unknown_attribute_raises():
 def test_no_source_imports_dataclasses():
     for path in SOURCES:
         assert "dataclasses" not in set(absolute_imports(path)), path.name
+
+
+# Public functions that nothing in src/ calls and no export names, each kept
+# for a reason of its own.
+UNCALLED = {
+    "crystal.fixed_submodule_lattice": "the paper's lattice of N with C(N) = N; "
+    "test_acceptance.py and the benchmark's lattice hook use it",
+}
+
+
+def names_read(tree, skip=None):
+    """Every name read as a variable or an attribute in tree, outside the
+    subtree `skip`."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_public_function_has_a_caller_or_a_reason():
+    """A module-level public function is exported, named in src/ outside
+    its own def, or listed in UNCALLED; and every entry of UNCALLED is a
+    function that nothing else keeps."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    uncalled = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            if node.name in cartier._EXPORTS.get(module, ()):
+                continue
+            others = (names_read(t, node if t is tree else None) for t in trees.values())
+            if not any(node.name in set(names) for names in others):
+                uncalled.append(f"{module}.{node.name}")
+    assert sorted(uncalled) == sorted(UNCALLED)
+    assert all(UNCALLED.values())
