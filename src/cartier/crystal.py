@@ -32,10 +32,8 @@ def minimal_rep(module: SemilinearModule) -> SemilinearModule:
 def _minimal_rep(module: SemilinearModule, top: Subspace) -> SemilinearModule:
     """`minimal_rep` given the module's stable image."""
     rep = module.restrict_to(top)
-    ranks, b_m, _ = rep._fitting()
-    if rep._kernel_part(ranks, b_m).dim:
-        raise InvariantViolation("minimal representative kept a nilpotent part")
-    if ranks[-1] != rep.dim:
+    # full rank leaves B_m no kernel, so no nilpotent part either
+    if rep._fitting()[0][-1] != rep.dim:
         raise InvariantViolation("minimal representative is not surjective")
     return rep
 
@@ -51,11 +49,8 @@ def is_nil_isomorphism(
         raise UsageError("matrix shape does not match the modules")
     spec, k = source.spec, source.spec.kernel
     phi = [spec.unwrap(row) for row in phi]
-    if source.dim and target.dim:
-        lhs = linalg._mul(phi, source._a, k)
-        rhs = linalg._mul(target._a, [k.frob_row(row, -spec.e) for row in phi], k)
-        if lhs != rhs:
-            raise UsageError("matrix is not a map of modules")
+    if not source._maps_to(target, phi):
+        raise UsageError("matrix is not a map of modules")
     kernel = Subspace._span(spec, source.dim, linalg._null_space(phi, source.dim, k))
     if not source.restrict_to(kernel).is_nilpotent:
         return False

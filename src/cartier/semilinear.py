@@ -10,9 +10,9 @@ walk of the twisted powers to the Fitting index.
 
 Modules, subspaces and Hom-spaces store packed rows and compute on them
 with `linalg`'s packed functions; `matrix`, `rows` and `basis` wrap them
-into FieldElements on each access, like `Polynomial.terms`.  The F_p
-systems behind fixed points and Hom-spaces have one int column per F_p-
-basis vector, a sum of shifted spreads of rows and columns of the matrices.
+into FieldElements on each access, like `Polynomial.terms`.  Hom-spaces
+come from one F_p system, an int column per F_p-basis vector made of shifted
+spreads of rows and columns; fixed points are Hom from the unit module.
 """
 
 from __future__ import annotations
@@ -439,20 +439,16 @@ class SemilinearModule(_TwistedModule):
     # -- fixed points and base change ----------------------------------
 
     def fixed_points(self):
-        """F_q-basis of {v : C(v) = v}, via one F_p-linear solve: the unit
-        w e_i contributes the column sigma^(-e)(w) A e_i - w e_i."""
-        spec, k, n = self.spec, self.spec.kernel, self.dim
-        fp = linalg._FpInts(spec.p, spec.d, 2 * n * spec.d)
-        step = spec.d * fp.w
-        units = [(k.frob(w, -spec.e), fp.spread([k.neg(w)])) for w in _fp_units(spec)]
-        cols = [fp.add(fp.spread(k.scale(a_i, root)), unit << i * step)
-                for i, a_i in enumerate(zip(*self._a)) for root, unit in units]
-        kern = linalg._fp_null_space(cols, fp)
-        basis = _fq_basis(kern, spec, fp)
-        if len(basis) * spec.e != len(kern):
-            raise InvariantViolation("fixed set is not an F_q-subspace")
-        if len(basis) > self.stable_image().dim:
-            raise InvariantViolation("more fixed points than the stable image allows")
+        """F_q-basis of {v : C(v) = v}, read off Hom from the unit module
+        (k, sigma^(-e)) with matrix [1].  `hom_space` checks C(v) = v and
+        the F_q count; the basis is also k-independent, so its k-span W has
+        C(W) = W (sigma^(-e) is onto k) and len(basis) = dim W is at most
+        the dimension of the stable image, which contains W."""
+        spec = self.spec
+        unit = SemilinearModule._of(spec, [[spec.kernel.one]])
+        basis = [tuple(x for (x,) in phi) for phi in unit.hom_space(self)._basis]
+        if linalg._rank(basis, spec.kernel) != len(basis):
+            raise InvariantViolation("fixed points are not k-linearly independent")
         return tuple(map(spec.wrap, basis))
 
     def base_change(self, m: int) -> "SemilinearModule":
@@ -499,7 +495,8 @@ class SemilinearModule(_TwistedModule):
         """F_q-basis of maps phi with phi . A_V = A_W . sigma^(-e)(phi), via
         one F_p-linear solve.  The unit X = w E_rs contributes the column
         X A_V - A_W sigma^(-e)(X): w times row s of A_V placed in row r,
-        minus sigma^(-e)(w) times column r of A_W placed in column s."""
+        minus sigma^(-e)(w) times column r of A_W placed in column s.  Checked:
+        len(F_p-kernel) = e len(basis), and each element is a map of modules."""
         if not isinstance(other, SemilinearModule):
             raise UsageError(f"Hom-space target {other!r} is not a Cartier module")
         if other.spec != self.spec:
@@ -512,14 +509,21 @@ class SemilinearModule(_TwistedModule):
         col_w = [[fp.spread(k.scale(c, k.neg(k.frob(w, -e))), nv) for w in units] for c in zip(*aw)]
         cols = [fp.add(row_v[s][ell] << r * nv * step, col_w[r][ell] << s * step)
                 for r, s, ell in product(range(nw), range(nv), range(spec.d))]
-        basis = [
-            tuple(v[r * nv : (r + 1) * nv] for r in range(nw))
-            for v in _fq_basis(linalg._fp_null_space(cols, fp), spec, fp)
-        ]
-        for phi in basis:
-            if linalg._mul(phi, av, k) != linalg._mul(aw, [k.frob_row(r, -e) for r in phi], k):
-                raise InvariantViolation("hom basis element fails the commuting identity")
+        kern = linalg._fp_null_space(cols, fp)
+        basis = [tuple(v[r * nv : (r + 1) * nv] for r in range(nw))
+                 for v in _fq_basis(kern, spec, fp)]
+        if len(basis) * e != len(kern):
+            raise InvariantViolation("Hom-space is not an F_q-subspace")
+        if not all(self._maps_to(other, phi) for phi in basis):
+            raise InvariantViolation("hom basis element fails the commuting identity")
         return HomSpace(spec, basis)
+
+    def _maps_to(self, other: "SemilinearModule", phi) -> bool:
+        """Whether packed phi, dim(other) x dim(self), is a map of modules:
+        phi . A_V = A_W . sigma^(-e)(phi)."""
+        k, e = self.spec.kernel, self.spec.e
+        twisted = [k.frob_row(r, -e) for r in phi]
+        return linalg._mul(phi, self._a, k) == linalg._mul(other._a, twisted, k)
 
     def _lattice(self, cap: int):
         """Every C-stable subspace, sorted by (dimension, canonical basis);

@@ -137,6 +137,19 @@ def test_non_hom_matrix_rejected(f2):
         crystal.is_nil_isomorphism(Subspace.full(f2, 2).rows, a, b)
 
 
+@pytest.mark.parametrize(
+    "source, target, expected",
+    [([], [[0]], True), ([], [[1]], False), ([[0]], [], True), ([[1]], [], False), ([], [], True)],
+    ids=["into-nilpotent", "into-unit", "from-nilpotent", "from-unit", "both"],
+)
+def test_a_map_with_a_zero_dimensional_side(f2, source, target, expected):
+    # both products of the module-map test are empty, so the only map is one:
+    # the kernel or cokernel is the other module, nilpotent or not
+    a, b = module_from_ints(f2, source), module_from_ints(f2, target)
+    phi = [[f2.zero] * a.dim for _ in range(b.dim)]
+    assert crystal.is_nil_isomorphism(phi, a, b) is expected
+
+
 def test_nil_isomorphisms_of_minimal_modules_are_invertible(f2):
     # between modules with no nilpotent submodules or quotients, a map with
     # nilpotent kernel and cokernel has no room to be anything but bijective

@@ -1,7 +1,7 @@
 """The F_p solve behind fixed points and Hom-spaces: `linalg._FpInts`
 arithmetic on int-packed vectors and `linalg._fp_null_space`, against the
-list-row solve of conftest (`oracle_fp_kernel`), vector for vector, and
-the work it does at large p."""
+list-row solve of conftest (`oracle_fp_kernel`), vector for vector, the
+work it does at large p, and the checks on the fixed points it finds."""
 
 import random
 
@@ -9,8 +9,9 @@ import pytest
 
 from cartier import linalg, semilinear
 from cartier._kernel import _PrimeKernel
+from cartier.errors import InvariantViolation
 from cartier.field import FieldSpec
-from cartier.semilinear import SemilinearModule
+from cartier.semilinear import SemilinearModule, Subspace, _TwistedModule
 
 from conftest import (
     oracle_fixed_basis,
@@ -200,3 +201,59 @@ def test_gf9_solves_make_no_list_row_operation(monkeypatch, e):
         v.hom_space(w), v.hom_space(v), v.fixed_points()
     assert solves.count("_fp_null_space") >= 9 and solves.count("_fq_basis") >= 9
     assert calls == []
+
+
+# -- the checks on fixed points ----------------------------------------------
+
+
+def not_fixed(module: SemilinearModule):
+    """The packed first unit vector, checked not to be a fixed point."""
+    v = [module.spec.one.packed] + [0] * (module.dim - 1)
+    assert module._apply(v) != v
+    return tuple(v)
+
+
+def test_a_non_fixed_vector_in_the_kernel_fails_the_identity(gf4, monkeypatch):
+    m = random_module(random.Random("fixed-identity"), gf4, 3)
+    m.fixed_points()
+    extra, real = not_fixed(m), linalg._fp_null_space
+    monkeypatch.setattr(linalg, "_fp_null_space", lambda cols, fp: real(cols, fp) + [extra])
+    with pytest.raises(InvariantViolation, match="fails the commuting identity"):
+        m.fixed_points()
+
+
+@pytest.mark.parametrize("field", [(2, 2, 1), (2, 4, 2), (3, 2, 1)], ids=["GF4", "GF16-e2", "GF9"])
+def test_a_repeated_fixed_vector_fails_the_independence_check(field, monkeypatch):
+    # every vector of F_q^3 is fixed by the identity; a basis vector given
+    # twice keeps the F_q count and the identity, but not the rank
+    spec = FieldSpec(field[0], field[1], None, field[2])
+    m = SemilinearModule(spec, Subspace.full(spec, 3).rows)
+    assert len(m.fixed_points()) == 3
+    real = semilinear._fq_basis
+    monkeypatch.setattr(
+        semilinear, "_fq_basis", lambda *args: (lambda b: b[:-1] + b[:1])(real(*args))
+    )
+    with pytest.raises(InvariantViolation, match="not k-linearly independent"):
+        m.fixed_points()
+
+
+@pytest.mark.parametrize("field", [(2, 4, 2), (3, 4, 2)], ids=["GF16-e2", "GF81-e2"])
+def test_an_extra_kernel_vector_fails_the_fq_count_first(field, monkeypatch):
+    # the extra vector is not fixed either, so the count runs first
+    spec = FieldSpec(field[0], field[1], None, field[2])
+    m = random_module(random.Random(f"fixed-count:{field}"), spec, 3)
+    m.fixed_points()  # caches the F_p-basis of F_q before the solve is patched
+    extra, real = not_fixed(m), linalg._fp_null_space
+    monkeypatch.setattr(linalg, "_fp_null_space", lambda cols, fp: real(cols, fp) + [extra])
+    with pytest.raises(InvariantViolation, match="not an F_q-subspace"):
+        m.fixed_points()
+
+
+def test_fixed_points_solve_once_and_walk_no_powers(gf9, monkeypatch):
+    m = random_module(random.Random("fixed-work"), gf9, 5)
+    walks, solves = [], []
+    walk, solve = _TwistedModule._fitting, linalg._fp_null_space
+    monkeypatch.setattr(_TwistedModule, "_fitting", lambda *args: walks.append(1) or walk(*args))
+    monkeypatch.setattr(linalg, "_fp_null_space", lambda *args: solves.append(1) or solve(*args))
+    m.fixed_points()
+    assert (len(walks), len(solves)) == (0, 1)
