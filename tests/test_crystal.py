@@ -143,8 +143,8 @@ def test_non_hom_matrix_rejected(f2):
     ids=["into-nilpotent", "into-unit", "from-nilpotent", "from-unit", "both"],
 )
 def test_a_map_with_a_zero_dimensional_side(f2, source, target, expected):
-    # both products of the module-map test are empty, so the only map is one:
-    # the kernel or cokernel is the other module, nilpotent or not
+    # both products of the module-map test are empty, so the one matrix of
+    # this shape is a map; its kernel or cokernel is the other module
     a, b = module_from_ints(f2, source), module_from_ints(f2, target)
     phi = [[f2.zero] * a.dim for _ in range(b.dim)]
     assert crystal.is_nil_isomorphism(phi, a, b) is expected

@@ -230,9 +230,12 @@ def test_a_repeated_fixed_vector_fails_the_independence_check(field, monkeypatch
     m = SemilinearModule(spec, Subspace.full(spec, 3).rows)
     assert len(m.fixed_points()) == 3
     real = semilinear._fq_basis
-    monkeypatch.setattr(
-        semilinear, "_fq_basis", lambda *args: (lambda b: b[:-1] + b[:1])(real(*args))
-    )
+
+    def first_in_place_of_last(*args):
+        basis = real(*args)
+        return basis[:-1] + basis[:1]
+
+    monkeypatch.setattr(semilinear, "_fq_basis", first_in_place_of_last)
     with pytest.raises(InvariantViolation, match="not k-linearly independent"):
         m.fixed_points()
 
