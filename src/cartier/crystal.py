@@ -146,10 +146,13 @@ def nil_series(module: SemilinearModule, cap: int = 100_000):
     series, cur = [Subspace.full(spec, module.dim), top], top
     while cur.dim > 0:
         inside, n = module.restrict_to(cur), cur.dim
-        spans, _, _ = inside.dual()._cyclic_spans(linalg._Points(spec, n, cap))
+        dual = inside.dual()
+        points = dual._points(cap)
+        spans = [points.unpack(rows) for rows, _ in dual._cyclic_spans(points)[0][1:]]
+        low = min(map(len, spans))  # the least spans have the largest annihilators
         sub = max(
-            (Subspace._span(spec, n, linalg._null_space(rows, n, k)) for rows, _ in spans[1:]),
-            key=lambda s: (s.dim, s._rows),
+            (Subspace._span(spec, n, linalg._null_space(s, n, k)) for s in spans if len(s) == low),
+            key=lambda s: s._rows,
         )
         quotient, _ = inside.quotient_by(sub)
         if quotient.is_nilpotent or not quotient.is_simple(cap=cap):

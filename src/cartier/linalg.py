@@ -10,12 +10,14 @@ Every echelon form over k is built one vector at a time.  `_reduce` takes
 a vector's residue modulo RREF rows, and `_extend` adds the vector to the
 rows when that residue is not zero, clearing its pivot column in the rows
 above; `_rref` folds it over a matrix's rows.  F_p-linear solves, for every
-p, run on int-packed vectors instead: `_FpInts` and `_fp_null_space`.
+p, run on int-packed vectors instead: `_FpInts` and `_fp_null_space`; so do
+the lattice walks over GF(2), one bit per entry, through `_points`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
+from functools import cache
 from itertools import count, product
 from operator import lshift
 
@@ -174,16 +176,25 @@ def _combine(coeffs, packed_vectors, n: int, k):
     return acc
 
 
-class _Points:
-    """The points of k^n, packed vectors whose first nonzero entry is 1,
-    numbered in canonical order.  A subspace is known by the int bitset
-    of its points, so containment is a bitset test.  Raises
-    ResourceError when there are more than `cap` points."""
+def _points(spec: FieldSpec, n: int, cap: int, a, apply):
+    """The points of k^n under C for the lattice walks: ints over GF(2),
+    with C from the packed rows `a` of its matrix, and packed rows with
+    C = `apply` otherwise.  ResourceError above `cap` points."""
+    count = (spec.order**n - 1) // (spec.order - 1)
+    if count > cap:
+        raise ResourceError(f"k^{n} has {count} points to scan, above the cap {cap}")
+    return (_F2Points if spec.order == 2 else _Points)(spec, n, a, apply)
 
-    def __init__(self, spec: FieldSpec, n: int, cap: int):
-        count = (spec.order**n - 1) // (spec.order - 1)
-        if count > cap:
-            raise ResourceError(f"k^{n} has {count} points to scan, above the cap {cap}")
+
+class _Points:
+    """The points of k^n, vectors whose first nonzero entry is 1, numbered
+    in canonical order, and what the lattice walks do with vectors: `apply`
+    C, find the `point` of a vector, `extend` RREF rows by it, `key` rows,
+    and `unpack` them into packed rows.  A subspace is known by the int
+    bitset of its points, so containment is a bitset test.  Here vectors
+    are packed rows, and `extend` is `_extend`."""
+
+    def __init__(self, spec: FieldSpec, n: int, a, apply):
         self.kernel = k = spec.kernel
         self.vectors = [
             (0,) * i + (k.one,) + tail
@@ -191,6 +202,22 @@ class _Points:
             for tail in product(range(spec.order), repeat=n - i - 1)
         ]
         self.index = {v: i for i, v in enumerate(self.vectors)}
+        self.apply, self.bits = apply, tuple
+
+    def point(self, w):
+        """The index of the point of packed w; None when w is zero."""
+        k = self.kernel
+        c = next((c for c in w if c), 0)
+        return self.index[tuple(w if c == k.one else k.scale(w, k.inv(c)))] if c else None
+
+    def extend(self, rows, pivots, v) -> bool:
+        return _extend(rows, pivots, v, self.kernel)
+
+    def key(self, rows):
+        """Rows as a tuple of tuples of packed entries: a key, and a Subspace's rows."""
+        return tuple(map(self.bits, rows))
+
+    unpack = key
 
     def of(self, rows):
         """Indices of the points in the span of packed RREF rows: each row
@@ -204,3 +231,46 @@ class _Points:
 
     def mask(self, rows) -> int:
         return sum(1 << i for i in self.of(rows))
+
+
+class _F2Points(_Points):
+    """The points of F_2^n as ints, entry 0 the top bit, so that int order
+    is row order: a point is its int, numbered as in `_Points`, and RREF
+    rows are ints whose top bits are their pivots.  As sigma is trivial on
+    F_2, C(v) is the XOR of the columns of A that v selects; an echelon
+    step is an XOR, as in `_FpInts` at p = 2."""
+
+    def __init__(self, spec: FieldSpec, n: int, a, apply):
+        self.n, self.vectors = n, [v for b in range(n, 0, -1) for v in range(1 << b - 1, 1 << b)]
+        self.index = {v: i for i, v in enumerate(self.vectors)}
+        self.point = self.index.get  # None for the zero vector
+        self.bits = cache(lambda r: tuple(r >> b & 1 for b in range(n - 1, -1, -1)))
+        self.columns = [sum(row[j] << n - 1 - i for i, row in enumerate(a)) for j in range(n)]
+
+    def apply(self, v: int) -> int:
+        r = 0
+        while v:  # the top bit of v is entry n - bit_length(v)
+            r, v = r ^ self.columns[self.n - v.bit_length()], v ^ 1 << v.bit_length() - 1
+        return r
+
+    def extend(self, rows, pivots, v: int) -> bool:
+        for row in rows:  # x ^ r < x exactly when x has r's top bit
+            if v ^ row < v:
+                v ^= row
+        if not v:
+            return False
+        for i, row in enumerate(rows):
+            if row ^ v < row:
+                rows[i] = row ^ v
+        at = bisect(pivots, pc := self.n - v.bit_length())
+        rows.insert(at, v)
+        pivots.insert(at, pc)
+        return True
+
+    key = staticmethod(tuple)  # and `unpack` maps `bits` over the rows
+
+    def of(self, rows):
+        span = [0]
+        for r in rows:
+            span += [x ^ r for x in span]
+        return [self.index[x] for x in span[1:]]

@@ -971,18 +971,17 @@ def _reduce_basis(prepared, cofs, ring: PolyRing, rank):
         if any(not (lead - h[0][0]) & guards for h in minimal):
             continue
         minimal.append(item)
-    # fully reduce each element against the others; no other leading term
-    # divides its own, so the remainder stays monic and the order of the
-    # leading terms is kept
+    # fully reduce each element by the ones before it, as a larger leading
+    # term divides no term at or below its own; no other leading term
+    # divides its own, so the remainder stays monic and keeps the order
     divisors = [d for d, _ in minimal]
     dcofs = [c for _, c in minimal]
     basis, rcofs = [], [] if cofs is not None else None
     for i, ((lead, _, texps, tail, _), cof) in enumerate(minimal):
         g = dict(zip(texps, tail))
         g[lead] = one
-        others = divisors[:i] + divisors[i + 1 :]
-        if others:
-            g, cof = _reduce(g, cof, others, dcofs[:i] + dcofs[i + 1 :], ring, rank)
+        if i:
+            g, cof = _reduce(g, cof, divisors[:i], dcofs[:i], ring, rank)
         basis.append(g)
         if rcofs is not None:
             rcofs.append(cof)

@@ -13,6 +13,7 @@ with `linalg`'s packed functions; `matrix`, `rows` and `basis` wrap them
 into FieldElements on each access, like `Polynomial.terms`.  Hom-spaces
 come from one F_p system, an int column per F_p-basis vector made of shifted
 spreads of rows and columns; fixed points are Hom from the unit module.
+Over GF(2) the lattice walks run on ints, one bit per entry (`_points`).
 """
 
 from __future__ import annotations
@@ -322,20 +323,24 @@ class _TwistedModule(_Immutable):
         ranks = self._fitting()[0]
         return None if ranks[-1] else len(ranks) - 1
 
+    def _points(self, cap: int):
+        """The points of k^n under the structural map (`linalg._points`)."""
+        return linalg._points(self.spec, self.dim, cap, self._a, self._apply)
+
     def _cyclic_spans(self, points, simple=False):
         """Z(v) = <v, Cv, C^2 v, ...> for every point v of `points`, by one
         walk of the point map [v] -> [Cv] (C(cv) is a multiple of C(v)).  As
         Z(v) = <v> + Z(Cv), a walk stops at a known Z, at zero, or at a
         repeat, which closes a cycle whose points all have its span; unwound,
         a point keeps Z(Cv) when it lies in it and extends its rows otherwise.
-        Returns the distinct spans as RREF (rows, pivots), zero first, their
-        point bitsets, and of[j], the index of the span of point j.  With
-        `simple`, None as soon as some Z(v) is not the whole space."""
-        k, n, vectors, index = self.spec.kernel, self.dim, points.vectors, points.index
+        Returns the distinct spans as RREF (rows, pivots) of `points`' kind,
+        zero first, their point bitsets, and of[j], the index of the span
+        of point j.  With `simple`, None as soon as some Z(v) is not V."""
+        n, vectors, extend = self.dim, points.vectors, points.extend
         spans, masks, where, of = [((), ())], [0], {(): 0}, [None] * len(vectors)
 
         def span(rows, pivots):
-            key = tuple(map(tuple, rows))
+            key = points.key(rows)
             if key not in where:
                 where[key] = len(spans)
                 spans.append((key, tuple(pivots)))
@@ -345,19 +350,17 @@ class _TwistedModule(_Immutable):
         for j in range(len(vectors)):
             path, orbit = [], ([], [])
             while j is not None and of[j] is None:
-                if simple and len(orbit[0]) < n and not linalg._extend(*orbit, vectors[j], k):
+                if simple and len(orbit[0]) < n and not extend(*orbit, vectors[j]):
                     return None  # the walk so far spans Z(v) of its first point
                 of[j] = -1  # on this walk
                 path.append(j)
-                w = self._apply(vectors[j])
-                c = next((c for c in w if c), 0)
-                j = index[tuple(w if c == k.one else k.scale(w, k.inv(c)))] if c else None
+                j = points.point(points.apply(vectors[j]))
             if j is None:
                 z = 0
             elif of[j] < 0:  # a repeat
                 rows, pivots = [], []
                 for i in path[path.index(j):]:  # <u, Cu, ...> is stable once one adds nothing
-                    if not linalg._extend(rows, pivots, vectors[i], k):
+                    if not extend(rows, pivots, vectors[i]):
                         break
                 z = span(rows, pivots)
             else:
@@ -365,7 +368,7 @@ class _TwistedModule(_Immutable):
             for i in reversed(path):
                 if not masks[z] >> i & 1:
                     rows, pivots = map(list, spans[z])
-                    linalg._extend(rows, pivots, vectors[i], k)
+                    extend(rows, pivots, vectors[i])
                     z = span(rows, pivots)
                 of[i] = z
             if simple and path and len(spans[of[path[-1]]][0]) < n:
@@ -535,15 +538,14 @@ class SemilinearModule(_TwistedModule):
         Every member above N contains such a sum, so the covers of N are
         the minimal sums.  A sum of dimension dim N + 1 is a cover, and
         the sum for every point in it, so those points are skipped for N.
-        A sum becomes a Subspace only when it is a new member.
+        Members are RREF (rows, pivots) in the points' representation,
+        unpacked into Subspaces once sorted.
         """
-        spec, n, k = self.spec, self.dim, self.spec.kernel
-        points = linalg._Points(spec, n, cap)
-        elems, masks, where = [Subspace.zero(spec, n)], [0], {(): 0}
-        covers = []
+        spec, n, points = self.spec, self.dim, self._points(cap)
+        elems, masks, where, covers = [((), ())], [0], {(): 0}, []
 
         def member(rows, pivots, mask=None):
-            key = tuple(map(tuple, rows))
+            key = points.key(rows)
             if key not in where:
                 if len(elems) == cap:
                     raise ResourceError(
@@ -551,39 +553,40 @@ class SemilinearModule(_TwistedModule):
                         f"the cap (the next one found has dimension {len(key)})"
                     )
                 where[key] = len(elems)
-                elems.append(Subspace._of(spec, n, key, pivots))
+                elems.append((key, tuple(pivots)))
                 masks.append(points.mask(key) if mask is None else mask)
             return where[key]
 
         def add(sub, cyc):  # the member N + <v>
-            rows, pivots = list(sub._rows), list(sub.pivots)
-            for r in cyc._rows:
-                linalg._extend(rows, pivots, r, k)
+            rows, pivots = map(list, sub)
+            for r in cyc[0]:
+                points.extend(rows, pivots, r)
             return member(rows, pivots)
 
         spans, span_masks, cyclic = self._cyclic_spans(points)
         for (rows, pivots), mask in zip(spans[1:], span_masks[1:]):
             member(rows, pivots, mask)  # distinct, so member i is spans[i]
         for sub, mask in zip(elems, masks):  # both grow as members are found
-            todo, sums = ~mask & ((1 << len(points.vectors)) - 1), {}
+            todo, sums, up_dim = ~mask & ((1 << len(points.vectors)) - 1), {}, len(sub[0]) + 1
             while todo:
                 low = todo & -todo
                 c = cyclic[low.bit_length() - 1]
                 if c not in sums:  # N + <v> is <v> when N lies inside it
                     sums[c] = add(sub, elems[c]) if mask & ~masks[c] else c
                 m = sums[c]
-                todo &= ~(masks[m] if elems[m].dim == sub.dim + 1 else low)
+                todo &= ~(masks[m] if len(elems[m][0]) == up_dim else low)
             up = set(sums.values())
             covers.append([
                 m for m in up
-                if elems[m].dim == sub.dim + 1
+                if len(elems[m][0]) == up_dim
                 or not any(o != m and not masks[o] & ~masks[m] for o in up)
             ])
-        # packed order is the canonical element order, so this is key() order
-        order = sorted(range(len(elems)), key=lambda i: (elems[i].dim, elems[i]._rows))
+        # int and packed row order are the canonical element order, so this is key() order
+        order = sorted(range(len(elems)), key=lambda i: (len(elems[i][0]), elems[i][0]))
         rank = {i: r for r, i in enumerate(order)}
         edges = sorted((rank[i], rank[j]) for i, up in enumerate(covers) for j in up)
-        return [elems[i] for i in order], [masks[i] for i in order], edges
+        lattice = [Subspace._of(spec, n, points.unpack(elems[i][0]), elems[i][1]) for i in order]
+        return lattice, [masks[i] for i in order], edges
 
     def enumerate_submodules(self, cap: int = 100_000):
         """All C-stable subspaces, flagged with whether C maps them onto
@@ -600,8 +603,7 @@ class SemilinearModule(_TwistedModule):
     def is_simple(self, cap: int = 100_000) -> bool:
         """Whether 0 and V are the only C-stable subspaces: every cyclic
         submodule is V."""
-        points = linalg._Points(self.spec, self.dim, cap)
-        return self.dim > 0 and self._cyclic_spans(points, simple=True) is not None
+        return self.dim > 0 and self._cyclic_spans(self._points(cap), simple=True) is not None
 
     def end_ring(self, cap: int = 100_000):
         """(order, is_field) for the endomorphism ring of a simple module.

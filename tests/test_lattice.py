@@ -1,6 +1,7 @@
 """The submodule lattice, grown from cyclic submodules, against the
 exhaustive subspace scan and the cubic cover search of conftest."""
 
+import json
 import random
 import time
 
@@ -224,26 +225,92 @@ def test_identity_on_f2_6_within_a_second_and_a_half():
     assert elapsed < 1.5
 
 
-def test_identity_on_f2_6_within_a_work_budget(monkeypatch):
-    """The clock test above as work counts: module maps applied, vectors
-    added to an echelon form and point bitsets formed, each at most what
-    it was when the bounds were set, and each seen at least once."""
-    f2, calls = FieldSpec(2, 1), {"_apply": 0, "_extend": 0, "mask": 0}
-
+def _counter(calls):
     def counted(real):
         def wrapped(*args):
             calls[real.__name__] += 1
             return real(*args)
         return wrapped
+    return counted
 
+
+def test_identity_on_f2_6_within_a_work_budget(monkeypatch):
+    """The clock test above as work counts of the F_2 path: C applied to
+    an int, echelon steps on int rows and point bitsets formed, each at
+    most what it was when the bounds were set, and each seen at least
+    once."""
+    f2, calls = FieldSpec(2, 1), {"apply": 0, "extend": 0, "mask": 0}
+    counted = _counter(calls)
+    for name in calls:
+        monkeypatch.setattr(linalg._F2Points, name, counted(getattr(linalg._F2Points, name)))
+    report = crystal.jordan_holder(SemilinearModule(f2, Subspace.full(f2, 6).rows))
+    assert len(report.lattice) == 2825 and len(report.edges) == 23562
+    assert 0 < calls["apply"] <= 63
+    assert 0 < calls["extend"] <= 23_562
+    assert 0 < calls["mask"] <= 2824
+
+
+def test_identity_on_gf4_4_within_a_work_budget(monkeypatch):
+    """The same counts on the list-row path of every other field: module
+    maps applied, vectors added to an echelon form and point bitsets
+    formed.  The stable subspaces are the 67 defined over F_2."""
+    gf4, calls = FieldSpec(2, 2), {"_apply": 0, "_extend": 0, "mask": 0}
+    counted = _counter(calls)
     monkeypatch.setattr(SemilinearModule, "_apply", counted(SemilinearModule._apply))
     monkeypatch.setattr(linalg, "_extend", counted(linalg._extend))
     monkeypatch.setattr(linalg._Points, "mask", counted(linalg._Points.mask))
-    report = crystal.jordan_holder(SemilinearModule(f2, Subspace.full(f2, 6).rows))
-    assert len(report.lattice) == 2825 and len(report.edges) == 23562
-    assert 0 < calls["_apply"] <= 75
-    assert 0 < calls["_extend"] <= 23_592
-    assert 0 < calls["mask"] <= 2824
+    report = crystal.jordan_holder(SemilinearModule(gf4, Subspace.full(gf4, 4).rows))
+    assert len(report.lattice) == 67 and len(report.edges) == 240
+    assert 0 < calls["_apply"] <= 93
+    assert 0 < calls["_extend"] <= 2303
+    assert 0 < calls["mask"] <= 66
+
+
+def _walks(m):
+    """What the lattice walks give on m, with spans as packed rows."""
+    points = m._points(100_000)
+    spans, span_masks, of = m._cyclic_spans(points)
+    answers = {
+        "spans": [(points.unpack(rows), pivots) for rows, pivots in spans],
+        "span masks": span_masks,
+        "of": of,
+        "lattice": m._lattice(100_000),
+        "submodules": [(info.subspace, info.surjective) for info in m.enumerate_submodules()],
+        "jordan_holder": json.dumps(crystal.jordan_holder(m).to_json()),
+        "nil_series": crystal.nil_series(m),
+        "is_simple": m.is_simple(),
+    }
+    for cap in (len(answers["lattice"][0]) - 1, len(points.vectors) - 1):
+        with pytest.raises(ResourceError) as error:
+            m.enumerate_submodules(cap=cap)
+        answers[f"cap {cap}"] = str(error.value)
+    return type(points), answers
+
+
+def test_f2_ints_match_list_rows(monkeypatch):
+    """Over F_2 the lattice walks run on int-packed vectors.  The list
+    rows of every other field, forced onto F_2, are their oracle: spans,
+    point bitsets, members, covers, answers and cap messages agree on
+    oracle_suite's shapes up to n = 6, the identities of F_2^5 and F_2^6
+    among them."""
+    spec, rng = FieldSpec(2, 1), random.Random(216)
+    for n in range(1, 7):
+        modules = [random_module(rng, spec, n) for _ in range(3)] + [
+            SemilinearModule(spec, Subspace.full(spec, n).rows),
+            SemilinearModule(spec, [[spec.zero] * n for _ in range(n)]),
+            module_with_nilpotent_part(rng, spec, n),
+            strictly_upper(rng, spec, n),
+            _diagonal(rng, spec, n),
+        ]
+        if n > 1:
+            modules.append(block_extension(rng, spec, 1, n - 1)[0])
+        for m in modules:
+            kind, ints = _walks(m)
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_F2Points", linalg._Points)
+                list_kind, rows = _walks(m)
+            assert (kind, list_kind) == (linalg._F2Points, linalg._Points)
+            assert ints == rows
 
 
 def test_anti_nilpotent_identity_on_f2_8_at_once():
