@@ -142,11 +142,10 @@ def nil_series(module: SemilinearModule, cap: int = 100_000):
     Returns the subspaces of the ambient space in order.
     """
     top, spec, k = module.stable_image(), module.spec, module.spec.kernel
-    _minimal_rep(module, top)  # for its checks on the stable image
+    inside = _minimal_rep(module, top)  # C on U_0, with its checks
     series, cur = [Subspace.full(spec, module.dim), top], top
     while cur.dim > 0:
-        inside, n = module.restrict_to(cur), cur.dim
-        dual = inside.dual()
+        dual, n = inside.dual(), cur.dim
         points = dual._points(cap)
         spans = [points.unpack(rows) for rows, _ in dual._cyclic_spans(points)[0][1:]]
         low = min(map(len, spans))  # the least spans have the largest annihilators
@@ -159,6 +158,7 @@ def nil_series(module: SemilinearModule, cap: int = 100_000):
             raise InvariantViolation("series factor is not simple non-nilpotent")
         cur = _unrestrict(sub, cur)
         series += [cur] * 2
+        inside = module.restrict_to(cur)
     return series
 
 

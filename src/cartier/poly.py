@@ -546,8 +546,10 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
 # `_SignaturePairs` under grevlex, or from `_SugarPairs` under lex and block
 # orders and when `track` carries cofactors through the reductions (a
 # generator starts from its unit cofactor), so witnesses keep their pairs.
-# A run raises ResourceError once it has reduced MAX_SPAIRS S-pairs,
-# naming the basis size and the largest sugar.
+# When a signature pair's sugar passes the degree bound, the loop starts
+# over from the reduced generators on the sugar queue.  A run raises
+# ResourceError once it has reduced MAX_SPAIRS S-pairs, naming the basis
+# size and the largest sugar.
 
 
 def _prepare(terms: dict, rank, ring: PolyRing):
@@ -780,25 +782,22 @@ class _SignaturePairs:
     leading monomial, the newest on a tie.  `limits` keeps reductions
     below the current signature.  Signatures up to the degree bound fit
     the ring's fields (a guard bit shows one that does not): a Koszul
-    syzygy past it is passed over, and a pair past it starts the run over
-    from its inputs on `_SugarPairs`, which may skip that pair."""
+    syzygy past it is passed over, and `pop` reports a pair past it, on
+    which the run starts over from its inputs on `_SugarPairs`."""
 
     def __init__(self, prepared, sugars, ring: PolyRing):
         shift = ring._shift
-        self.prepared, self.sugars, self.ring = prepared, sugars, ring
-        self.inputs, self.b = len(prepared), len(prepared).bit_length()
+        self.prepared, self.ring, self.b = prepared, ring, len(prepared).bit_length()
         self.fields, self.divides = (1 << shift) - 1, ring._guards | -(1 << shift)
         # elements: (lead, key, signature); heap: (key, i, j, lcm, signature)
-        self.elements, self.heap, self.rest = [], [], None
+        self.elements, self.heap = [], []
         self.syz = [[] for _ in prepared]  # per position, minimal syzygy signatures
-        for h in range(self.inputs):
+        for h in range(len(prepared)):
             self.sig = ((((sugars[h] << shift) + self.fields) << self.b) + h, h << shift)
             self.add(h)
 
     def add(self, h):
         """Element h, made under the signature of the pair popped last."""
-        if self.rest:
-            return self.rest.add(h)
         lh = self.prepared[h][0]
         (kh, sh), b, fields = self.sig, self.b, self.fields
         for g, (lg, kg, sg) in enumerate(self.elements):
@@ -825,9 +824,8 @@ class _SignaturePairs:
         syz.append(s)
 
     def pop(self):
-        """(i, j, lcm) of the next pair, or None."""
-        if self.rest:
-            return self.rest.pop()
+        """(i, j, lcm) of the next pair, None when there is none, and ()
+        when its sugar passes the degree bound."""
         ring, divides, b = self.ring, self.divides, self.b
         while self.heap:
             key, i, j, lcm, s = heappop(self.heap)
@@ -836,7 +834,7 @@ class _SignaturePairs:
                     break
             else:
                 if key >> b >> ring._shift > ring.max_degree:  # the sugar
-                    return self._unsigned().pop()
+                    return ()
                 # the rewriter: the least leading monomial is the largest packed int
                 best = None
                 for n, (lead, kn, sn) in enumerate(self.elements):
@@ -849,21 +847,14 @@ class _SignaturePairs:
                     return i, j, lcm
         return None
 
-    def _unsigned(self):
-        del self.prepared[self.inputs :], self.sugars[self.inputs :]
-        self.rest = _SugarPairs(self.prepared, self.sugars, None, self.ring)
-        return self.rest
-
     def limits(self):
         """limits[n] is the packed monomial that x^e must lie above for
-        x^e / lm(n) times element n to keep below the current signature;
-        None after a start over."""
+        x^e / lm(n) times element n to keep below the current signature."""
         key, b = self.sig[0], self.b
-        return None if self.rest else [(k + (l << b) - key) >> b for l, k, _ in self.elements]
+        return [(k + (l << b) - key) >> b for l, k, _ in self.elements]
 
     def zero(self):
-        if not self.rest:
-            self._syzygy(self.sig[1])
+        self._syzygy(self.sig[1])
 
 
 def _buchberger(gens, order: MonomialOrder, track: bool):
@@ -893,13 +884,17 @@ def _buchberger(gens, order: MonomialOrder, track: bool):
         return [], cofs
     if not any(d[2] for d in prepared):  # monomials: every S-polynomial is 0
         return _reduce_basis(prepared, cofs, ring, rank)
-    sugars = [d[4] for d in prepared]
+    sugars, count = [d[4] for d in prepared], len(prepared)
     if track or rank is not None:  # signatures need a degree-first order: grevlex
         pairs = _SugarPairs(prepared, sugars, rank, ring)
     else:
         pairs = _SignaturePairs(prepared, sugars, ring)
     reduced = 0
     while (pair := pairs.pop()) is not None:
+        if not pair:  # a signature past the degree bound: start over on sugar
+            del prepared[count:], sugars[count:]
+            pairs = _SugarPairs(prepared, sugars, rank, ring)
+            continue
         if reduced == MAX_SPAIRS:
             raise ResourceError(
                 f"Gröbner basis unfinished after {reduced} S-pairs reduced: "

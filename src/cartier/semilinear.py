@@ -327,21 +327,28 @@ class _TwistedModule(_Immutable):
         """The points of k^n under the structural map (`linalg._points`)."""
         return linalg._points(self.spec, self.dim, cap, self._a, self._apply)
 
-    def _cyclic_spans(self, points, simple=False):
+    def _cyclic_spans(self, points, cap=None, simple=False):
         """Z(v) = <v, Cv, C^2 v, ...> for every point v of `points`, by one
         walk of the point map [v] -> [Cv] (C(cv) is a multiple of C(v)).  As
         Z(v) = <v> + Z(Cv), a walk stops at a known Z, at zero, or at a
         repeat, which closes a cycle whose points all have its span; unwound,
         a point keeps Z(Cv) when it lies in it and extends its rows otherwise.
         Returns the distinct spans as RREF (rows, pivots) of `points`' kind,
-        zero first, their point bitsets, and of[j], the index of the span
-        of point j.  With `simple`, None as soon as some Z(v) is not V."""
+        zero first, their point bitsets, of[j], the index of the span of
+        point j, and `span`, which interns RREF rows on those lists and
+        returns their index: ResourceError past `cap` spans, when given.
+        With `simple`, None as soon as some Z(v) is not V."""
         n, vectors, extend = self.dim, points.vectors, points.extend
         spans, masks, where, of = [((), ())], [0], {(): 0}, [None] * len(vectors)
 
         def span(rows, pivots):
             key = points.key(rows)
             if key not in where:
+                if len(spans) == cap:
+                    raise ResourceError(
+                        f"submodule lattice has more than {cap} members, above "
+                        f"the cap (the next one found has dimension {len(key)})"
+                    )
                 where[key] = len(spans)
                 spans.append((key, tuple(pivots)))
                 masks.append(points.mask(key) if len(key) < n else (1 << len(vectors)) - 1)
@@ -373,7 +380,7 @@ class _TwistedModule(_Immutable):
                 of[i] = z
             if simple and path and len(spans[of[path[-1]]][0]) < n:
                 return None  # the least Z(v) on the walk, inside all the others
-        return spans, masks, of
+        return spans, masks, of, span
 
     def dual(self):
         """The module of the other twist on the dual space, with matrix
@@ -542,20 +549,9 @@ class SemilinearModule(_TwistedModule):
         unpacked into Subspaces once sorted.
         """
         spec, n, points = self.spec, self.dim, self._points(cap)
-        elems, masks, where, covers = [((), ())], [0], {(): 0}, []
-
-        def member(rows, pivots, mask=None):
-            key = points.key(rows)
-            if key not in where:
-                if len(elems) == cap:
-                    raise ResourceError(
-                        f"submodule lattice has more than {cap} members, above "
-                        f"the cap (the next one found has dimension {len(key)})"
-                    )
-                where[key] = len(elems)
-                elems.append((key, tuple(pivots)))
-                masks.append(points.mask(key) if mask is None else mask)
-            return where[key]
+        # the cyclic spans are the first members, distinct, so member i is span i
+        elems, masks, cyclic, member = self._cyclic_spans(points, cap)
+        covers = []
 
         def add(sub, cyc):  # the member N + <v>
             rows, pivots = map(list, sub)
@@ -563,9 +559,6 @@ class SemilinearModule(_TwistedModule):
                 points.extend(rows, pivots, r)
             return member(rows, pivots)
 
-        spans, span_masks, cyclic = self._cyclic_spans(points)
-        for (rows, pivots), mask in zip(spans[1:], span_masks[1:]):
-            member(rows, pivots, mask)  # distinct, so member i is spans[i]
         for sub, mask in zip(elems, masks):  # both grow as members are found
             todo, sums, up_dim = ~mask & ((1 << len(points.vectors)) - 1), {}, len(sub[0]) + 1
             while todo:
@@ -616,9 +609,10 @@ class SemilinearModule(_TwistedModule):
     # -- subquotients ---------------------------------------------------
 
     def restrict_to(self, sub: Subspace) -> "SemilinearModule":
-        if not self.is_stable(sub):
-            raise UsageError("cannot restrict to a subspace that is not C-stable")
+        sub._require(self.spec, self.dim)
         images = [self._apply(r) for r in sub._rows]
+        if any(any(sub._residue(v)) for v in images):  # is_stable on these images
+            raise UsageError("cannot restrict to a subspace that is not C-stable")
         # C(w_i) = sum_j images[i][pivot j] w_j: the coordinate action is
         # the transpose
         return SemilinearModule._of(self.spec, [[v[pc] for v in images] for pc in sub.pivots])

@@ -261,6 +261,18 @@ def test_nil_series_nilpotent_module(f2):
     assert [s.dim for s in series] == [1, 0]
 
 
+def test_nil_series_restricts_to_the_stable_image_once(monkeypatch):
+    restricted, real = [], SemilinearModule.restrict_to
+    monkeypatch.setattr(
+        SemilinearModule, "restrict_to", lambda self, sub: restricted.append(sub) or real(self, sub)
+    )
+    for m in random_suite(count=30, max_dim=3, seed=888):
+        top = m.stable_image()
+        restricted.clear()
+        crystal.nil_series(m)
+        assert restricted.count(top) == 1
+
+
 def test_nil_series_structure_on_suite():
     for m in random_suite(count=30, max_dim=3, seed=888):
         series = crystal.nil_series(m)

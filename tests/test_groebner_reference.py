@@ -206,6 +206,7 @@ def test_untracked_runs_match_fifo_reference(monkeypatch, p, d, order):
     ring = PolyRing(FieldSpec(p, d), ("x", "y", "z"))
     rng = random.Random(9000 * p + 10 * d + len(repr(order)))
     runs = _record_calls(monkeypatch, "_SignaturePairs")
+    restarts = _record_calls(monkeypatch, "_SugarPairs")
     nontrivial = 0
     for _ in range(10):
         gens = [random_poly(rng, ring, max_terms=4, max_exp=2) for _ in range(rng.randint(3, 4))]
@@ -214,7 +215,7 @@ def test_untracked_runs_match_fifo_reference(monkeypatch, p, d, order):
         nontrivial += len(basis) > 1
     assert nontrivial
     if order == GREVLEX:
-        assert runs and all(pairs.rest is None for _, pairs in runs)
+        assert runs and not restarts
     else:
         assert not runs
 
@@ -244,6 +245,28 @@ def test_signature_runs_start_over_on_the_sugar_queue(
         basis = groebner_basis([ring.parse(t) for t in texts], GREVLEX)
         assert sorted(map(str, basis)) == sorted(expected)
         assert len(restarts) == starts
+
+
+@pytest.mark.parametrize("p,names,bound,texts,expected", RESTARTS, ids=["F3", "F7"])
+def test_signature_pop_leaves_the_lists_to_the_loop(
+    monkeypatch, p, names, bound, texts, expected
+):
+    # `pop` only reports the pair past the degree bound: the loop alone
+    # cuts its basis back to the inputs before it starts over.
+    pops, real = [], poly._SignaturePairs.pop
+
+    def pop(self):
+        before = len(self.prepared)
+        pair = real(self)
+        pops.append((before, len(self.prepared), pair))
+        return pair
+
+    monkeypatch.setattr(poly._SignaturePairs, "pop", pop)
+    ring = PolyRing(FieldSpec(p, 1), names, bound)
+    basis = groebner_basis([ring.parse(t) for t in texts], GREVLEX)
+    assert sorted(map(str, basis)) == sorted(expected)
+    assert all(before == after for before, after, _ in pops)
+    assert pops[-1][2] == ()
 
 
 def test_a_constant_ends_the_run(monkeypatch):

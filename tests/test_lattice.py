@@ -269,7 +269,7 @@ def test_identity_on_gf4_4_within_a_work_budget(monkeypatch):
 def _walks(m):
     """What the lattice walks give on m, with spans as packed rows."""
     points = m._points(100_000)
-    spans, span_masks, of = m._cyclic_spans(points)
+    spans, span_masks, of, _ = m._cyclic_spans(points)
     answers = {
         "spans": [(points.unpack(rows), pivots) for rows, pivots in spans],
         "span masks": span_masks,

@@ -10,6 +10,7 @@ import pytest
 import cartier
 
 SOURCES = sorted(pathlib.Path(cartier.__file__).parent.glob("*.py"))
+TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
 
 
 def absolute_imports(path):
@@ -79,20 +80,42 @@ def names_read(tree, skip=None):
         stack.extend(ast.iter_child_nodes(node))
 
 
+def named_outside(node, module):
+    """Whether src/ names the definition `node` of `module` outside itself."""
+    return any(
+        node.name in set(names_read(tree, node if name == module else None))
+        for name, tree in TREES.items()
+    )
+
+
 def test_every_public_function_has_a_caller_or_a_reason():
     """A module-level public function is exported, named in src/ outside
     its own def, or listed in UNCALLED; and every entry of UNCALLED is a
     function that nothing else keeps."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     uncalled = []
-    for module, tree in trees.items():
+    for module, tree in TREES.items():
         for node in tree.body:
             if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
                 continue
             if node.name in cartier._EXPORTS.get(module, ()):
                 continue
-            others = (names_read(t, node if t is tree else None) for t in trees.values())
-            if not any(node.name in set(names) for names in others):
+            if not named_outside(node, module):
                 uncalled.append(f"{module}.{node.name}")
     assert sorted(uncalled) == sorted(UNCALLED)
     assert all(UNCALLED.values())
+
+
+def test_every_private_definition_has_a_caller():
+    """A `_name` function, class or method, at any depth, is named in src/
+    outside its own definition, so no helper outlives its last caller.
+    Dunder methods are exempt: the language calls them."""
+    uncalled = [
+        f"{module}.{node.name}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not named_outside(node, module)
+    ]
+    assert uncalled == []

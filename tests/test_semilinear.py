@@ -1014,6 +1014,17 @@ def test_restrict_requires_stability(f2):
         m.restrict_to(line)
 
 
+def test_restrict_to_applies_c_once_per_basis_vector(monkeypatch):
+    """The stability check reads the images the restriction is built from."""
+    calls, real = [], SemilinearModule._apply
+    monkeypatch.setattr(SemilinearModule, "_apply", lambda self, v: calls.append(1) or real(self, v))
+    for m in random_suite(count=20, max_dim=4, seed=61):
+        for sub in (m.stable_image(), m.nilpotent_part(), Subspace.full(m.spec, m.dim)):
+            calls.clear()
+            assert m.restrict_to(sub).dim == sub.dim
+            assert len(calls) == sub.dim
+
+
 def test_quotient_kills_stable_part(f2):
     m = module_from_ints(f2, [[1, 1], [0, 0]])
     q, qmap = m.quotient_by(m.stable_image())
