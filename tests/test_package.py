@@ -1,6 +1,7 @@
 """Package-level promises that no single module test covers."""
 
 import ast
+from collections import Counter
 import importlib
 import pathlib
 import sys
@@ -65,14 +66,11 @@ UNCALLED = {
 }
 
 
-def names_read(tree, skip=None):
-    """Every name read as a variable or an attribute in tree, outside the
-    subtree `skip`."""
+def names_read(tree):
+    """Every name read as a variable or an attribute in tree."""
     stack = [tree]
     while stack:
         node = stack.pop()
-        if node is skip:
-            continue
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
@@ -80,12 +78,12 @@ def names_read(tree, skip=None):
         stack.extend(ast.iter_child_nodes(node))
 
 
-def named_outside(node, module):
-    """Whether src/ names the definition `node` of `module` outside itself."""
-    return any(
-        node.name in set(names_read(tree, node if name == module else None))
-        for name, tree in TREES.items()
-    )
+NAMES = Counter(name for tree in TREES.values() for name in names_read(tree))
+
+
+def named_outside(node):
+    """Whether src/ names the definition `node` outside itself."""
+    return NAMES[node.name] > Counter(names_read(node))[node.name]
 
 
 def test_every_public_function_has_a_caller_or_a_reason():
@@ -99,7 +97,7 @@ def test_every_public_function_has_a_caller_or_a_reason():
                 continue
             if node.name in cartier._EXPORTS.get(module, ()):
                 continue
-            if not named_outside(node, module):
+            if not named_outside(node):
                 uncalled.append(f"{module}.{node.name}")
     assert sorted(uncalled) == sorted(UNCALLED)
     assert all(UNCALLED.values())
@@ -116,6 +114,6 @@ def test_every_private_definition_has_a_caller():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name.startswith("_")
         and not (node.name.startswith("__") and node.name.endswith("__"))
-        and not named_outside(node, module)
+        and not named_outside(node)
     ]
     assert uncalled == []
