@@ -19,7 +19,7 @@ Over GF(2) the lattice walks run on ints, one bit per entry (`_points`).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice, product
+from itertools import islice, product, tee
 
 from .errors import InvariantViolation, ResourceError, UsageError
 from .field import FieldElement, FieldSpec, _Immutable, embed
@@ -276,14 +276,15 @@ class _TwistedModule(_Immutable):
         return self.spec.wrap(self._apply(_unwrap(self.spec, self.dim, v)))
 
     def _powers(self):
-        """Yield packed B_0 = I, B_{i+1} = A . twist(B_i), without end.
+        """Yield packed B_0 = I, B_1 = A, B_{i+1} = A . twist(B_i), without end.
 
         The i-th power of v -> A . twist(v) is v -> B_i . twist^i(v).
-        B_{i+1} costs one matrix product and is computed only when asked
-        for, so a walk that stops at B_i has made i of them.
+        B_{i+1} costs one matrix product from B_2 on and is computed only
+        when asked for, so a walk that stops at B_i, i >= 1, has made i - 1.
         """
         k, a, shift = self.spec.kernel, self._a, self._sign * self.spec.e
-        b = linalg._identity(self.dim, k)
+        yield linalg._identity(self.dim, k)
+        b = a
         while True:
             yield b
             b = linalg._mul(a, [k.frob_row(row, shift) for row in b], k)
@@ -303,19 +304,23 @@ class _TwistedModule(_Immutable):
         images fall until the Fitting index m, the least i with rank
         B_(i+1) = rank B_i, and stay from then on (Hartshorne-Speiser);
         V = ker + image of the m-th power.  The walk stops at B_m when it
-        is zero and at B_(m+1) otherwise: at most m + 1 matrix products.
-        It walks `powers` when given, an iterator over `_powers()`."""
-        k, ranks = self.spec.kernel, []
-        for b in self._powers() if powers is None else powers:
+        is zero and at B_(m+1) otherwise, so it makes m - 1 matrix products
+        when B_m = 0 and m otherwise, none for n = 0.  B_0 = I is its own
+        RREF, of rank n.  It walks `powers` when given, an iterator over
+        `_powers()`, from B_0."""
+        k, n = self.spec.kernel, self.dim
+        powers = self._powers() if powers is None else powers
+        ranks, b_m = [n], next(powers)
+        image = (b_m, range(n))
+        while ranks[-1]:
+            b = next(powers)
             rows, pivots = linalg._rref(zip(*b), k)
-            if ranks and len(rows) >= ranks[-1]:
+            if len(rows) >= ranks[-1]:
                 if len(rows) > ranks[-1]:
                     raise InvariantViolation("the rank of a twisted power rose")
                 break
             ranks.append(len(rows))
             b_m, image = b, (rows, pivots)
-            if not rows:
-                break
         return ranks, b_m, image
 
     def nilord(self) -> int | None:
@@ -414,6 +419,8 @@ class SemilinearModule(_TwistedModule):
 
     def is_stable(self, sub: Subspace) -> bool:
         sub._require(self.spec, self.dim)
+        if sub.dim == self.dim:  # C maps V into V
+            return True
         return not any(any(sub._residue(self._apply(r))) for r in sub._rows)
 
     def stable_image(self) -> Subspace:
@@ -427,6 +434,8 @@ class SemilinearModule(_TwistedModule):
     def _kernel_part(self, ranks, b_m) -> Subspace:
         """ker C^m = sigma^(me)(ker B_m), from the ranks and B_m of a walk
         to the Fitting index m."""
+        if ranks[-1] == self.dim:  # rank-nullity: B_m has no kernel
+            return Subspace.zero(self.spec, self.dim)
         n, k, shift = self.dim, self.spec.kernel, (len(ranks) - 1) * self.spec.e
         kern = linalg._null_space(b_m, n, k)
         return Subspace._span(self.spec, n, [k.frob_row(v, shift) for v in kern])
@@ -495,8 +504,9 @@ class SemilinearModule(_TwistedModule):
     def saturation_degree(self, max_m: int = 6) -> int | None:
         """Least m <= max_m where the fixed-point F_q-dimension reaches
         the stable-image dimension; None when the cap is hit first."""
-        target = self.stable_image().dim
-        dims = zip(range(1, max_m + 1), self._base_change_fixed_dims())
+        walk, again = tee(self._powers())
+        target = self._fitting(walk)[0][-1]  # rank B_m, the stable image's dimension
+        dims = zip(range(1, max_m + 1), self._base_change_fixed_dims(again))
         return next((m for m, fixed in dims if fixed == target), None)
 
     # -- Hom, End, enumeration -----------------------------------------

@@ -287,12 +287,13 @@ def test_oracle_agreement_on_small_random_modules():
 
 
 def fitting_products(m):
-    """The matrix products of a walk to the Fitting index: m + 1, or m
-    when B_m = 0, with m the first index whose rank the next one repeats.
-    The ranks come from the public power matrices."""
+    """The matrix products of a walk to the Fitting index: m, or m - 1
+    when B_m = 0, and none for n = 0, with m the first index whose rank
+    the next one repeats (B_0 = I and B_1 = A are free).  The ranks come
+    from the public power matrices."""
     ranks = [rank(m.power_matrix(i), m.spec) for i in range(m.dim + 2)]
     fit = next(i for i in range(m.dim + 1) if ranks[i + 1] == ranks[i])
-    return fit + (ranks[fit] > 0)
+    return max(fit + (ranks[fit] > 0) - 1, 0)
 
 
 def count_products(monkeypatch):
@@ -325,6 +326,39 @@ def test_decompose_walks_the_powers_once(gf8, monkeypatch):
     calls = count_products(monkeypatch)
     m.decompose()
     assert len(calls) == expected
+
+
+def test_decompose_of_an_invertible_module_multiplies_and_applies_nothing(gf8, monkeypatch):
+    # B_1 = A is free, a full-rank B_m has no kernel, and C maps V into V
+    rng = random.Random(89)
+    m = random_module(rng, gf8, 8)
+    while rank(m.matrix, gf8) < 8:
+        m = random_module(rng, gf8, 8)
+    products, applied, kernels = count_products(monkeypatch), [], []
+    apply, null_space = SemilinearModule._apply, linalg._null_space
+    monkeypatch.setattr(SemilinearModule, "_apply", lambda *a: applied.append(1) or apply(*a))
+    monkeypatch.setattr(linalg, "_null_space", lambda *a: kernels.append(1) or null_space(*a))
+    dec = m.decompose()
+    assert dec.v_nil.is_zero and dec.v_underline.dim == 8 and dec.nilord is None
+    assert (len(products), len(applied), len(kernels)) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(2, 2), FieldSpec(2, 3)], ids=repr)
+def test_saturation_degree_walks_the_powers_once(spec, monkeypatch):
+    # B = B_(d/e) comes from the Fitting walk's powers: max(walk, d/e - 1)
+    # products, then B^2, ..., B^s for the answer s (max_m when capped)
+    rng, max_m = random.Random(spec.d), 4
+    modules = [random_module(rng, spec, 5), nilpotent_jordan(spec, (3, 1))]
+    modules += [module_with_nilpotent_part(rng, spec, 5) for _ in range(4)]
+    answers = [m.saturation_degree(max_m=max_m) for m in modules]
+    expected = [
+        max(fitting_products(m), spec.d - 1) + (s or max_m) - 1 for m, s in zip(modules, answers)
+    ]
+    calls = count_products(monkeypatch)
+    for m, s, want in zip(modules, answers, expected):
+        calls.clear()
+        assert m.saturation_degree(max_m=max_m) == s
+        assert len(calls) == want
 
 
 FITTING_QUESTIONS = {
@@ -363,14 +397,14 @@ def test_every_fitting_question_walks_the_powers_once(question, gf4, gf8, monkey
 
 def test_the_profile_takes_the_base_change_power_from_its_walk(gf4, gf8, monkeypatch):
     # B_(d/e) comes from the powers the walk formed, or from where the walk
-    # stopped: max(walk, d/e) products, then B^2 and B^3 for m = 2, 3
+    # stopped: max(walk, d/e - 1) products, then B^2 and B^3 for m = 2, 3
     rng = random.Random(86)
     modules = [random_module(rng, gf8, 4), random_module(rng, gf8, 6), low_rank(rng, gf4, 6, 3)]
     modules += [module_with_nilpotent_part(rng, gf8, 6) for _ in range(3)]
     modules += [nilpotent_jordan(gf8, (3, 2, 1)), strictly_upper(rng, gf4, 5)]
-    expected = [max(fitting_products(m), m.spec.d // m.spec.e) + 2 for m in modules]
-    assert any(fitting_products(m) < m.spec.d // m.spec.e for m in modules)
-    assert any(fitting_products(m) > m.spec.d // m.spec.e for m in modules)
+    expected = [max(fitting_products(m), m.spec.d // m.spec.e - 1) + 2 for m in modules]
+    assert any(fitting_products(m) < m.spec.d // m.spec.e - 1 for m in modules)
+    assert any(fitting_products(m) > m.spec.d // m.spec.e - 1 for m in modules)
     calls = count_products(monkeypatch)
     for m, want in zip(modules, expected):
         calls.clear()
@@ -407,11 +441,37 @@ def test_each_crystal_question_walks_a_module_once(gf4, gf8, monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_a_nilpotent_jordan_block_makes_at_most_n_products(n, f2, gf9, monkeypatch):
+    # B_n = 0 ends the walk, and B_0 = I and B_1 = A are free
     for spec in (f2, gf9):
         m = nilpotent_jordan(spec, (n,))
         calls = count_products(monkeypatch)
         dec = m.decompose()
-        assert dec.nilord == n and dec.v_nil.dim == n and len(calls) == n
+        assert dec.nilord == n and dec.v_nil.dim == n and len(calls) == n - 1
+
+
+def test_the_walk_from_b0_on_the_smallest_modules(gf8, f2):
+    empty = SemilinearModule(gf8, [])
+    dec = empty.decompose()
+    assert empty.nilord() == 0 and dec.nilord == 0
+    assert dec.v_nil.is_zero and dec.v_underline.is_zero
+    assert crystal.invariant_profile(empty) == (0, 0, (0,), (0, 0, 0))
+    zero = module_from_ints(f2, [[0]])
+    assert zero.nilord() == 1 and zero.decompose().v_nil.dim == 1
+    assert crystal.invariant_profile(zero) == (1, 1, (1, 0), (0, 0, 0))
+
+
+def test_the_first_power_matrix_is_the_matrix(gf8):
+    m = random_module(random.Random(81), gf8, 4)
+    dual = m.dual()
+    assert isinstance(dual, FrobeniusModule)
+    assert m.power_matrix(1) == m.matrix and dual.power_matrix(1) == dual.matrix
+
+
+def test_a_full_subspace_of_another_spec_is_not_checked_for_stability(f2, gf4):
+    m = module_from_ints(f2, [[1, 0], [0, 1]])
+    for other in (Subspace.full(gf4, 2), Subspace.full(f2, 3)):
+        with pytest.raises(UsageError):
+            m.is_stable(other)
 
 
 def test_profile_ranks_are_the_ranks_of_the_power_matrices():
