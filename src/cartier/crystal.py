@@ -94,11 +94,7 @@ def jordan_holder(module: SemilinearModule, cap: int = 100_000) -> CrystalReport
     """Enumerate the crystal's submodule lattice and certify that every
     maximal chain has the same length: each cover raises the height
     above the bottom by exactly one."""
-    return _jordan_holder(minimal_rep(module), cap)
-
-
-def _jordan_holder(rep: SemilinearModule, cap: int) -> CrystalReport:
-    """`jordan_holder` given the minimal representative."""
+    rep = minimal_rep(module)
     # C is bijective on rep, so every C-stable subspace is fixed
     lattice, _, edges = rep._lattice(cap)
     height = [0] + [None] * (len(lattice) - 1)

@@ -15,7 +15,7 @@ nilpotence/support analysis of cyclic quotients.
 from __future__ import annotations
 
 from .errors import DomainError, InvariantViolation, ResourceError, UsageError
-from .field import FieldSpec, _Immutable
+from .field import _Immutable
 from .poly import (
     GREVLEX,
     Ideal,
@@ -53,7 +53,7 @@ def frobenius_descent(g: Polynomial, e: int):
     x^(a // q) of g_(a % q), so no two terms meet.
     """
     ring = g.ring
-    _require_twist(ring.field, e)
+    _require_twist(e)
     q = ring.field.p**e
     t, offsets, mask = g._packed, ring._offsets, ring._mask
     parts: dict = {}
@@ -68,7 +68,7 @@ def cartier_std(g: Polynomial, e: int) -> Polynomial:
     """Classical Cartier operator at level q = p^e, extended additively:
     the descent component g_(q-1, ..., q-1)."""
     ring = g.ring
-    _require_twist(ring.field, e)
+    _require_twist(e)
     q = ring.field.p**e
     t, offsets, mask = g._packed, ring._offsets, ring._mask
     kept = [a for a in t if all((a >> s & mask) % q == q - 1 for s in offsets)]
@@ -77,7 +77,7 @@ def cartier_std(g: Polynomial, e: int) -> Polynomial:
     return _new(ring, {(a - top) // q: r for a, r in zip(kept, roots)})
 
 
-def _require_twist(field: FieldSpec, e: int):
+def _require_twist(e: int):
     # q-th roots always exist in GF(p^d) (the field is perfect), so any
     # level is meaningful here; composites live at level 2e even when the
     # base level divides d.
@@ -99,14 +99,6 @@ def _antichains(width: int):
 
     extend(0, [])
     return out
-
-
-def _minimal_transversals(family, width: int):
-    """The subsets of range(width) that meet every member of the family
-    and have no proper subset that does, as bitmasks."""
-    hit = {h for h in range(1 << width) if all(h & s for s in family)}
-    bits = [1 << n for n in range(width)]
-    return [h for h in hit if all(h & ~b not in hit for b in bits if h & b)]
 
 
 def _stabilise(step, start: Ideal, cap: int, what: str):
@@ -134,7 +126,7 @@ class CartierOperator(_Immutable):
     def __init__(self, ring: PolyRing, multiplier: Polynomial, e: int = 1):
         if multiplier.ring != ring:
             raise UsageError("multiplier outside the ring")
-        _require_twist(ring.field, e)
+        _require_twist(e)
         self._set(ring=ring, multiplier=multiplier, e=e)
 
     @property
@@ -269,11 +261,10 @@ class CartierOperator(_Immutable):
         and a generator x^H whose support meets S in i alone (one exists
         because S is minimal), some C(f * x^H * x^b) is a monomial outside
         the prime; primes on T are compatible, and so are intersections.
-        So the answers are the intersections over the antichains of
-        subsets of T, and each is generated by the monomials of the
-        minimal transversals of its antichain (the empty antichain gives
-        the unit ideal, the antichain of the empty set the zero ideal).
-        Their number is the Dedekind number of |T|, which `cap` bounds.
+        So the answers are the intersections over the antichains of subsets
+        of T.  Minimal transversals biject those antichains, so the x^S of
+        each antichain generate one answer (the empty one the zero ideal, {∅}
+        the unit ideal); `cap` bounds their number, the Dedekind number of |T|.
         """
         if len(self.multiplier._packed) != 1:
             raise UsageError("enumeration requires a monomial multiplier")
@@ -287,19 +278,16 @@ class CartierOperator(_Immutable):
                 f"antichain count {total if total is not None else '>10^20'} "
                 f"exceeds the cap {cap}"
             )
+        ring, width = self.ring, len(support)
+        # x^S for each subset S of T (a bitmask), listed in an answer by S's variables
+        variables = {h: [v for n, v in enumerate(support) if h >> n & 1] for h in range(1 << width)}
+        xs = {h: ring.monomial(int(i in s) for i in range(ring.nvars)) for h, s in variables.items()}
         out = []
-        for primes in _antichains(len(support)):
-            supports = sorted(
-                [v for n, v in enumerate(support) if h >> n & 1]
-                for h in _minimal_transversals(primes, len(support))
-            )
-            gens = tuple(
-                self.ring.monomial(1 if i in s else 0 for i in range(self.ring.nvars))
-                for s in supports
-            )
+        for chain in _antichains(width):
+            gens = tuple(xs[h] for h in sorted(chain, key=variables.get))
             # monic monomials, none dividing another: their own reduced basis
             basis = sorted(gens, key=lambda g: min(g._packed), reverse=True)
-            out.append(Ideal._with_basis(self.ring, gens, basis))
+            out.append(Ideal._with_basis(ring, gens, basis))
         out.sort(key=lambda i: i.key())
         return out
 

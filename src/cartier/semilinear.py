@@ -481,17 +481,16 @@ class SemilinearModule(_TwistedModule):
             big, tuple(tuple(phi(x) for x in row) for row in self.matrix)
         )
 
-    def _base_change_fixed_dims(self, powers=None):
+    def _base_change_fixed_dims(self, powers):
         """Yield len(self.base_change(m).fixed_points()) for m = 1, 2, ...
         as n - rank(B^m - I), B = B_(d/e), without building GF(p^(dm)).
-        B is taken from `powers` when given, an iterator over `_powers()`.
+        B is taken from `powers`, an iterator over `_powers()`.
 
         B = C^(d/e) is k-linear.  A fixed point v over the algebraic closure
         has v^(p^d) = B v, so it lies in GF(p^(dm))^n exactly when B^m v = v.
         The fixed points span the unit part over the closure (Katz, LNM 350,
         4.1), and B is nilpotent on the nilpotent part."""
         spec, n, k = self.spec, self.dim, self.spec.kernel
-        powers = self._powers() if powers is None else powers
         b = bm = next(islice(powers, spec.d // spec.e, None))
         while True:
             shifted = [

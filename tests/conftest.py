@@ -15,7 +15,8 @@ for a field; both build matrices by FieldElement arithmetic
 Gauss-Jordan elimination on packed rows.  `oracle_parse` evaluates a polynomial string with the
 polynomial operators, one product per `*` and one power per `^`.
 `oracle_compatible_monomial` runs the operator's `is_compatible` test on
-every squarefree monomial ideal of the ring.  `oracle_stabilise` is the
+every squarefree monomial ideal of the ring, one for each antichain that
+`antichains_of_subsets` lists.  `oracle_stabilise` is the
 older image-chain loop, which steps from every generator built up so far
 instead of from each ideal's reduced basis.  `oracle_fp_kernel` is the
 older F_p solve: F_p coordinate rows through `linalg._null_space`.
@@ -571,11 +572,11 @@ def _in_ambient(sub: Subspace, inside: Subspace) -> Subspace:
 
 def oracle_lattice_nil_series(module: SemilinearModule, cap: int = 100_000):
     """The series of `crystal.nil_series` by the lattice walk: grow the
-    lattice of the minimal representative with `crystal._jordan_holder`,
+    lattice of the minimal representative with `crystal.jordan_holder`,
     then step from the top to the last lower cover of each member, which
     is the largest proper submodule by (dimension, RREF rows)."""
     top = module.stable_image()
-    report = crystal._jordan_holder(crystal._minimal_rep(module, top), cap)
+    report = crystal.jordan_holder(module, cap)
     lattice, last = report.lattice, [0] * len(report.lattice)
     for i, j in report.edges:  # sorted, so the last i for j is the largest
         last[j] = i
@@ -703,12 +704,8 @@ def oracle_parse(ring, text: str):
     return result
 
 
-def oracle_compatible_monomial(op):
-    """The squarefree monomial ideals that `op.is_compatible` accepts,
-    sorted canonically: one Gröbner check for each antichain of subsets of
-    the variables, each antichain giving the monomials it supports as
-    generators (the empty antichain the zero ideal)."""
-    n = op.ring.nvars
+def antichains_of_subsets(n):
+    """Every antichain of subsets of range(n), as a tuple of frozensets."""
     subsets = []
     for r in range(n + 1):
         subsets.extend(frozenset(c) for c in combinations(range(n), r))
@@ -724,8 +721,17 @@ def oracle_compatible_monomial(op):
                 chosen.pop()
 
     extend(0, [])
+    return antichains
+
+
+def oracle_compatible_monomial(op):
+    """The squarefree monomial ideals that `op.is_compatible` accepts,
+    sorted canonically: one Gröbner check for each antichain of subsets of
+    the variables, each antichain giving the monomials it supports as
+    generators (the empty antichain the zero ideal)."""
+    n = op.ring.nvars
     out = []
-    for chain in antichains:
+    for chain in antichains_of_subsets(n):
         gens = tuple(
             op.ring.monomial(tuple(1 if i in s else 0 for i in range(n)))
             for s in sorted(chain, key=sorted)

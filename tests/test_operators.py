@@ -18,7 +18,7 @@ from cartier.operators import (
     frobenius_descent,
 )
 
-from conftest import oracle_compatible_monomial, oracle_stabilise
+from conftest import antichains_of_subsets, oracle_compatible_monomial, oracle_stabilise
 from test_poly import outside_x, random_poly
 
 
@@ -601,6 +601,50 @@ def test_enumerate_cap_follows_the_support():
     full = CartierOperator(ring, ring.parse("a^2*b^2*c^2*d^2*e^2*f^2"), 1)
     with pytest.raises(ResourceError, match="antichain count 7828354 exceeds the cap"):
         full.enumerate_compatible_monomial()
+
+
+# (p, d, e, variables, f): T is every variable
+MONOMIAL_BUILD_CASES = [
+    (2, 1, 1, "x0,x1,x2,x3", "x0*x1*x2*x3"),
+    (2, 1, 1, "x0,x1,x2,x3,x4", "x0*x1*x2*x3*x4"),
+    (3, 2, 2, "a,b,c", "a^8*b^8*c^8"),
+]
+
+
+@pytest.mark.parametrize(
+    "p,d,e,names,f", MONOMIAL_BUILD_CASES, ids=[c[4] for c in MONOMIAL_BUILD_CASES]
+)
+def test_enumeration_builds_each_squarefree_monomial_once(p, d, e, names, f, monkeypatch):
+    ring = PolyRing(FieldSpec(p, d), names.split(","))
+    op = CartierOperator(ring, ring.parse(f), e)
+    calls = []
+    build = PolyRing.monomial
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return build(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolyRing, "monomial", counting)
+    got = op.enumerate_compatible_monomial()
+    assert len(got) == {3: 20, 4: 168, 5: 7581}[ring.nvars]
+    assert len(calls) <= 2**ring.nvars
+
+
+def test_enumerate_five_variables_gives_every_antichain_as_generator_supports():
+    ring = PolyRing(FieldSpec(2, 1), ("x", "y", "z", "u", "v"))
+    op = CartierOperator(ring, ring.parse("x*y*z*u*v"), 1)
+    got = op.enumerate_compatible_monomial()
+    supports = []
+    for ideal in got:
+        terms = [next(iter(g.terms.items())) for g in ideal.gens]
+        assert all(len(g.terms) == 1 for g in ideal.gens)
+        assert all(c == ring.field.one and set(exps) <= {0, 1} for exps, c in terms)
+        supports.append(frozenset(frozenset(i for i, x in enumerate(exps) if x) for exps, _ in terms))
+    want = set(map(frozenset, antichains_of_subsets(5)))
+    assert len(got) == len(set(supports)) == len(want) == 7581
+    assert set(supports) == want
+    for ideal in random.Random(5).sample(got, 50):
+        assert op.is_compatible(ideal)
 
 
 # -- quotient modules ---------------------------------------------------------------------------
