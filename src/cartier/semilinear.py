@@ -332,7 +332,7 @@ class _TwistedModule(_Immutable):
         """The points of k^n under the structural map (`linalg._points`)."""
         return linalg._points(self.spec, self.dim, cap, self._a, self._apply)
 
-    def _cyclic_spans(self, points, cap=None, simple=False):
+    def _cyclic_spans(self, points, cap=None):
         """Z(v) = <v, Cv, C^2 v, ...> for every point v of `points`, by one
         walk of the point map [v] -> [Cv] (C(cv) is a multiple of C(v)).  As
         Z(v) = <v> + Z(Cv), a walk stops at a known Z, at zero, or at a
@@ -341,8 +341,7 @@ class _TwistedModule(_Immutable):
         Returns the distinct spans as RREF (rows, pivots) of `points`' kind,
         zero first, their point bitsets, of[j], the index of the span of
         point j, and `span`, which interns RREF rows on those lists and
-        returns their index: ResourceError past `cap` spans, when given.
-        With `simple`, None as soon as some Z(v) is not V."""
+        returns their index: ResourceError past `cap` spans, when given."""
         n, vectors, extend = self.dim, points.vectors, points.extend
         spans, masks, where, of = [((), ())], [0], {(): 0}, [None] * len(vectors)
 
@@ -360,10 +359,8 @@ class _TwistedModule(_Immutable):
             return where[key]
 
         for j in range(len(vectors)):
-            path, orbit = [], ([], [])
+            path = []
             while j is not None and of[j] is None:
-                if simple and len(orbit[0]) < n and not extend(*orbit, vectors[j]):
-                    return None  # the walk so far spans Z(v) of its first point
                 of[j] = -1  # on this walk
                 path.append(j)
                 j = points.point(points.apply(vectors[j]))
@@ -383,8 +380,6 @@ class _TwistedModule(_Immutable):
                     extend(rows, pivots, vectors[i])
                     z = span(rows, pivots)
                 of[i] = z
-            if simple and path and len(spans[of[path[-1]]][0]) < n:
-                return None  # the least Z(v) on the walk, inside all the others
         return spans, masks, of, span
 
     def dual(self):
@@ -552,15 +547,17 @@ class SemilinearModule(_TwistedModule):
         A stable subspace is the sum of the cyclic submodules of its
         points, so the lattice is the closure of 0 under N -> N + <v>.
         Every member above N contains such a sum, so the covers of N are
-        the minimal sums.  A sum of dimension dim N + 1 is a cover, and
-        the sum for every point in it, so those points are skipped for N.
-        Members are RREF (rows, pivots) in the points' representation,
-        unpacked into Subspaces once sorted.
+        the minimal sums.  A sum of dimension dim N + 1 is a cover, and the
+        sum for every point in it, so those points are skipped for N, and so
+        are the other points of a summed cyclic span: the loop runs once per
+        cyclic span outside N.  Members stay RREF rows of `points` until sorted.
         """
         spec, n, points = self.spec, self.dim, self._points(cap)
         # the cyclic spans are the first members, distinct, so member i is span i
         elems, masks, cyclic, member = self._cyclic_spans(points, cap)
-        covers = []
+        gen, covers = [0] * len(elems), []  # gen[c]: the points whose span is c
+        for j, c in enumerate(cyclic):
+            gen[c] |= 1 << j
 
         def add(sub, cyc):  # the member N + <v>
             rows, pivots = map(list, sub)
@@ -569,15 +566,12 @@ class SemilinearModule(_TwistedModule):
             return member(rows, pivots)
 
         for sub, mask in zip(elems, masks):  # both grow as members are found
-            todo, sums, up_dim = ~mask & ((1 << len(points.vectors)) - 1), {}, len(sub[0]) + 1
+            todo, up, up_dim = ~mask & ((1 << len(points.vectors)) - 1), set(), len(sub[0]) + 1
             while todo:
-                low = todo & -todo
-                c = cyclic[low.bit_length() - 1]
-                if c not in sums:  # N + <v> is <v> when N lies inside it
-                    sums[c] = add(sub, elems[c]) if mask & ~masks[c] else c
-                m = sums[c]
-                todo &= ~(masks[m] if len(elems[m][0]) == up_dim else low)
-            up = set(sums.values())
+                c = cyclic[(todo & -todo).bit_length() - 1]
+                m = add(sub, elems[c]) if mask & ~masks[c] else c  # N + <v> is <v> when N <= <v>
+                up.add(m)
+                todo &= ~(masks[m] if len(elems[m][0]) == up_dim else gen[c])
             covers.append([
                 m for m in up
                 if len(elems[m][0]) == up_dim
@@ -603,9 +597,15 @@ class SemilinearModule(_TwistedModule):
         ]
 
     def is_simple(self, cap: int = 100_000) -> bool:
-        """Whether 0 and V are the only C-stable subspaces: every cyclic
-        submodule is V."""
-        return self.dim > 0 and self._cyclic_spans(self._points(cap), simple=True) is not None
+        """Whether V is nonzero with 0 and V its only cyclic submodules, the
+        sums of which are the C-stable subspaces: `_cyclic_spans` finds a
+        third member otherwise.  `cap` bounds only the points scanned."""
+        points = self._points(cap)
+        try:
+            self._cyclic_spans(points, 2)
+        except ResourceError:
+            return False
+        return self.dim > 0
 
     def end_ring(self, cap: int = 100_000):
         """(order, is_field) for the endomorphism ring of a simple module.

@@ -83,8 +83,9 @@ def test_enumeration_matches_exhaustive_scan(field):
 
 def test_is_simple_when_a_walk_leaves_its_first_span():
     """C the shift e_i -> e_(i+1): the walk of the point map from the
-    first point e_1 spans V but ends at e_n, whose cyclic submodule <e_n>
-    is proper; every later walk starts at a point that spans V too."""
+    first point e_1 spans V but runs through e_n to zero.  Unwound, it
+    interns <e_n> and then <e_(n-1), e_n>, a second nonzero span and so
+    the third member, past the two members `is_simple` walks with."""
     for p, d, e in FIELDS:
         spec = FieldSpec(p, d, None, e)
         for n in range(2, 5):
@@ -264,6 +265,44 @@ def test_identity_on_gf4_4_within_a_work_budget(monkeypatch):
     assert 0 < calls["_apply"] <= 93
     assert 0 < calls["_extend"] <= 2303
     assert 0 < calls["mask"] <= 66
+
+
+class _CountedReads(list):
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_member_loop_steps_once_per_cyclic_span(monkeypatch):
+    """An invertible F_2^15 module has 32,767 points but 8 members and 8
+    cyclic spans: the member loop reads the span of at most one point per
+    member and cyclic span, not one per point outside each member."""
+    rng, found, real = random.Random(15), [], SemilinearModule._cyclic_spans
+    m = random_module(rng, FieldSpec(2, 1), 15)
+    while m.stable_image().dim < 15:  # the first invertible one
+        m = random_module(rng, FieldSpec(2, 1), 15)
+
+    def counted(self, points, cap=None):
+        spans, masks, of, span = real(self, points, cap)
+        found.append(_CountedReads(of))
+        return spans, masks, found[-1], span
+
+    monkeypatch.setattr(SemilinearModule, "_cyclic_spans", counted)
+    lattice, _, _ = m._lattice(100_000)
+    spans = len(set(found[0])) + 1  # with the zero span, which no point has
+    assert (len(lattice), spans, crystal.quasi_length(m)) == (8, 8, 3)
+    assert 0 < found[0].reads <= len(lattice) * spans
+
+
+def test_is_simple_stops_at_a_second_nonzero_span(monkeypatch):
+    """A module that is not simple is found out before the walk has
+    applied C to half of its 16,383 points."""
+    calls = {"apply": 0}
+    monkeypatch.setattr(linalg._F2Points, "apply", _counter(calls)(linalg._F2Points.apply))
+    assert not random_module(random.Random(5), FieldSpec(2, 1), 14).is_simple()
+    assert 0 < calls["apply"] <= 8191
 
 
 def _walks(m):

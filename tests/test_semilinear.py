@@ -1011,6 +1011,7 @@ def test_end_ring_matches_oracle_on_simple_modules():
 def test_identity_not_simple(f2):
     m = module_from_ints(f2, [[1, 0], [0, 1]])
     assert not m.is_simple()
+    assert SemilinearModule(f2, []).is_simple() is False
     with pytest.raises(UsageError):
         m.end_ring()
 
