@@ -15,15 +15,17 @@ arithmetic behind the same interface.
 Besides scalar operations, a kernel works on whole rows (lists of packed
 ints): `scale`, `add_multiple` (row + c * other), `dot` and `frob_row`;
 and on the sparse polynomials of `cartier.poly`: `add_terms` adds
-c * x^u * f to a dict of terms.  The base class `_Kernel` writes these
-loops once on the scalar operations.  A kernel inlines its arithmetic
-into a loop only where a benchmark workload runs that loop and measures
-the gain:
+c * x^u * f to a dict of terms, and `lazy_terms`, division's term loop, is
+`add_terms` unless a kernel defers its reduction.  The base class
+`_Kernel` writes these loops once on the scalar operations.  A kernel
+inlines its arithmetic into a loop only where a benchmark workload runs
+that loop and measures the gain:
   - the `modules` workload, on the row loops of GF(2^d) and of odd
     extension fields: `_XorKernel` and `_ZechKernel` inline `add_multiple`
     and `dot`, and `_LogKernel` inlines `scale` and `frob_row`;
-  - the `ideals` workload, on the term loop: `_PrimeKernel` and
-    `_XorKernel` inline `add_terms`.
+  - the `ideals` workload, on the term loops: `_PrimeKernel` and
+    `_XorKernel` inline `add_terms`, and `_PrimeKernel`'s `lazy_terms`
+    leaves its sums unreduced mod p until division pops them.
 `_PrimeKernel` runs the base class's row loops, and `_PolyKernel` every
 base loop.
 
@@ -97,6 +99,11 @@ class _Kernel:
                 else:
                     del acc[e]
         return fresh
+
+    @property
+    def lazy_terms(self):
+        """Division's term loop: `add_terms`, unless a kernel defers it."""
+        return self.add_terms
 
     def frob_row(self, row, j):
         return [self.frob(x, j) for x in row]
@@ -183,6 +190,20 @@ class _PrimeKernel(_Kernel):
                     acc[e] = s
                 else:
                     del acc[e]
+        return fresh
+
+    def lazy_terms(self, acc, exps, coeffs, u, c):
+        """`add_terms` with no reduction mod p: a term that cancels stays in
+        acc, so it is never fresh twice."""
+        get, fresh = acc.get, []
+        for e, y in zip(exps, coeffs):
+            e += u
+            s = get(e)
+            if s is None:
+                acc[e] = c * y
+                fresh.append(e)
+            else:
+                acc[e] = s + c * y
         return fresh
 
 

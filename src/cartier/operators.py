@@ -26,6 +26,7 @@ from .poly import (
     _check_bound,
     _degree,
     _new,
+    _prepare,
 )
 
 DEFAULT_CHAIN_CAP = 64
@@ -279,17 +280,22 @@ class CartierOperator(_Immutable):
                 f"exceeds the cap {cap}"
             )
         ring, width = self.ring, len(support)
-        # x^S for each subset S of T (a bitmask), listed in an answer by S's variables
+        # x^S for each subset S of T (a bitmask), listed in an answer by S's variables;
+        # its monomial, its string and its prepared divisor are made once per call
         variables = {h: [v for n, v in enumerate(support) if h >> n & 1] for h in range(1 << width)}
         xs = {h: ring.monomial(int(i in s) for i in range(ring.nvars)) for h, s in variables.items()}
-        out = []
+        lead = {h: min(x._packed) for h, x in xs.items()}
+        text = {h: str(x) for h, x in xs.items()}
+        prepared = {h: _prepare(x._packed, None, ring) for h, x in xs.items()}
+        keyed = []
         for chain in _antichains(width):
-            gens = tuple(xs[h] for h in sorted(chain, key=variables.get))
+            gens = [xs[h] for h in sorted(chain, key=variables.get)]
             # monic monomials, none dividing another: their own reduced basis
-            basis = sorted(gens, key=lambda g: min(g._packed), reverse=True)
-            out.append(Ideal._with_basis(ring, gens, basis))
-        out.sort(key=lambda i: i.key())
-        return out
+            basis = sorted(chain, key=lead.get, reverse=True)
+            ideal = Ideal._with_basis(ring, gens, [xs[h] for h in basis], [prepared[h] for h in basis])
+            keyed.append((tuple(text[h] for h in basis), ideal))  # its `key()`
+        keyed.sort(key=lambda t: t[0])
+        return [ideal for _, ideal in keyed]
 
     # -- serialization -------------------------------------------------
 

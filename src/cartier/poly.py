@@ -617,21 +617,25 @@ def _divide(work: dict, divisors, ring: PolyRing, rank, quots=None, limits=None)
     With `quots` (one dict per divisor) the quotient terms are recorded.
 
     Pending monomials wait in a heap, keyed by rank (themselves under
-    grevlex); an entry whose term has cancelled since it was pushed is
-    dropped when popped.  Every monomial a step adds is below the one it
-    reduces, so a monomial that was reduced or moved to the remainder
-    never comes back (and each quotient term is written once)."""
+    grevlex).  The kernel's `lazy_terms` updates their coefficients, which
+    are normalised only as their monomial leaves the heap, mod the field
+    order: every packed element lies below it, and over F_p, where
+    `lazy_terms` leaves unreduced ints (and cancelled terms, so none is
+    pushed twice), it is p; a term that cancelled is dropped there.  Every
+    monomial a step adds is below the one it reduces, so a monomial that was
+    reduced or moved to the remainder never comes back (and each quotient
+    term is written once)."""
     heap = list(work) if rank is None else [(rank(e), e) for e in work]
     heapify(heap)
     leads = [d[0] for d in divisors]
     k, guards = ring.field.kernel, ring._guards
-    kmul, kneg, add_terms = k.mul, k.neg, k.add_terms
+    kmul, kneg, add_terms, order = k.mul, k.neg, k.lazy_terms, k.order
     rem = {}
     while heap:
         e = heappop(heap)
         if rank is not None:
             e = e[1]
-        c = work.pop(e, 0)
+        c = work.pop(e, 0) % order
         if not c:
             continue
         for i, de in enumerate(leads):
@@ -1078,7 +1082,9 @@ class Ideal(_Immutable):
         )
 
     def intersect(self, other: "Ideal") -> "Ideal":
-        """Auxiliary-variable elimination: eliminate t from t*I + (1-t)*J."""
+        """Auxiliary-variable elimination: eliminate t from t*I + (1-t)*J.  The
+        t-free part of the reduced elimination basis is, in its order, the
+        intersection's reduced grevlex basis, so the answer carries it."""
         if self.ring != other.ring:
             raise UsageError("ideals in different rings")
         ring = self.ring
@@ -1115,7 +1121,7 @@ class Ideal(_Immutable):
             if not any(m & big._mask for m in g._packed):  # free of t
                 _check_bound(_degree(g._packed, big._shift), ring.max_degree, "intersection degree")
                 down_gens.append(_new(ring, {drop(m): c for m, c in g._packed.items()}))
-        return Ideal(ring, tuple(down_gens))
+        return Ideal._with_basis(ring, down_gens, down_gens)
 
     def colon_element(self, g: Polynomial) -> "Ideal":
         """(I : g) = (1/g) (I intersect (g))."""
@@ -1133,8 +1139,9 @@ class Ideal(_Immutable):
         return Ideal(self.ring, tuple(quotients))
 
     def colon(self, other: "Ideal") -> "Ideal":
-        """(I : J) as the intersection of the element colons."""
-        gens = [g for g in other.gens if not g.is_zero]
+        """(I : J), the intersection of the element colons I : g.  Generators
+        g of J already in I are dropped first: I : g is the whole ring."""
+        gens = [g for g in other.gens if not g.is_zero and not self.member(g)]
         if not gens:
             return Ideal(self.ring, (self.ring.one,))
         result = self.colon_element(gens[0])

@@ -19,10 +19,11 @@ identity basis[i] = sum_j cofs[i][j] * gens[j].
 """
 
 import random
+from itertools import product
 
 import pytest
 
-from cartier import poly
+from cartier import _kernel, poly
 from cartier.field import TABLE_MAX_ORDER, FieldSpec
 from cartier.poly import (
     GREVLEX,
@@ -174,6 +175,63 @@ def test_packed_buchberger_matches_reference(monkeypatch, p, d, order):
         assert divide(f, divisors, order) == r
         assert divide(f, basis, order) == ref_divide(f, list(basis), key)
     assert nontrivial and formed and tracked_formed
+
+
+def _watch_pending(monkeypatch):
+    """Wrap F_p's term loop of division: count the pending terms that
+    cancel and then come back, and keep the largest unreduced coefficient."""
+    seen = {"back": 0, "top": 0}
+    loop = _kernel._PrimeKernel.lazy_terms
+
+    def watching(self, acc, exps, coeffs, u, c):
+        before = [acc.get(e + u) for e in exps]
+        fresh = loop(self, acc, exps, coeffs, u, c)
+        for e, s in zip(exps, before):
+            e += u
+            seen["back"] += s is not None and s % self.p == 0 and acc[e] % self.p != 0
+            seen["top"] = max(seen["top"], acc[e])
+        return fresh
+
+    monkeypatch.setattr(_kernel._PrimeKernel, "lazy_terms", watching)
+    return seen
+
+
+def _small_poly(rng, ring, terms, max_exp):
+    """Coefficients 1, 2, -1 and -2, which cancel often in any F_p."""
+    p, f = ring.field.p, ring.zero
+    for _ in range(terms):
+        e = tuple(rng.randint(0, max_exp) for _ in ring.vars)
+        f = f + ring.monomial(e, ring.field.from_int(rng.choice([1, 2, p - 1, p - 2])))
+    return f
+
+
+@pytest.mark.parametrize("p", [3, 7, 1000003], ids=["F3", "F7", "F1000003"])
+def test_prime_field_division_reduces_at_the_pop(monkeypatch, p):
+    """Over F_p a pending coefficient is reduced mod p only when its
+    monomial leaves the heap.  Here monomials cancel and come back while
+    pending, and unreduced coefficients pass p^2, with the reference's
+    remainders and quotients all the same."""
+    ring = PolyRing(FieldSpec(p, 1), ("x", "y", "z"))
+    seen = _watch_pending(monkeypatch)
+    rng = random.Random(p)
+    for _ in range(30):
+        divisors = [_small_poly(rng, ring, rng.randint(2, 4), 2) for _ in range(rng.randint(1, 3))]
+        divisors = [d for d in divisors if not d.is_zero]
+        f = _small_poly(rng, ring, 8, 4)
+        for order in ORDERS:
+            key = reference_key(order)
+            assert divide(f, divisors, order, track=True) == ref_divide(f, divisors, key, True)
+            assert divide(f, divisors, order) == ref_divide(f, divisors, key)
+    assert seen["back"] and seen["top"] > p * p
+    # ten leads, none dividing another, whose tails all meet in the
+    # constant: it takes ten updates of (p - 1)^2 before it is popped
+    leads = [ring.monomial(e) for e in product(range(4), repeat=3) if sum(e) == 3]
+    f = sum(leads[1:], leads[0])
+    divisors = [m + ring.constant(p - 1) for m in leads]
+    seen["top"] = 0
+    r, quots = divide(f, divisors, GREVLEX, track=True)
+    assert (r, quots) == ref_divide(f, divisors, reference_key(GREVLEX), True)
+    assert r == ring.constant(len(leads)) and seen["top"] == len(leads) * (p - 1) ** 2
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=["grevlex", "lex", "elim1"])

@@ -598,6 +598,88 @@ def test_colon_by_zero_raises(R2):
         Ideal(R2, (R2.var("x"),)).colon_element(R2.zero)
 
 
+def intersect_every_element_colon(I, J):
+    """I : J as the intersection of I : g over every nonzero generator g of
+    J, none dropped; the unit ideal when there is none."""
+    gens = [g for g in J.gens if not g.is_zero]
+    result = Ideal(I.ring, (I.ring.one,))
+    for g in gens:
+        result = result.intersect(I.colon_element(g))
+    return result
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 2)], ids=["F2", "F3", "GF4"])
+def test_colon_matches_the_intersection_of_every_element_colon(p, d):
+    """Dropping the generators of J that lie in I changes no colon, and
+    I : J is the unit ideal exactly when none is left."""
+    rng = random.Random(100 * p + d)
+    seen = {"all inside": 0, "all outside": 0, "mixed": 0}
+    for names in (("x", "y"), ("x", "y", "z")):
+        ring = PolyRing(FieldSpec(p, d), names)
+        for _ in range(20 if len(names) == 2 else 8):
+            I = Ideal(ring, [random_poly(rng, ring, 3, 2) for _ in range(rng.randint(1, 2))])
+            inside = [g * random_poly(rng, ring, 2, 1) for g in I.gens] + [ring.zero]
+            outside = [f for f in (random_poly(rng, ring, 3, 2) for _ in range(2)) if not I.member(f)]
+            for J in (inside, outside, inside + outside, outside[:1] + inside):
+                n_in = sum(not g.is_zero and I.member(g) for g in J)
+                n_out = sum(not I.member(g) for g in J)
+                if n_in or n_out:
+                    seen["mixed" if n_in and n_out else "all outside" if n_out else "all inside"] += 1
+                got = I.colon(Ideal(ring, J))
+                assert got.equals(intersect_every_element_colon(I, Ideal(ring, J))), (I, J)
+                assert got.is_unit == (n_out == 0)
+    assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (7, 1), (2, 2)], ids=["F2", "F7", "GF4"])
+def test_intersection_carries_its_reduced_basis(monkeypatch, p, d):
+    """The t-free part of the elimination basis is the intersection's
+    reduced grevlex basis: the answer's `groebner` runs no Buchberger and
+    equals a basis computed afresh from its generators."""
+    rng = random.Random(10 * p + d)
+    ring = PolyRing(FieldSpec(p, d), ("x", "y", "z"))
+    cases = []
+    for _ in range(15):
+        I, J = (Ideal(ring, [random_poly(rng, ring, 3, 2) for _ in range(2)]) for _ in "IJ")
+        cases.append((I.intersect(J), I, J))
+    runs = []
+    buchberger = poly._buchberger
+    monkeypatch.setattr(poly, "_buchberger", lambda *args: runs.append(1) or buchberger(*args))
+    for meet, I, J in cases:
+        runs.clear()
+        carried = meet.groebner()
+        assert not runs
+        assert carried == groebner_basis(meet.gens)
+        assert I.contains(meet) and J.contains(meet) and meet.contains(I.product(J))
+    assert any(len(meet.gens) > 1 for meet, _, _ in cases)
+
+
+def test_colon_by_an_ideal_inside_intersects_nothing(monkeypatch):
+    """When J lies in I, I : J is the unit ideal without an elimination; a
+    generator outside I costs one element colon and no intersection of
+    colons."""
+    ring = PolyRing(FieldSpec(3, 1), ("x", "y", "z"))
+    I = Ideal(ring, [ring.parse("x^2*y + z"), ring.parse("y*z^2 + 2*x")])
+    f, g = I.gens
+    calls = []
+    intersect = Ideal.intersect
+
+    def counting(self, other):
+        calls.append(other)
+        return intersect(self, other)
+
+    monkeypatch.setattr(Ideal, "intersect", counting)
+    inside = [f * ring.parse("x + y"), g, ring.zero, f * ring.parse("z^2") + g * ring.parse("2*y")]
+    assert I.colon(Ideal(ring, inside)).is_unit
+    assert calls == []
+    outside = ring.parse("x")
+    assert not I.member(outside)
+    meet = I.colon(Ideal(ring, inside + [outside]))
+    assert len(calls) == 1  # the one inside `colon_element(x)`
+    assert meet.equals(I.colon_element(outside))
+
+
+
 def long_intersection():
     """(g1, g2) and (h) over F_7 in x, y, z, with deg g1 = 14 and deg h = 11.
     The elimination basis behind their intersection reduces 96 S-pairs."""
