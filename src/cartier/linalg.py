@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from functools import cache
-from itertools import count, product
-from operator import lshift
+from itertools import product
 
 from .errors import ResourceError
 from .field import FieldSpec, _pack, _unpack
@@ -88,7 +87,7 @@ class _FpInts:
     A packed GF(p^d) element spreads its d base-p digits into d fields."""
 
     def __init__(self, p: int, d: int, fields: int):
-        self.p, self.d, self.w, self._seen = p, d, 1 if p == 2 else (2 * p - 2).bit_length() + 1, {}
+        self.p, self.d, self.w = p, d, 1 if p == 2 else (2 * p - 2).bit_length() + 1
         ones = ((1 << self.w * fields) - 1) // ((1 << self.w) - 1)
         self.bias, self.guard = ((1 << self.w - 1) - p) * ones, ones << self.w - 1
 
@@ -106,15 +105,11 @@ class _FpInts:
             r, c, j = self.add(r, multiples[j]) if c & 1 else r, c >> 1, j << 1
         return r
 
-    def spread(self, vec, stride: int = 1) -> int:
-        """The int of a packed GF(p^d) vector: entry j in the d fields from
-        field j*stride*d, its digits in an order of their own."""
-        p, d, w = self.p, self.d, self.w
-        if p != 2 and d > 1:
-            for x in set(vec).difference(self._seen):
-                self._seen[x] = sum(c << i * w for i, c in enumerate(_unpack(x, p, d)))
-            vec = map(self._seen.__getitem__, vec)
-        return sum(map(lshift, vec, count(0, stride * d * w)))
+    def digits(self, x: int) -> int:
+        """The int of packed x: its d base-p digits in d fields, in an order of their own."""
+        if self.p == 2 or self.d == 1:
+            return x
+        return sum(c << i * self.w for i, c in enumerate(_unpack(x, self.p, self.d)))
 
     def extend(self, pivots: dict, v: int, low: int = 0):
         """Reduce v by `pivots` (top field -> {c: c * pivot}, top field of

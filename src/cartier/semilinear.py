@@ -12,17 +12,19 @@ Modules, subspaces and Hom-spaces store packed rows and compute on them
 with `linalg`'s packed functions; `matrix`, `rows` and `basis` wrap them
 into FieldElements on each access, like `Polynomial.terms`.  Hom-spaces
 come from one F_p system, an int column per F_p-basis vector made of shifted
-spreads of rows and columns; fixed points are Hom from the unit module.
+spreads of rows and columns, whose scaled entries are read from per-field
+digit tables (`_digit_tables`); fixed points are Hom from the unit module.
 Over GF(2) the lattice walks run on ints, one bit per entry (`_points`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice, product, tee
+from itertools import count, islice, product, tee
+from operator import lshift
 
 from .errors import InvariantViolation, ResourceError, UsageError
-from .field import FieldElement, FieldSpec, _Immutable, embed
+from .field import TABLE_MAX_ORDER, FieldElement, FieldSpec, _Immutable, embed
 from . import linalg
 
 
@@ -209,23 +211,47 @@ def _subfield_fp_basis(spec: FieldSpec) -> tuple:
     if spec.d % spec.e != 0:
         raise UsageError(f"twist e={spec.e} does not divide d={spec.d}")
     k, e, fp = spec.kernel, spec.e, linalg._FpInts(spec.p, spec.d, 2 * spec.d)
-    kern = linalg._fp_null_space([fp.spread([k.sub(k.frob(w, e), w)]) for w in _fp_units(spec)], fp)
+    kern = linalg._fp_null_space([fp.digits(k.sub(k.frob(w, e), w)) for w in _fp_units(spec)], fp)
     if len(kern) != spec.e:
         raise InvariantViolation("fixed field of sigma^e has wrong dimension")
     return tuple(x for (x,) in kern)
 
 
-def _fq_basis(vectors, spec: FieldSpec, fp):
+class _Digits(dict):
+    """Packed x -> the `_FpInts` digits of x * c, filled on first use."""
+
+    def __init__(self, spec: FieldSpec, c: int):
+        self.spec, self.c, self.fp = spec, c, linalg._FpInts(spec.p, spec.d, 0)
+
+    def __missing__(self, x):
+        self[x] = y = self.fp.digits(self.spec.kernel.mul(x, self.c))
+        return y
+
+
+def _digit_tables(spec: FieldSpec) -> tuple:
+    """`_Digits` of each F_p-unit w and of -sigma^(-e)(w), and of F_q's F_p-basis;
+    kept for fields up to TABLE_MAX_ORDER (`_kept_tables`), like `field._Elements`."""
+    k, e, units = spec.kernel, spec.e, _fp_units(spec)
+    return ([_Digits(spec, w) for w in units],
+            [_Digits(spec, k.neg(k.frob(w, -e))) for w in units],
+            [_Digits(spec, u) for u in (_subfield_fp_basis(spec) if e > 1 else ())])
+
+
+_kept_tables = lru_cache(maxsize=None)(_digit_tables)
+
+
+def _fq_basis(vectors, spec: FieldSpec, fp, tables):
     """Maximal F_q-independent subset of F_p-independent packed vectors,
     greedy in the order given: all of them when q = p.  v is kept when
     u*v, for u in an F_p-basis of F_q, extends the F_p echelon (`fp`
-    pivots) of the F_q-span so far."""
+    pivots) of the F_q-span so far; `tables` are the `_Digits` of the u."""
     if spec.e == 1:
         return list(vectors)
-    k, pivots, scalars = spec.kernel, {}, _subfield_fp_basis(spec)
+    pivots, step = {}, spec.d * fp.w
 
     def grows(v):  # extends by every u*v, not just up to the first
-        return [fp.extend(pivots, fp.spread(k.scale(v, u))) is None for u in scalars]
+        return [fp.extend(pivots, sum(map(lshift, map(t.__getitem__, v), count(0, step)))) is None
+                for t in tables]
 
     return [v for v in vectors if any(grows(v))]
 
@@ -515,17 +541,20 @@ class SemilinearModule(_TwistedModule):
             raise UsageError(f"Hom-space target {other!r} is not a Cartier module")
         if other.spec != self.spec:
             raise UsageError("modules live over different field specs")
-        spec, k, e = self.spec, self.spec.kernel, self.spec.e
+        spec, e = self.spec, self.spec.e
         av, aw, nv, nw = self._a, other._a, self.dim, other.dim
-        units, fp = _fp_units(spec), linalg._FpInts(spec.p, spec.d, 2 * nv * nw * spec.d)
-        step = spec.d * fp.w
-        row_v = [[fp.spread(k.scale(row, w)) for w in units] for row in av]
-        col_w = [[fp.spread(k.scale(c, k.neg(k.frob(w, -e))), nv) for w in units] for c in zip(*aw)]
+        fp = linalg._FpInts(spec.p, spec.d, 2 * nv * nw * spec.d)
+        tables = _kept_tables if spec.order <= TABLE_MAX_ORDER else _digit_tables
+        (rows, twists, scalars), step = tables(spec), spec.d * fp.w
+        row_v = [[sum(map(lshift, map(t.__getitem__, row), count(0, step))) for t in rows]
+                 for row in av]
+        col_w = [[sum(map(lshift, map(t.__getitem__, c), count(0, nv * step))) for t in twists]
+                 for c in zip(*aw)]
         cols = [fp.add(row_v[s][ell] << r * nv * step, col_w[r][ell] << s * step)
                 for r, s, ell in product(range(nw), range(nv), range(spec.d))]
         kern = linalg._fp_null_space(cols, fp)
         basis = [tuple(v[r * nv : (r + 1) * nv] for r in range(nw))
-                 for v in _fq_basis(kern, spec, fp)]
+                 for v in _fq_basis(kern, spec, fp, scalars)]
         if len(basis) * e != len(kern):
             raise InvariantViolation("Hom-space is not an F_q-subspace")
         if not all(self._maps_to(other, phi) for phi in basis):

@@ -4,13 +4,14 @@ list-row solve of conftest (`oracle_fp_kernel`), vector for vector, the
 work it does at large p, and the checks on the fixed points it finds."""
 
 import random
+from itertools import product
 
 import pytest
 
 from cartier import linalg, semilinear
 from cartier._kernel import _PrimeKernel
 from cartier.errors import InvariantViolation
-from cartier.field import FieldSpec
+from cartier.field import TABLE_MAX_ORDER, FieldSpec, _unpack
 from cartier.semilinear import SemilinearModule, Subspace, _TwistedModule
 
 from conftest import (
@@ -31,6 +32,18 @@ IDS = ["F2", "GF4", "GF8", "F3", "GF9", "F5", "F7", "GF25", "GF4-e2", "GF9-e2", 
 BIG = 1000003
 
 
+def spread(fp, vec, stride: int = 1) -> int:
+    """The int of a packed GF(p^d) vector as `_FpInts.spread` built it
+    before the digit tables: entry j in the d fields from field
+    j*stride*d, the bits of x for p = 2, else its base-p digits."""
+    p, d, w = fp.p, fp.d, fp.w
+
+    def digits(x):
+        return x if p == 2 or d == 1 else sum(c << i * w for i, c in enumerate(_unpack(x, p, d)))
+
+    return sum(digits(x) << j * stride * d * w for j, x in enumerate(vec))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, BIG])
 def test_packed_arithmetic_is_entrywise_mod_p(p):
     """add and times against residues, at the edges of a field too; a
@@ -42,9 +55,9 @@ def test_packed_arithmetic_is_entrywise_mod_p(p):
         a = edge + [rng.randrange(p) for _ in range(35)]
         b = list(reversed(edge)) + [rng.randrange(p) for _ in range(35)]
         c = rng.randrange(1, p)
-        pa, pb = fp.spread(a), fp.spread(b)
-        assert fp.add(pa, pb) == fp.spread([(x + y) % p for x, y in zip(a, b)])
-        assert fp.times(c, {1: pa}) == fp.spread([c * x % p for x in a])
+        pa, pb = spread(fp, a), spread(fp, b)
+        assert fp.add(pa, pb) == spread(fp, [(x + y) % p for x, y in zip(a, b)])
+        assert fp.times(c, {1: pa}) == spread(fp, [c * x % p for x in a])
 
 
 def solver_kernel(spec: FieldSpec, images):
@@ -52,7 +65,7 @@ def solver_kernel(spec: FieldSpec, images):
     t^l e_i), spread into ints wide enough for the system."""
     rows = max((len(v) for v in images), default=0) * spec.d
     fp = linalg._FpInts(spec.p, spec.d, rows + len(images))
-    return linalg._fp_null_space([fp.spread(v) for v in images], fp)
+    return linalg._fp_null_space([spread(fp, v) for v in images], fp)
 
 
 def random_system(rng, spec: FieldSpec):
@@ -128,6 +141,48 @@ def test_raw_hom_and_fixed_bases_match_the_list_oracle(field):
         assert v.fixed_points() == tuple(map(spec.wrap, oracle_fixed_basis(v)))
 
 
+def scaled_spread_hom_basis(v: SemilinearModule, w: SemilinearModule) -> tuple:
+    """Hom(v, w)'s packed basis built as before the digit tables: every
+    row and column scaled by `k.scale`, then the strided `spread`, and
+    u*x scaled the same way in the F_q-greedy step."""
+    spec, k, e = v.spec, v.spec.kernel, v.spec.e
+    av, aw, nv, nw = v._a, w._a, v.dim, w.dim
+    units, fp = semilinear._fp_units(spec), linalg._FpInts(spec.p, spec.d, 2 * nv * nw * spec.d)
+    step = spec.d * fp.w
+    row_v = [[spread(fp, k.scale(row, u)) for u in units] for row in av]
+    col_w = [[spread(fp, k.scale(c, k.neg(k.frob(u, -e))), nv) for u in units] for c in zip(*aw)]
+    cols = [fp.add(row_v[s][ell] << r * nv * step, col_w[r][ell] << s * step)
+            for r, s, ell in product(range(nw), range(nv), range(spec.d))]
+    kern, pivots = linalg._fp_null_space(cols, fp), {}
+    if e > 1:
+        scalars = semilinear._subfield_fp_basis(spec)
+        kern = [x for x in kern
+                if any([fp.extend(pivots, spread(fp, k.scale(x, u))) is None for u in scalars])]
+    return tuple(tuple(x[r * nv : (r + 1) * nv] for r in range(nw)) for x in kern)
+
+
+# (p, d, e): the fields of the benchmark pools, a twisted one, an odd prime,
+# and two fields above TABLE_MAX_ORDER, whose tables are not kept
+TABLE_FIELDS = [
+    (2, 1, 1), (2, 2, 1), (2, 3, 1), (3, 2, 1), (3, 2, 2), (5, 1, 1), (BIG, 1, 1), (3, 11, 1),
+]
+TABLE_IDS = ["GF2", "GF4", "GF8", "GF9", "GF9-e2", "F5", "F1000003", "GF3^11"]
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=TABLE_IDS)
+def test_table_built_hom_basis_matches_the_scaled_spread(field):
+    """hom_space's basis, whose entries come from the digit tables, equals
+    the one `k.scale` and the strided spread give, for every pair of sizes
+    up to 3 with 0 on either side, the unit module (fixed points) included."""
+    spec = FieldSpec(field[0], field[1], None, field[2])
+    rng = random.Random(f"digit-tables:{field}")
+    unit = SemilinearModule(spec, [[spec.one]])
+    sizes = [0, 1, 2, 3] if spec.d < 11 else [0, 1, 2]
+    modules = [unit] + [small_module(rng, spec, n) for n in sizes for _ in range(2)]
+    for v, w in product(modules, repeat=2):
+        assert v.hom_space(w)._basis == scaled_spread_hom_basis(v, w), (v, w)
+
+
 def count_solver_work(monkeypatch, cap):
     """Counts `_FpInts.times` calls (pivot multiples formed) and
     `_FpInts.add` calls, and fails as soon as either passes its cap."""
@@ -201,6 +256,66 @@ def test_gf9_solves_make_no_list_row_operation(monkeypatch, e):
         v.hom_space(w), v.hom_space(v), v.fixed_points()
     assert solves.count("_fp_null_space") >= 9 and solves.count("_fq_basis") >= 9
     assert calls == []
+
+
+def count_kernel_work(monkeypatch, kernel_class):
+    """Counts the `scale` and `mul` calls of a kernel class made outside
+    hom_space's and fixed_points' checks (`_maps_to` and `linalg._rank`)."""
+    calls, checking = [], [0]
+
+    def check(real):
+        def wrapped(*args):
+            checking[0] += 1
+            try:
+                return real(*args)
+            finally:
+                checking[0] -= 1
+        return wrapped
+
+    for name in ("scale", "mul"):
+        real = getattr(kernel_class, name)
+
+        def counted(self, *args, name=name, real=real):
+            if not checking[0]:
+                calls.append(name)
+            return real(self, *args)
+
+        monkeypatch.setattr(kernel_class, name, counted)
+    monkeypatch.setattr(SemilinearModule, "_maps_to", check(SemilinearModule._maps_to))
+    monkeypatch.setattr(linalg, "_rank", check(linalg._rank))
+    return calls
+
+
+@pytest.mark.parametrize("field", [(2, 2, 1), (3, 2, 1), (3, 2, 2), (5, 1, 1)],
+                         ids=["GF4", "GF9", "GF9-e2", "F5"])
+def test_a_second_solve_on_a_field_reads_its_entries_from_the_tables(field, monkeypatch):
+    """The first hom_space and fixed_points on a field fill its digit tables
+    with one `mul` per new (scalar, entry); the same calls again scale and
+    multiply nothing outside the checks, and give the same bases."""
+    spec = FieldSpec(field[0], field[1], None, field[2])
+    semilinear._kept_tables.cache_clear()
+    rng = random.Random(f"table-work:{field}")
+    v, w = random_module(rng, spec, 3), random_module(rng, spec, 4)
+    calls = count_kernel_work(monkeypatch, type(spec.kernel))
+    first = v.hom_space(w)._basis, w.hom_space(v)._basis, v.fixed_points(), w.fixed_points()
+    assert "mul" in calls and "scale" not in calls
+    calls.clear()
+    again = v.hom_space(w)._basis, w.hom_space(v)._basis, v.fixed_points(), w.fixed_points()
+    assert calls == []
+    assert again == first
+
+
+def test_fields_above_the_table_size_keep_no_digit_table():
+    """F_1000003 and GF(3^11) build their tables for each solve; GF(9)
+    keeps one per field spec."""
+    semilinear._kept_tables.cache_clear()
+    for spec in (FieldSpec(BIG, 1), FieldSpec(3, 11)):
+        assert spec.order > TABLE_MAX_ORDER
+        m = random_module(random.Random(f"no-table:{spec.p}"), spec, 2)
+        m.hom_space(m), m.fixed_points()
+    assert semilinear._kept_tables.cache_info().currsize == 0
+    random_module(random.Random("no-table:9"), FieldSpec(3, 2), 2).fixed_points()
+    assert semilinear._kept_tables.cache_info().currsize == 1
 
 
 # -- the checks on fixed points ----------------------------------------------
